@@ -6,8 +6,9 @@ as num/den strings, integers bare).  Exit codes: 0 success, 1 domain
 error (with a one-line {"error": code, "detail": ...} under --json),
 2 usage error.
 
-Environment: SPINEL_FACTOR_BOUND overrides the trial-division bound,
-SPINEL_SEARCH_BOUND the pure-quaternion search box (defaults 2^48 and 50).
+Environment: SPINEL_FACTOR_BOUND overrides the trial-division bound for
+factoring `curves --q`, SPINEL_SEARCH_BOUND the pure-quaternion search box
+(defaults 2^48 and 50).
 """
 
 from __future__ import annotations

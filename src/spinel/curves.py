@@ -8,24 +8,27 @@ without going through any of that theory.
 F_{p^a} is realized as F_p[x]/(m(x)) for the lexicographically smallest
 monic irreducible m (coefficients compared constant term first), so all
 field data is deterministic and reproducible.  Elements are ints in
-[0, q), encoding coefficient vectors in base p, constant term last digit;
-small fields get full multiplication tables.
+[0, q), encoding coefficient vectors in base p, constant term last digit.
+Every field, whatever q, computes through one representation: exp/log
+tables of a fixed primitive element plus Zech logarithms, O(q) entries built
+at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul as _times
 from typing import Iterator, Optional
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .errors import FieldTooLarge, NotPrime, PrecheckFailed, SearchExhausted
 
 #: refuse brute force beyond this field size
 DEFAULT_FIELD_CAP = 10_000
 
-#: build full add/mul tables when q is at most this
-_TABLE_CAP = 256
+#: refuse to construct F_q beyond this order; construction builds O(q) tables
+MAX_FIELD_ORDER = 2**14
 
 
 def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
@@ -67,21 +70,42 @@ def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """F_{p^a} with int-encoded elements and exact table-driven arithmetic."""
+    """F_{p^a} with int-encoded elements and exact log-table arithmetic.
+
+    A primitive element g is fixed at construction.  exp[k] = g^k and
+    log[g^k] = k turn products, inverses and powers into index arithmetic,
+    and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
+    g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
+    Zero gets the log 2(q - 1), which points into a run of zeros at the end
+    of exp, so a product or sum that is zero needs no branch.
+    """
 
     def __init__(self, p: int, a: int = 1):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if a < 1:
             raise ValueError("a must be positive")
+        # p^a >= 2^a, so a long exponent is over the limit without computing p^a
+        if p >= 2 and (a >= MAX_FIELD_ORDER.bit_length() or p**a > MAX_FIELD_ORDER):
+            shown = f"{p}^{a} = {p**a}" if a * p.bit_length() <= 256 else f"{p}^{a}"
+            raise FieldTooLarge(
+                f"F_q with p = {p}, a = {a}: q = {shown} exceeds the field "
+                f"construction limit {MAX_FIELD_ORDER}"
+            )
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.a = a
-        self.q = p**a
+        self.q = q = p**a
         self.modulus = _smallest_modulus(p, a)  # x^a + sum modulus[i] x^i
-        self._mul_table: Optional[list] = None
-        self._add_table: Optional[list] = None
-        if self.q <= _TABLE_CAP:
-            self._build_tables()
+        self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
+        powers = self._powers(self._primitive_element())
+        # two periods, so a sum of two logs needs no reduction mod q - 1, then
+        # zeros for every index reached from the log of zero
+        self._exp = powers + powers + [0] * (2 * q - 1)
+        self._log = log = [2 * (q - 1)] * q
+        for k, u in enumerate(powers):
+            log[u] = k
+        # 1 + u changes only the constant digit of u
+        self._zech = [log[u - u % p + (u + 1) % p] for u in powers]
 
     def decode(self, u: int) -> tuple[int, ...]:
         out = []
@@ -103,11 +127,8 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.q)
 
-    def _add_raw(self, u: int, v: int) -> int:
-        cu, cv = self.decode(u), self.decode(v)
-        return self.encode(tuple((a + b) % self.p for a, b in zip(cu, cv)))
-
     def _mul_raw(self, u: int, v: int) -> int:
+        """Schoolbook product mod the modulus; only the table builder uses it."""
         cu, cv = self.decode(u), self.decode(v)
         prod = [0] * (2 * self.a - 1)
         for i, ci in enumerate(cu):
@@ -123,73 +144,89 @@ class FiniteField:
                     prod[deg - self.a + i] -= c * mc
         return self.encode(tuple(c % self.p for c in prod[: self.a]))
 
-    def _build_tables(self) -> None:
-        q = self.q
-        self._add_table = [[self._add_raw(u, v) for v in range(q)] for u in range(q)]
-        self._mul_table = [[self._mul_raw(u, v) for v in range(q)] for u in range(q)]
+    def _primitive_element(self) -> int:
+        """The first u in 1..q-1 with u^((q-1)/r) != 1 for every prime r | q - 1."""
+        order = self.q - 1
+        primes = factorize(order)[1]
+        # for a > 1 the constants 1..p-1 have order dividing p - 1 < q - 1
+        for g in range(1 if self.a == 1 else self.p, self.q):
+            if all(self._pow_raw(g, order // r) != 1 for r in primes):
+                return g
+        raise AssertionError("the multiplicative group of a finite field is cyclic")
+
+    def _pow_raw(self, u: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, u)
+            u = self._mul_raw(u, u)
+            e >>= 1
+        return out
+
+    def _powers(self, g: int) -> list[int]:
+        """[g^0, ..., g^(q-2)]: multiplication by g is F_p-linear on the digits."""
+        p, a = self.p, self.a
+        columns = list(zip(*(self.decode(self._mul_raw(g, p**i)) for i in range(a))))
+        weights = [p**i for i in range(a)]
+        out = []
+        digits = [1] + [0] * (a - 1)
+        for _ in range(self.q - 1):
+            out.append(sum(map(_times, digits, weights)))
+            digits = [sum(map(_times, digits, col)) % p for col in columns]
+        return out
 
     def add(self, u: int, v: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[u][v]
-        return self._add_raw(u, v)
+        if u and v:
+            log = self._log
+            lu = log[u]
+            # a negative index wraps mod q - 1, the length of the Zech table
+            return self._exp[lu + self._zech[log[v] - lu]]
+        return u or v
 
     def mul(self, u: int, v: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[u][v]
-        return self._mul_raw(u, v)
+        log = self._log
+        return self._exp[log[u] + log[v]]
 
     def neg(self, u: int) -> int:
-        return self.encode(tuple((-c) % self.p for c in self.decode(u)))
+        return self._exp[self._log[u] + self._neg_shift]
 
     def sub(self, u: int, v: int) -> int:
         return self.add(u, self.neg(v))
 
     def pow(self, u: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(u), -e)
-        out = self.from_int(1)
-        base = u
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        if u == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 is not invertible")
+            return 0 if e else 1
+        return self._exp[self._log[u] * e % (self.q - 1)]
 
     def inv(self, u: int) -> int:
         if u == 0:
             raise ZeroDivisionError("0 is not invertible")
-        return self.pow(u, self.q - 2)
+        return self._exp[self.q - 1 - self._log[u]]
 
     def sqrt_counts(self) -> list[int]:
-        """counts[v] = #{w : w^2 = v}; cached."""
-        counts = getattr(self, "_sqrt_counts", None)
-        if counts is None:
-            counts = [0] * self.q
-            for w in range(self.q):
-                counts[self.mul(w, w)] += 1
-            self._sqrt_counts = counts
-        return counts
+        """counts[v] = #{w : w^2 = v}, read off the parity of log v."""
+        if self.p == 2:
+            return [1] * self.q  # squaring is a bijection in characteristic 2
+        return [1] + [2 - 2 * (k & 1) for k in self._log[1:]]
 
-    def sqrt_lists(self) -> dict[int, list[int]]:
-        """v -> all square roots of v; cached."""
-        lists = getattr(self, "_sqrt_lists", None)
-        if lists is None:
-            lists = {}
-            for w in range(self.q):
-                lists.setdefault(self.mul(w, w), []).append(w)
-            self._sqrt_lists = lists
-        return lists
+    def sqrts(self, u: int) -> tuple[int, ...]:
+        """All w with w^2 = u, from half the log of u."""
+        if u == 0:
+            return (0,)
+        k = self._log[u]
+        if self.p == 2:
+            # q - 1 is odd, so exactly one of k and k + q - 1 is even
+            return (self._exp[(k + (k & 1) * (self.q - 1)) // 2],)
+        if k & 1:
+            return ()
+        w = self._exp[k // 2]
+        return (w, self.neg(w))
 
     def artin_schreier_image(self) -> frozenset[int]:
         """{z^2 + z} for char 2; solvability set of y^2 + y = d."""
-        image = getattr(self, "_as_image", None)
-        if image is None:
-            image = frozenset(
-                self.add(self.mul(z, z), z) for z in range(self.q)
-            )
-            self._as_image = image
-        return image
+        return frozenset(self.add(self.mul(z, z), z) for z in self.elements())
 
     def __eq__(self, other) -> bool:
         return (
@@ -280,9 +317,10 @@ def count_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> int:
     """#E(F_q) including the point at infinity, by direct enumeration.
 
     Odd characteristic: complete the square, (2y + a1 x + a3)^2 = 4*rhs + h^2,
-    and read solution counts off the squares table.  Characteristic 2: for
-    h = a1 x + a3 nonzero substitute y = h z to reach z^2 + z = rhs/h^2 and
-    use the Artin-Schreier image; h = 0 leaves the bijective y -> y^2.
+    and read solution counts off the parity of logs (sqrt_counts).
+    Characteristic 2: for h = a1 x + a3 nonzero substitute y = h z to reach
+    z^2 + z = rhs/h^2 and use the Artin-Schreier image; h = 0 leaves the
+    bijective y -> y^2.
     """
     F = E.field
     _check_cap(F, cap)
@@ -470,10 +508,9 @@ def curve_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> list[Poin
     _require_short(E)
     _check_cap(E.field, cap)
     F = E.field
-    roots = F.sqrt_lists()
     pts: list[Point] = [None]
     for x in F.elements():
-        for y in roots.get(E.rhs(x), ()):
+        for y in F.sqrts(E.rhs(x)):
             pts.append((x, y))
     return pts
 
@@ -535,12 +572,14 @@ def find_q14_curve(p: int, cap: int = DEFAULT_FIELD_CAP) -> WeierstrassCurve:
 
 
 def verify_frobenius_scalar(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> bool:
-    """Check (x^q, y^q) = [-p]P for every rational point of E/F_{p^2}.
+    """Check [p+1]P = O for every rational point of E/F_{p^2}.
 
-    This certifies the Frobenius endomorphism acts as the scalar -p on the
-    whole group E(F_{p^2}), which is (Z/(p+1))^2, not merely that the trace
-    is -2p.  Preconditions: short form, p >= 5, field F_{p^2}, (p+1)^2
-    points.
+    With the precondition #E(F_{p^2}) = (p+1)^2 this certifies that
+    E(F_{p^2}) has exponent p + 1, hence is (Z/(p+1))^2 = E[p+1]: the whole
+    (p+1)-torsion is rational, so Frobenius, which fixes every rational
+    point, acts on it as 1 = -p mod p + 1.  This is the same test as
+    (x^q, y^q) = [-p]P, since x^q = x for every x in F_q.  Preconditions:
+    short form, p >= 5, field F_{p^2}, (p+1)^2 points.
     """
     _require_short(E)
     F = E.field
@@ -548,12 +587,4 @@ def verify_frobenius_scalar(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -
         raise PrecheckFailed("expected a quadratic field F_{p^2}")
     if count_points(E, cap) != (F.p + 1) ** 2:
         raise PrecheckFailed("curve is not in the tau = -p class")
-    q = F.q
-    for P in curve_points(E, cap):
-        if P is None:
-            continue
-        x, y = P
-        frob = (F.pow(x, q), F.pow(y, q))
-        if frob != point_mul(E, -F.p, P):
-            return False
-    return True
+    return all(point_mul(E, F.p + 1, P) is None for P in curve_points(E, cap))

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Nothing here may import the code paths it checks: the Hilbert oracle is
-congruence search, the curve oracle is a bare double loop over (x, y), and
-the ternary oracle is a box scan.  They are slow and only run at desk scale.
+congruence search, the curve oracle is a bare double loop over (x, y), the
+field oracle is schoolbook polynomial arithmetic on base-p digits, and the
+ternary oracle is a box scan.  They are slow and only run at desk scale.
 """
 
 from __future__ import annotations
@@ -86,6 +87,48 @@ def naive_point_count(E) -> int:
             if lhs == rhs:
                 n += 1
     return n
+
+
+def _from_digits(digits, p: int) -> int:
+    u = 0
+    for c in reversed(digits):
+        u = u * p + c % p
+    return u
+
+
+def field_add_oracle(F, u: int, v: int) -> int:
+    """u + v in F by adding base-p digits mod p."""
+    return _from_digits([a + b for a, b in zip(F.decode(u), F.decode(v))], F.p)
+
+
+def field_neg_oracle(F, u: int) -> int:
+    return _from_digits([-c for c in F.decode(u)], F.p)
+
+
+def field_mul_oracle(F, u: int, v: int) -> int:
+    """u * v in F: schoolbook product of digit polynomials, then reduction
+    of every degree >= a with x^a = -sum F.modulus[i] x^i."""
+    a = F.a
+    prod = [0] * (2 * a - 1)
+    for i, ci in enumerate(F.decode(u)):
+        for j, cj in enumerate(F.decode(v)):
+            prod[i + j] += ci * cj
+    for deg in range(2 * a - 2, a - 1, -1):
+        top = prod.pop()
+        for i, mi in enumerate(F.modulus):
+            prod[deg - a + i] -= top * mi
+    return _from_digits(prod, F.p)
+
+
+def field_pow_oracle(F, u: int, e: int) -> int:
+    """u^e for e >= 0 by square and multiply with field_mul_oracle."""
+    out = 1
+    while e:
+        if e & 1:
+            out = field_mul_oracle(F, out, u)
+        u = field_mul_oracle(F, u, u)
+        e >>= 1
+    return out
 
 
 def legendre_oracle(a: int, p: int) -> int:

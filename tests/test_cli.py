@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -145,3 +146,13 @@ def test_selftest_json(capsys):
     assert doc["failed"] == 0
     assert doc["passed"] >= 6
     assert all(doc["results"].values())
+
+
+@pytest.mark.parametrize("q", ["1099511627776", "16777216"])  # 2^40 and 2^24
+def test_huge_field_fails_fast(q, capsys):
+    t0 = time.perf_counter()
+    rc = main(["curves", "--q", q, "--json"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "field-too-large"
+    assert elapsed < 1.0

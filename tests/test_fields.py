@@ -1,0 +1,145 @@
+"""Field arithmetic against the schoolbook oracle, and the helpers read off logs."""
+
+import random
+import time
+
+import pytest
+
+from _oracles import (
+    field_add_oracle,
+    field_mul_oracle,
+    field_neg_oracle,
+    field_pow_oracle,
+    naive_point_count,
+)
+from spinel.curves import (
+    MAX_FIELD_ORDER,
+    FiniteField,
+    WeierstrassCurve,
+    count_points,
+    curve_points,
+    find_q14_curve,
+    point_mul,
+)
+from spinel.errors import FieldTooLarge
+
+
+def _prime_powers(limit):
+    out = []
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, p)):
+            q, a = p, 1
+            while q <= limit:
+                out.append((p, a))
+                q, a = q * p, a + 1
+    return sorted(out, key=lambda pa: pa[0] ** pa[1])
+
+
+def _check_pair(F, u, v, e):
+    assert F.add(u, v) == field_add_oracle(F, u, v), (F.q, u, v)
+    assert F.sub(u, v) == field_add_oracle(F, u, field_neg_oracle(F, v)), (F.q, u, v)
+    assert F.mul(u, v) == field_mul_oracle(F, u, v), (F.q, u, v)
+    assert F.pow(u, e) == field_pow_oracle(F, u, e), (F.q, u, e)
+
+
+def _check_unary(F, u):
+    assert F.neg(u) == field_neg_oracle(F, u), (F.q, u)
+    if u:
+        inv = field_pow_oracle(F, u, F.q - 2)
+        assert F.inv(u) == inv, (F.q, u)
+        assert F.pow(u, -3) == field_pow_oracle(F, inv, 3), (F.q, u)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(u)
+
+
+@pytest.mark.parametrize("p,a", _prime_powers(64), ids=lambda x: str(x))
+def test_field_matches_oracle_on_every_pair(p, a):
+    F = FiniteField(p, a)
+    exps = (0, 1, 2, F.q - 1, F.q, 2 * F.q + 3)
+    for u in F.elements():
+        _check_unary(F, u)
+        for v in F.elements():
+            _check_pair(F, u, v, exps[v % len(exps)])
+
+
+@pytest.mark.parametrize("q", [121, 128, 243, 256, 257, 361, 729, 2048, 2401])
+def test_field_matches_oracle_on_samples(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    a = 0
+    while p**a < q:
+        a += 1
+    F = FiniteField(p, a)
+    rng = random.Random(q)
+    for _ in range(1500):
+        u, v = rng.randrange(q), rng.randrange(q)
+        _check_pair(F, u, v, rng.randrange(3 * q))
+        _check_unary(F, u)
+
+
+def test_field_construction_limit_fails_fast():
+    for p, a in [(2, 15), (2, 24), (2, 40), (16411, 1), (131, 2), (3, 10**6)]:
+        t0 = time.perf_counter()
+        with pytest.raises(FieldTooLarge) as err:
+            FiniteField(p, a)
+        assert time.perf_counter() - t0 < 0.1
+        detail = str(err.value)
+        assert f"p = {p}" in detail and f"a = {a}" in detail
+        assert f"q = {p}^{a}" in detail and str(MAX_FIELD_ORDER) in detail
+    assert FiniteField(2, 14).q == MAX_FIELD_ORDER
+
+
+def _random_curves(F, count, seed, short=False):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coeffs = [rng.randrange(F.q) for _ in range(5)]
+        if short:
+            coeffs[:3] = [0, 0, 0]
+        try:
+            out.append(WeierstrassCurve(F, *coeffs))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("p,a", [(2, 6), (3, 4), (11, 2)])
+def test_count_points_matches_naive_count(p, a):
+    F = FiniteField(p, a)
+    for E in _random_curves(F, 4, seed=F.q):
+        assert count_points(E) == naive_point_count(E), E
+
+
+@pytest.mark.parametrize("p", [11, 17, 19])
+def test_curve_points_agree_with_count(p):
+    F = FiniteField(p, 2)
+    for E in _random_curves(F, 4, seed=p, short=True):
+        pts = curve_points(E)
+        assert len(pts) == len(set(pts)) == count_points(E), E
+        for P in pts[1:]:
+            x, y = P
+            assert F.mul(y, y) == E.rhs(x)
+
+
+def test_sqrts_and_counts_from_half_logs():
+    for p, a in [(2, 5), (3, 3), (13, 1), (5, 2)]:
+        F = FiniteField(p, a)
+        roots = {}
+        for w in F.elements():
+            roots.setdefault(F.mul(w, w), set()).add(w)
+        counts = F.sqrt_counts()
+        for u in F.elements():
+            assert set(F.sqrts(u)) == roots.get(u, set()), (F.q, u)
+            assert len(F.sqrts(u)) == counts[u], (F.q, u)
+
+
+def test_frobenius_check_is_the_p_plus_1_torsion_check():
+    # x^q = x on F_q, so (x^q, y^q) = [-p]P says exactly [p+1]P = O
+    for p in [5, 7]:
+        E = find_q14_curve(p)
+        F = E.field
+        for P in curve_points(E)[1:]:
+            x, y = P
+            assert (F.pow(x, F.q), F.pow(y, F.q)) == P
+            assert (point_mul(E, -p, P) == P) == (point_mul(E, p + 1, P) is None)
+            assert point_mul(E, p + 1, P) is None
