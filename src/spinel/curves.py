@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import mul as _times
 from typing import Iterator, Optional
 
@@ -29,6 +30,9 @@ DEFAULT_FIELD_CAP = 10_000
 
 #: refuse to construct F_q beyond this order; construction builds O(q) tables
 MAX_FIELD_ORDER = 2**14
+
+#: refuse a trace census whose normal-form scan exceeds this many point evaluations
+MAX_CENSUS_EVALUATIONS = 10**7
 
 
 def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
@@ -354,98 +358,108 @@ def is_supersingular(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> bool:
     return trace_of(E, cap) % E.field.p == 0
 
 
-def _census_traces_char2(F: FiniteField) -> set[int]:
+def _census_rows(F: FiniteField) -> list[tuple]:
+    """The normal forms of trace_census as rows (curve, values, singular).
+
+    A row scans the curves curve(c) for every constant c not in singular;
+    curve(c) gives the a-invariants, and its trace is len(values) minus the
+    sum of sol[v + c] over v in values, where sol[d] counts the y over one x.
+    In odd characteristic sol[d] is the number of square roots of d.  In
+    characteristic 2, y = h z turns y^2 + h y = d into z^2 + z = d / h^2,
+    which has 2 or 0 roots as d / h^2 is in the Artin-Schreier image or not;
+    values holds d / h^2 less the constant, and leaves out each x with
+    h(x) = 0, which has exactly one point.
+    """
+    add, mul = F.add, F.mul
+    xs = F.elements()
+    sq = [mul(x, x) for x in xs]
+    cube = [mul(s, x) for s, x in zip(sq, xs)]
+    if F.p == 2:
+        # y^2 + xy = x^3 + a2 x^2 + a6, constant a2: h = x, and each x != 0
+        # has the value x + a6 / x^2
+        rows = [
+            (lambda c, a6=a6: (1, c, 0, 0, a6),
+             [add(x, mul(a6, F.inv(s))) for x, s in zip(xs[1:], sq[1:])], ())
+            for a6 in xs[1:]
+        ]
+        # y^2 + a3 y = x^3 + a4 x + a6 with a6 = c a3^2: h = a3, and each x
+        # has the value (x^3 + a4 x) / a3^2
+        for a3, a4 in product(xs[1:], xs):
+            w = F.inv(sq[a3])
+            rows.append(
+                (lambda c, a3=a3, a4=a4: (0, 0, a3, a4, mul(c, sq[a3])),
+                 [mul(add(u, mul(a4, x)), w) for u, x in zip(cube, xs)], ())
+            )
+        return rows
+    # odd p: y^2 = x^3 + a2 x^2 + a4 x + a6, constant a6
+    if F.p == 3:
+        outer = [(a2, 0, (0,)) for a2 in xs[1:]] + [(0, a4, ()) for a4 in xs[1:]]
+    else:
+        # (A, B) ~ (u^4 A, u^6 B), so A runs over 0 and the cosets of the
+        # fourth powers g^k, k < gcd(4, q - 1); B is singular iff 4A^3 + 27B^2 = 0
+        minus_4_27 = F.neg(mul(F.from_int(4), F.inv(F.from_int(27))))
+        outer = [
+            (0, A, F.sqrts(mul(minus_4_27, F.pow(A, 3))))
+            for A in [0, *F._exp[: gcd(4, F.q - 1)]]
+        ]
+    return [
+        (lambda c, a2=a2, a4=a4: (0, a2, 0, a4, c),
+         [add(add(u, mul(a2, s)), mul(a4, x)) for u, s, x in zip(cube, sq, xs)],
+         singular)
+        for a2, a4, singular in outer
+    ]
+
+
+def _census_size(F: FiniteField) -> int:
+    """Point evaluations of the census scan: rows x constants x q."""
     q = F.q
-    image = F.artin_schreier_image()
-    mul, add = F.mul, F.add
-    traces = set()
-    xs = list(F.elements())
-    x2 = [mul(x, x) for x in xs]
-    x3 = [mul(x2[x], x) for x in xs]
-    for a2 in F.elements():
-        for a4 in F.elements():
-            for a6 in F.elements():
-                d = [add(add(x3[x], mul(a2, x2[x])), add(mul(a4, x), a6)) for x in xs]
-                for a1 in F.elements():
-                    a1x = [mul(a1, x) for x in xs]
-                    for a3 in F.elements():
-                        try:
-                            E = WeierstrassCurve(F, a1, a2, a3, a4, a6)
-                        except ValueError:
-                            continue
-                        n = 1
-                        for x in xs:
-                            h = add(a1x[x], a3)
-                            if h == 0:
-                                n += 1
-                            elif mul(d[x], F.inv(mul(h, h))) in image:
-                                n += 2
-                        traces.add(q + 1 - n)
-    return traces
+    rows = q * q - 1 if F.p == 2 else 2 * (q - 1) if F.p == 3 else 1 + gcd(4, q - 1)
+    return rows * q * q
 
 
-def _census_traces_char3(F: FiniteField) -> set[int]:
-    # every char-3 curve is isomorphic to y^2 = x^3 + a2 x^2 + a4 x + a6
-    q = F.q
-    counts = F.sqrt_counts()
-    mul, add = F.mul, F.add
-    traces = set()
-    xs = list(F.elements())
-    x2 = [mul(x, x) for x in xs]
-    x3 = [mul(x2[x], x) for x in xs]
-    for a2 in F.elements():
-        g2 = [add(x3[x], mul(a2, x2[x])) for x in xs]
-        for a4 in F.elements():
-            g4 = [add(g2[x], mul(a4, x)) for x in xs]
-            for a6 in F.elements():
-                try:
-                    E = WeierstrassCurve(F, 0, a2, 0, a4, a6)
-                except ValueError:
-                    continue
-                # 4*rhs + h^2 = rhs in char 3 with a1 = a3 = 0
-                n = 1
-                for x in xs:
-                    n += counts[add(g4[x], a6)]
-                traces.add(q + 1 - n)
-    return traces
-
-
-def _census_traces_large_char(F: FiniteField) -> set[int]:
-    # p >= 5: short form y^2 = x^3 + Ax + B covers every class
-    q = F.q
-    counts = F.sqrt_counts()
-    mul, add = F.mul, F.add
-    c4, c27 = F.from_int(4), F.from_int(27)
-    traces = set()
-    xs = list(F.elements())
-    x3 = [mul(mul(x, x), x) for x in xs]
-    for A in F.elements():
-        g = [add(x3[x], mul(A, x)) for x in xs]
-        a3term = mul(c4, mul(A, mul(A, A)))
-        for B in F.elements():
-            if add(a3term, mul(c27, mul(B, B))) == 0:
-                continue
-            n = 1
-            for x in xs:
-                n += counts[add(g[x], B)]
-            traces.add(q + 1 - n)
-    return traces
+def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int], int]]:
+    """(a-invariants, trace) for every curve of the normal-form scan."""
+    if F.p == 2:
+        image = F.artin_schreier_image()
+        sol = [2 * (d in image) for d in F.elements()]
+    else:
+        sol = F.sqrt_counts()
+    rows = _census_rows(F)
+    add = F.add
+    for c in F.elements():
+        count = [sol[add(d, c)] for d in F.elements()].__getitem__
+        for curve, values, singular in rows:
+            if c not in singular:
+                yield curve(c), len(values) - sum(map(count, values))
 
 
 def trace_census(F: FiniteField, cap: int = DEFAULT_FIELD_CAP) -> set[int]:
     """{q + 1 - #E(F_q) : E nonsingular Weierstrass over F_q}.
 
-    Point counts are isomorphism invariants, so the scan runs over a reduced
-    family covering all isomorphism classes: the general five-coefficient
-    form in characteristic 2, y^2 = cubic with the x^2 term in
-    characteristic 3, and the short form for p >= 5.
+    Point counts are isomorphism invariants, so the scan visits one family of
+    normal forms that meets every isomorphism class (Silverman, The
+    Arithmetic of Elliptic Curves, Appendix A):
+
+    - characteristic 2: y^2 + xy = x^3 + a2 x^2 + a6 with a6 != 0 (j != 0),
+      and y^2 + a3 y = x^3 + a4 x + a6 with a3 != 0 (j = 0);
+    - characteristic 3: y^2 = x^3 + a2 x^2 + a6 with a2, a6 != 0 (j != 0),
+      and y^2 = x^3 + a4 x + a6 with a4 != 0 (j = 0);
+    - p >= 5: y^2 = x^3 + Ax + B with 4A^3 + 27B^2 != 0.  Since (A, B) and
+      (u^4 A, u^6 B) are isomorphic, A runs only over 0 and g^k for
+      k < gcd(4, q - 1), g the field's primitive element.
+
+    The stated conditions are exactly nonsingularity.  Raises FieldTooLarge
+    before any scanning if the scan needs more than MAX_CENSUS_EVALUATIONS
+    point evaluations.
     """
     _check_cap(F, cap)
-    if F.p == 2:
-        return _census_traces_char2(F)
-    if F.p == 3:
-        return _census_traces_char3(F)
-    return _census_traces_large_char(F)
+    size = _census_size(F)
+    if size > MAX_CENSUS_EVALUATIONS:
+        raise FieldTooLarge(
+            f"trace census over F_{F.q}: the normal-form scan needs {size} point "
+            f"evaluations, over the census limit {MAX_CENSUS_EVALUATIONS}"
+        )
+    return {trace for _, trace in _census_scan(F)}
 
 
 # short-form group law, p >= 5; points are (x, y) pairs or None for infinity

@@ -70,9 +70,6 @@ class QuaternionAlgebra:
     def k(self) -> "Quaternion":
         return self.element(0, 0, 0, 1)
 
-    def basis(self) -> tuple["Quaternion", ...]:
-        return (self.one, self.i, self.j, self.k)
-
     def ramified_places(self) -> frozenset[Place]:
         return ramified_places(self)
 

@@ -85,9 +85,6 @@ class QuadraticEtale:
     def is_split(self) -> bool:
         return self.delta == 1
 
-    def is_imaginary(self) -> bool:
-        return self.delta < 0
-
     def sqrt_rational(self, t: Rat) -> Optional["EtaleElement"]:
         """A square root in K of a nonzero rational t, or None.
 
@@ -283,10 +280,6 @@ class OrthogonalInvolution:
         if self.u.reduced_norm() == 0:
             raise NotInvertible(f"u = {self.u} has reduced norm 0")
         object.__setattr__(self, "u", _normalize_pure(self.u))
-
-    @classmethod
-    def from_u(cls, u: Quaternion) -> "OrthogonalInvolution":
-        return cls(u.algebra, u)
 
     def apply(self, x: Quaternion) -> Quaternion:
         """sigma(x) = u * gamma(x) * u^-1."""

@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import quat
 from .arith import squarefree_part, ternary_represents, valuation
-from .errors import NotSpinorial, SearchExhausted, ZeroInput
+from .errors import NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from .isogeny import IsogenyClass, frobenius_scalar, isogeny_class
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
@@ -265,7 +265,9 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     if ell is None:
         ell = 2 if p != 2 else 3
     if ell == p:
-        raise ZeroInput("the ell-adic label must differ from p")
+        raise PrecheckFailed(
+            f"ell = {ell} equals p = {p}: the ell-adic label must differ from p"
+        )
     tau = lift.rep.tau
     z = lift.z
     eigen_abs_sq = z.norm() if z.ring.delta < 0 else Fraction(abs(tau))

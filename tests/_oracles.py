@@ -2,15 +2,20 @@
 
 Nothing here may import the code paths it checks: the Hilbert oracle is
 congruence search, the curve oracle is a bare double loop over (x, y), the
-field oracle is schoolbook polynomial arithmetic on base-p digits, and the
-ternary oracle is a box scan.  They are slow and only run at desk scale.
+field oracle is schoolbook polynomial arithmetic on base-p digits, the
+census oracle sweeps whole Weierstrass families with the per-curve
+count_points instead of the census scan, and the ternary oracle is a box
+scan.  They are slow and only run at desk scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
+
+from spinel.curves import WeierstrassCurve, count_points
 
 _cache: dict = {}
 
@@ -87,6 +92,39 @@ def naive_point_count(E) -> int:
             if lhs == rhs:
                 n += 1
     return n
+
+
+def j_invariant(F, coeffs) -> int:
+    """c4^3 / Delta of the curve with a-invariants coeffs, c4 = b2^2 - 24 b4."""
+    a1, a2, a3, a4, a6 = coeffs
+    m, c = F.mul, F.from_int
+    b2 = F.add(m(a1, a1), m(c(4), a2))
+    b4 = F.add(m(c(2), a4), m(a1, a3))
+    c4 = F.sub(m(b2, b2), m(c(24), b4))
+    return m(F.pow(c4, 3), F.inv(WeierstrassCurve(F, *coeffs).discriminant()))
+
+
+def census_pairs_oracle(F) -> set[tuple[int, int]]:
+    """{(j, trace)} over every nonsingular curve of a family that covers all
+    isomorphism classes: every 5-tuple for p = 2, (0, a2, 0, a4, a6) for
+    p = 3 and the short forms (0, 0, 0, A, B) for p >= 5.  A census that
+    drops a twist class loses its (j, trace) pair even when another class
+    has the same trace."""
+    els = F.elements()
+    if F.p == 2:
+        family = product(els, repeat=5)
+    elif F.p == 3:
+        family = ((0, a2, 0, a4, a6) for a2, a4, a6 in product(els, repeat=3))
+    else:
+        family = ((0, 0, 0, A, B) for A, B in product(els, repeat=2))
+    pairs = set()
+    for coeffs in family:
+        try:
+            E = WeierstrassCurve(F, *coeffs)
+        except ValueError:
+            continue
+        pairs.add((j_invariant(F, coeffs), F.q + 1 - count_points(E)))
+    return pairs
 
 
 def _from_digits(digits, p: int) -> int:

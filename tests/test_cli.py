@@ -106,7 +106,7 @@ def test_domain_errors_exit_1(capsys):
     assert main(["hilbert", "--a", "0", "--b", "2", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "zero-input"
     assert main(["crystal", "--p", "3", "--n", "1", "--ell", "3", "--json"]) == 1
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["error"] == "precheck-failed"
     assert main(["classify", "--p", "6", "--a", "1", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "not-prime"
 
@@ -155,4 +155,16 @@ def test_huge_field_fails_fast(q, capsys):
     elapsed = time.perf_counter() - t0
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["error"] == "field-too-large"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("q", ["9973", "64"])
+def test_census_over_scan_limit_fails_fast(q, capsys):
+    t0 = time.perf_counter()
+    rc = main(["curves", "--q", q, "--json"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "field-too-large"
+    assert f"F_{q}" in doc["detail"]
     assert elapsed < 1.0

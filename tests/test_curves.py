@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from _oracles import naive_point_count
+from _oracles import census_pairs_oracle, j_invariant, naive_point_count
 from spinel.curves import (
+    MAX_CENSUS_EVALUATIONS,
     FiniteField,
     WeierstrassCurve,
+    _census_rows,
+    _census_scan,
+    _census_size,
     count_points,
     curve_points,
     find_q14_curve,
@@ -94,7 +98,9 @@ def test_trace_and_hasse_bound():
 
 
 def test_census_matches_isogeny_classification():
-    for (p, a) in [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]:
+    fields = [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]
+    fields += [(2, 4), (3, 3), (2, 5), (3, 4), (11, 2), (5, 3)]
+    for (p, a) in fields:
         F = FiniteField(p, a)
         census = trace_census(F)
         expected = {c.beta for c in enumerate_classes(p, a)}
@@ -185,3 +191,25 @@ def test_verify_frobenius_scalar_precheck():
 def test_census_runs_on_char3_and_char2_square_fields():
     assert trace_census(FiniteField(2, 2)) == {c.beta for c in enumerate_classes(2, 2)}
     assert trace_census(FiniteField(3, 2)) == {c.beta for c in enumerate_classes(3, 2)}
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (5, 2)])
+def test_census_normal_forms_match_full_family_sweep(p, a):
+    # differential check against the full-family sweeps the normal forms replace;
+    # (j, trace) pairs, so a dropped twist class shows even when its trace is shared
+    F = FiniteField(p, a)
+    scanned = set()
+    for coeffs, trace in _census_scan(F):
+        assert trace == F.q + 1 - count_points(WeierstrassCurve(F, *coeffs)), coeffs
+        scanned.add((j_invariant(F, coeffs), trace))
+    assert scanned == census_pairs_oracle(F)
+
+
+def test_census_scan_limit():
+    for (p, a) in [(2, 3), (3, 2), (5, 1), (7, 1), (3, 3)]:
+        F = FiniteField(p, a)
+        assert _census_size(F) == len(_census_rows(F)) * F.q**2
+    assert _census_size(FiniteField(2, 5)) <= MAX_CENSUS_EVALUATIONS
+    assert _census_size(FiniteField(1009, 1)) <= MAX_CENSUS_EVALUATIONS
+    with pytest.raises(FieldTooLarge, match="F_64.*16773120.*10000000"):
+        trace_census(FiniteField(2, 6))

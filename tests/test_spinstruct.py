@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spinel.arith import squarefree_part
-from spinel.errors import NotSpinorial, ZeroInput
+from spinel.errors import NotSpinorial, PrecheckFailed, ZeroInput
 from spinel.quat import b_p_infty
 from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
@@ -202,7 +202,7 @@ def test_realizations_ell_label():
     lift = spin_lift(similitude_rep(s))
     assert realizations(lift).ell == 2
     assert realizations(lift, ell=5).ell == 5
-    with pytest.raises(ZeroInput):
+    with pytest.raises(PrecheckFailed, match="ell = 3 equals p = 3"):
         realizations(lift, ell=3)
     s2 = construct_arithmetic_spin(2, 1)
     lift2 = spin_lift(similitude_rep(s2))
