@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import BoundExceeded, NotOddPrime, NotPrime, ZeroInput
 
@@ -51,21 +51,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int | None = None) -> tuple[int, dict[int, int]]:
+def factorize(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as sign * prod p^e by trial division.
 
     Returns (sign, {p: e}).  Every listed p is certified prime: once trial
     division passes sqrt of the remaining cofactor, that cofactor is prime.
-    Raises ZeroInput on 0 and BoundExceeded when |n| exceeds the bound.
+    Raises ZeroInput on 0 and BoundExceeded when |n| exceeds
+    DEFAULT_FACTOR_BOUND.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    if bound is None:
-        bound = DEFAULT_FACTOR_BOUND
     sign = -1 if n < 0 else 1
     m = abs(n)
-    if m > bound:
-        raise BoundExceeded(f"|{n}| exceeds trial-division bound {bound}")
+    if m > DEFAULT_FACTOR_BOUND:
+        raise BoundExceeded(f"|{n}| exceeds trial-division bound {DEFAULT_FACTOR_BOUND}")
     factors: dict[int, int] = {}
     for d in (2, 3):
         while m % d == 0:
@@ -106,16 +105,7 @@ def valuation(r: Rat, p: int) -> int:
     r = _as_fraction(r)
     if r == 0:
         raise ZeroInput("0 has no finite valuation")
-    v = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _unit_part(r.numerator, p)[0] - _unit_part(r.denominator, p)[0]
 
 
 def legendre(a: Rat, p: int) -> int:
@@ -205,14 +195,18 @@ def is_local_square(r: Rat, v: Place) -> bool:
     return legendre(u, p) == 1
 
 
-def _support(*values: Fraction) -> set[int]:
-    """Odd primes appearing in any numerator or denominator, plus 2."""
+def places(*values: Rat) -> list[Place]:
+    """OO, 2 and the odd primes of every numerator and denominator, sorted.
+
+    Every other place is an odd prime at which all the values are units, so
+    Hilbert symbols and the isotropy of diagonal forms built from them are
+    trivial there.
+    """
     primes = {2}
     for x in values:
         for n in (x.numerator, x.denominator):
-            _, f = factorize(n)
-            primes.update(f)
-    return primes
+            primes.update(factorize(n)[1])
+    return [OO, *sorted(primes)]
 
 
 def _quaternary_isotropic_at(coeffs: tuple[Fraction, ...], v: Place) -> bool:
@@ -233,28 +227,26 @@ def _quaternary_isotropic_at(coeffs: tuple[Fraction, ...], v: Place) -> bool:
     return eps == hilbert_symbol(-1, -1, v)
 
 
-def ternary_represents(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> bool:
-    """Does a1*x^2 + a2*y^2 + a3*z^2 represent t over Q?
-
-    Equivalent to isotropy of <-t, a1, a2, a3>, decided locally at OO and at
-    the primes dividing 2 and the coefficient supports; everywhere else the
-    quaternary form is unimodular at an odd prime, hence isotropic.
-    """
+def _anisotropic_places(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> Iterator[Place]:
+    """Places where <-t, a1, a2, a3> is anisotropic, in `places` order."""
     cs = tuple(_as_fraction(c) for c in coeffs)
     t = _as_fraction(t)
     if t == 0 or any(c == 0 for c in cs):
         raise ZeroInput("coefficients and target must be nonzero")
     quad = (-t,) + cs
-    places: list[Place] = [OO] + sorted(_support(*quad))
-    return all(_quaternary_isotropic_at(quad, v) for v in places)
+    return (v for v in places(*quad) if not _quaternary_isotropic_at(quad, v))
+
+
+def ternary_represents(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> bool:
+    """Does a1*x^2 + a2*y^2 + a3*z^2 represent t over Q?
+
+    Equivalent to isotropy of <-t, a1, a2, a3>, decided locally at `places`;
+    everywhere else the quaternary form is unimodular at an odd prime, hence
+    isotropic.  Stops at the first anisotropic place.
+    """
+    return next(_anisotropic_places(coeffs, t), None) is None
 
 
 def local_obstructions(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> list[Place]:
     """Places where <-t, a1, a2, a3> is anisotropic (empty iff represented)."""
-    cs = tuple(_as_fraction(c) for c in coeffs)
-    t = _as_fraction(t)
-    if t == 0 or any(c == 0 for c in cs):
-        raise ZeroInput("coefficients and target must be nonzero")
-    quad = (-t,) + cs
-    places: list[Place] = [OO] + sorted(_support(*quad))
-    return [v for v in places if not _quaternary_isotropic_at(quad, v)]
+    return list(_anisotropic_places(coeffs, t))

@@ -6,15 +6,15 @@ as num/den strings, integers bare).  Exit codes: 0 success, 1 domain
 error (with a one-line {"error": code, "detail": ...} under --json),
 2 usage error.
 
-Environment: SPINEL_FACTOR_BOUND overrides the trial-division bound for
-factoring `curves --q`, SPINEL_SEARCH_BOUND the pure-quaternion search box
-(defaults 2^48 and 50).
+Environment: SPINEL_SEARCH_BOUND overrides the pure-quaternion search box
+(default 50).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -25,7 +25,6 @@ from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
 from .errors import NoSpinStructure, SpinelError
 
-FACTOR_BOUND_VAR = "SPINEL_FACTOR_BOUND"
 SEARCH_BOUND_VAR = "SPINEL_SEARCH_BOUND"
 
 
@@ -37,10 +36,6 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise SpinelError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def factor_bound() -> int:
-    return _env_int(FACTOR_BOUND_VAR, arith.DEFAULT_FACTOR_BOUND)
 
 
 def search_bound() -> int:
@@ -95,14 +90,9 @@ def _emit(doc, as_json: bool, human: str) -> None:
 
 def _cmd_hilbert(args) -> int:
     a, b = args.a, args.b
-    if args.place is not None:
-        places = [args.place]
-    else:
-        places = [OO] + sorted(arith._support(Fraction(a), Fraction(b)))
+    places = [args.place] if args.place is not None else arith.places(a, b)
     symbols = {str(v): arith.hilbert_symbol(a, b, v) for v in places}
-    product = 1
-    for s in symbols.values():
-        product *= s
+    product = math.prod(symbols.values())
     doc = {"a": _rat(a), "b": _rat(b), "symbols": symbols, "product": product}
     lines = [f"({a},{b})_{v} = {s:+d}" for v, s in symbols.items()]
     if args.place is None:
@@ -218,7 +208,7 @@ def _cmd_lfunc(args) -> int:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    sign, factors = arith.factorize(q, factor_bound())
+    sign, factors = arith.factorize(q)
     if sign < 0 or len(factors) != 1:
         raise SpinelError(f"q = {q} is not a prime power")
     [(p, a)] = factors.items()
@@ -295,7 +285,7 @@ def _cmd_selftest(args) -> int:
     run(
         "hilbert-product-formula",
         lambda: all(
-            _product_over_places(a, b) == 1
+            math.prod(arith.hilbert_symbol(a, b, v) for v in arith.places(a, b)) == 1
             for a in (-6, -1, 2, 15)
             for b in (-10, -2, 3, 35)
         ),
@@ -334,14 +324,6 @@ def _cmd_selftest(args) -> int:
             print(f"{'PASS' if ok else 'FAIL'} {name}")
         print(f"{len(checks) - len(failed)}/{len(checks)} passed")
     return 1 if failed else 0
-
-
-def _product_over_places(a, b) -> int:
-    places = [OO] + sorted(arith._support(Fraction(a), Fraction(b)))
-    out = 1
-    for v in places:
-        out *= arith.hilbert_symbol(a, b, v)
-    return out
 
 
 def _selftest_spin(p: int) -> bool:

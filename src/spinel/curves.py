@@ -312,12 +312,12 @@ class WeierstrassCurve:
         )
 
 
-def _check_cap(F: FiniteField, cap: int) -> None:
-    if F.q > cap:
-        raise FieldTooLarge(f"q = {F.q} exceeds brute-force cap {cap}")
+def _check_cap(F: FiniteField) -> None:
+    if F.q > DEFAULT_FIELD_CAP:
+        raise FieldTooLarge(f"q = {F.q} exceeds brute-force cap {DEFAULT_FIELD_CAP}")
 
 
-def count_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> int:
+def count_points(E: WeierstrassCurve) -> int:
     """#E(F_q) including the point at infinity, by direct enumeration.
 
     Odd characteristic: complete the square, (2y + a1 x + a3)^2 = 4*rhs + h^2,
@@ -327,7 +327,7 @@ def count_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> int:
     bijective y -> y^2.
     """
     F = E.field
-    _check_cap(F, cap)
+    _check_cap(F)
     n = 1
     if F.p == 2:
         image = F.artin_schreier_image()
@@ -349,13 +349,13 @@ def count_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> int:
     return n
 
 
-def trace_of(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> int:
-    return E.field.q + 1 - count_points(E, cap)
+def trace_of(E: WeierstrassCurve) -> int:
+    return E.field.q + 1 - count_points(E)
 
 
-def is_supersingular(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> bool:
+def is_supersingular(E: WeierstrassCurve) -> bool:
     """p divides the trace; over F_p (p >= 5) equivalent to trace = 0."""
-    return trace_of(E, cap) % E.field.p == 0
+    return trace_of(E) % E.field.p == 0
 
 
 def _census_rows(F: FiniteField) -> list[tuple]:
@@ -433,7 +433,7 @@ def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int
                 yield curve(c), len(values) - sum(map(count, values))
 
 
-def trace_census(F: FiniteField, cap: int = DEFAULT_FIELD_CAP) -> set[int]:
+def trace_census(F: FiniteField) -> set[int]:
     """{q + 1 - #E(F_q) : E nonsingular Weierstrass over F_q}.
 
     Point counts are isomorphism invariants, so the scan visits one family of
@@ -452,7 +452,7 @@ def trace_census(F: FiniteField, cap: int = DEFAULT_FIELD_CAP) -> set[int]:
     before any scanning if the scan needs more than MAX_CENSUS_EVALUATIONS
     point evaluations.
     """
-    _check_cap(F, cap)
+    _check_cap(F)
     size = _census_size(F)
     if size > MAX_CENSUS_EVALUATIONS:
         raise FieldTooLarge(
@@ -517,10 +517,10 @@ def point_mul(E: WeierstrassCurve, m: int, P: Point) -> Point:
     return out
 
 
-def curve_points(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> list[Point]:
+def curve_points(E: WeierstrassCurve) -> list[Point]:
     """All points of E(F_q), infinity first.  Short form only."""
     _require_short(E)
-    _check_cap(E.field, cap)
+    _check_cap(E.field)
     F = E.field
     pts: list[Point] = [None]
     for x in F.elements():
@@ -540,21 +540,21 @@ def _reduced_family(F: FiniteField) -> Iterator[tuple[int, int, int, int, int]]:
             yield (0, 0, 0, a4, a6)
 
 
-def find_trace_zero_curve(p: int, cap: int = DEFAULT_FIELD_CAP) -> WeierstrassCurve:
+def find_trace_zero_curve(p: int) -> WeierstrassCurve:
     """First curve over F_p with exactly p + 1 points, in scan order."""
     F = FiniteField(p, 1)
-    _check_cap(F, cap)
+    _check_cap(F)
     for coeffs in _reduced_family(F):
         try:
             E = WeierstrassCurve(F, *coeffs)
         except ValueError:
             continue
-        if count_points(E, cap) == p + 1:
+        if count_points(E) == p + 1:
             return E
     raise SearchExhausted(f"no supersingular curve over F_{p}")
 
 
-def find_q14_curve(p: int, cap: int = DEFAULT_FIELD_CAP) -> WeierstrassCurve:
+def find_q14_curve(p: int) -> WeierstrassCurve:
     """A curve over F_{p^2} with (p+1)^2 points, i.e. Frobenius scalar -p.
 
     A trace-zero curve over F_p has Frobenius eigenvalues +-i*sqrt(p), so
@@ -564,28 +564,28 @@ def find_q14_curve(p: int, cap: int = DEFAULT_FIELD_CAP) -> WeierstrassCurve:
     would falsify the classification.
     """
     F2 = FiniteField(p, 2)
-    _check_cap(F2, cap)
+    _check_cap(F2)
     target = (p + 1) ** 2
     try:
-        E0 = find_trace_zero_curve(p, cap)
+        E0 = find_trace_zero_curve(p)
     except SearchExhausted:
         E0 = None
     if E0 is not None:
         # constants embed as themselves under the int encoding
         E = WeierstrassCurve(F2, E0.a1, E0.a2, E0.a3, E0.a4, E0.a6)
-        if count_points(E, cap) == target:
+        if count_points(E) == target:
             return E
     for coeffs in _reduced_family(F2):
         try:
             E = WeierstrassCurve(F2, *coeffs)
         except ValueError:
             continue
-        if count_points(E, cap) == target:
+        if count_points(E) == target:
             return E
     raise SearchExhausted(f"no curve with {target} points over F_{p**2}")
 
 
-def verify_frobenius_scalar(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -> bool:
+def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:
     """Check [p+1]P = O for every rational point of E/F_{p^2}.
 
     With the precondition #E(F_{p^2}) = (p+1)^2 this certifies that
@@ -599,6 +599,6 @@ def verify_frobenius_scalar(E: WeierstrassCurve, cap: int = DEFAULT_FIELD_CAP) -
     F = E.field
     if F.a != 2:
         raise PrecheckFailed("expected a quadratic field F_{p^2}")
-    if count_points(E, cap) != (F.p + 1) ** 2:
+    if count_points(E) != (F.p + 1) ** 2:
         raise PrecheckFailed("curve is not in the tau = -p class")
-    return all(point_mul(E, F.p + 1, P) is None for P in curve_points(E, cap))
+    return all(point_mul(E, F.p + 1, P) is None for P in curve_points(E))

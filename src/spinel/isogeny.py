@@ -24,12 +24,16 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import is_prime
-from .errors import NotInClassList, NotPrime, NotSpinorial
+from .errors import BoundExceeded, NotInClassList, NotPrime, NotSpinorial
 
 KIND_ORDINARY = "ordinary"
 KIND_SUPERSINGULAR = "supersingular"
 ENDO_CM = "imaginary-quadratic"
 ENDO_QUATERNION = "quaternion"
+
+#: refuse to enumerate classes over F_q when the trace scan 2*isqrt(4q) + 1
+#: exceeds this many traces
+MAX_TRACE_SCAN = 10**6
 
 
 def _case(p: int, a: int, beta: int) -> str | None:
@@ -100,33 +104,45 @@ class IsogenyClass:
         return f"beta={self.beta} over F_{self.q} ({self.kind}, {self.endo})"
 
 
-def isogeny_class(p: int, a: int, beta: int) -> IsogenyClass:
-    """Validated class record for trace beta over F_{p^a}."""
+def _check_field(p: int, a: int) -> None:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if a < 1:
         raise ValueError("a must be positive")
-    case = _case(p, a, beta)
-    if case is None:
-        raise NotInClassList(f"beta = {beta} is not admissible over F_{p**a}")
+
+
+def _record(p: int, a: int, beta: int, case: str) -> IsogenyClass:
     if case == "1":
         return IsogenyClass(p, a, beta, KIND_ORDINARY, ENDO_CM)
     endo = ENDO_QUATERNION if case == "2a" else ENDO_CM
     return IsogenyClass(p, a, beta, KIND_SUPERSINGULAR, endo)
 
 
+def isogeny_class(p: int, a: int, beta: int) -> IsogenyClass:
+    """Validated class record for trace beta over F_{p^a}."""
+    _check_field(p, a)
+    case = _case(p, a, beta)
+    if case is None:
+        raise NotInClassList(f"beta = {beta} is not admissible over F_{p**a}")
+    return _record(p, a, beta, case)
+
+
 def enumerate_classes(p: int, a: int) -> list[IsogenyClass]:
-    """All isogeny classes over F_{p^a}, ordered by trace."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if a < 1:
-        raise ValueError("a must be positive")
+    """All isogeny classes over F_{p^a}, ordered by trace.
+
+    Raises BoundExceeded before scanning if the trace scan |beta| <= 2 sqrt(q)
+    exceeds MAX_TRACE_SCAN traces.
+    """
+    _check_field(p, a)
     bmax = isqrt(4 * p**a)
-    out = []
-    for beta in range(-bmax, bmax + 1):
-        if _case(p, a, beta) is not None:
-            out.append(isogeny_class(p, a, beta))
-    return out
+    size = 2 * bmax + 1
+    if size > MAX_TRACE_SCAN:
+        raise BoundExceeded(
+            f"isogeny classes over F_q, q = {p}^{a}: the trace scan covers {size} "
+            f"traces, over the limit {MAX_TRACE_SCAN}"
+        )
+    cases = ((beta, _case(p, a, beta)) for beta in range(-bmax, bmax + 1))
+    return [_record(p, a, beta, case) for beta, case in cases if case is not None]
 
 
 def frobenius_scalar(c: IsogenyClass) -> int:

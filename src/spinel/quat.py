@@ -229,10 +229,9 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset[Place]:
     Only OO, 2 and the primes in the supports of a and b can ramify; at any
     other odd prime both entries are units and the symbol is +1.
     """
-    candidates: list[Place] = [OO] + sorted(
-        arith._support(Fraction(B.a), Fraction(B.b))
+    return frozenset(
+        v for v in arith.places(B.a, B.b) if arith.hilbert_symbol(B.a, B.b, v) == -1
     )
-    return frozenset(v for v in candidates if arith.hilbert_symbol(B.a, B.b, v) == -1)
 
 
 def b_p_infty(p: int) -> QuaternionAlgebra:

@@ -35,25 +35,18 @@ from .errors import (
     NotUnit,
     ZeroInput,
 )
-from .quat import Quaternion, QuaternionAlgebra
+from .quat import Quaternion, QuaternionAlgebra, _exact_sqrt
 
 
 def _fraction_sqrt(r: Fraction) -> Optional[Fraction]:
     """Exact square root of a rational, or None."""
     if r < 0:
         return None
-    num = _int_sqrt(r.numerator)
-    den = _int_sqrt(r.denominator)
+    num = _exact_sqrt(r.numerator)
+    den = _exact_sqrt(r.denominator)
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _int_sqrt(n: int) -> Optional[int]:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,6 @@ class RealizationData:
     normalized_slope: Fraction
 
 
-def weil_group_element(m: int) -> int:
-    """The m-th power of geometric Frobenius, as its integer exponent."""
-    return m
-
-
 def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     """The spinorial class over F_{p^(2n)} with tau = sign * p^n."""
     if sign not in (1, -1):
@@ -221,9 +216,8 @@ def construct_arithmetic_spin_even(
     cert = has_arithmetic_spin(c, bound)
     if not cert.exists:
         return None
-    B = quat.b_p_infty(p)
-    sigma = OrthogonalInvolution(B, cert.witness)
-    return SpinStructure(c, B, sigma, sigma.clifford_algebra())
+    sigma = OrthogonalInvolution(cert.witness.algebra, cert.witness)
+    return SpinStructure(c, sigma.algebra, sigma, sigma.clifford_algebra())
 
 
 def similitude_rep(s: SpinStructure) -> WeilRep:
@@ -249,13 +243,6 @@ def spin_lift(r: WeilRep) -> Optional[SpinLift]:
         return None
     assert z.square() == K.element(r.tau)
     return SpinLift(r, z)
-
-
-def evaluate_spin(
-    lift: SpinLift, m: int
-) -> tuple[EtaleElement, EtaleElement]:
-    """Eigenvalue pair of the m-th Frobenius power under the spin lift."""
-    return lift.evaluate(m)
 
 
 def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:

@@ -178,6 +178,27 @@ def legendre_oracle(a: int, p: int) -> int:
     return 1 if a in squares else -1
 
 
+def places_oracle(*values: Fraction) -> list:
+    """["oo", 2, odd primes dividing a numerator or denominator], sorted.
+
+    Divides by every d >= 2 in turn, so each divisor found is prime, and
+    what is left once d^2 exceeds it is 1 or prime.
+    """
+    primes = {2}
+    for x in values:
+        for n in (abs(x.numerator), x.denominator):
+            d = 2
+            while d * d <= n:
+                if n % d == 0:
+                    primes.add(d)
+                    n //= d
+                else:
+                    d += 1
+            if n > 1:
+                primes.add(n)
+    return ["oo", *sorted(primes)]
+
+
 def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:
     while True:
         f = Fraction(rng.randint(-size, size), rng.randint(1, size))

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import hilbert_oracle, legendre_oracle, random_fraction, ternary_search
+from _oracles import (
+    hilbert_oracle,
+    legendre_oracle,
+    places_oracle,
+    random_fraction,
+    ternary_search,
+)
 from spinel.arith import (
     OO,
     factorize,
@@ -12,6 +18,7 @@ from spinel.arith import (
     is_prime,
     legendre,
     local_obstructions,
+    places,
     squarefree_part,
     ternary_represents,
     valuation,
@@ -50,7 +57,7 @@ def test_factorize_errors():
     with pytest.raises(ZeroInput):
         factorize(0)
     with pytest.raises(BoundExceeded):
-        factorize((2**31 - 1) * (2**61 - 1), bound=2**48)
+        factorize((2**31 - 1) * (2**61 - 1))
 
 
 def test_squarefree_part_known():
@@ -221,3 +228,38 @@ def test_local_obstructions():
     assert local_obstructions((1, 3, 3), 1) == []
     obs = local_obstructions((1, 1, 1), -1)
     assert 2 in obs and OO in obs
+
+
+def test_places_match_trial_division_oracle():
+    rng = random.Random(53)
+    for _ in range(300):
+        values = []
+        for _ in range(rng.randint(1, 4)):
+            num = rng.choice([1, -1, rng.randint(-10**6, 10**6) or 7])
+            den = rng.choice([1, rng.randint(1, 10**6)])
+            if rng.random() < 0.5:
+                num, den = den * rng.choice([1, -1]), abs(num)
+            values.append(Fraction(num, den))
+        assert places(*values) == places_oracle(*values), values
+    assert places(1) == [OO, 2]
+    assert places(Fraction(-1, 45), 98) == [OO, 2, 3, 5, 7]
+
+
+def test_places_errors():
+    with pytest.raises(ZeroInput, match="cannot factor 0"):
+        places(3, 0)
+    with pytest.raises(BoundExceeded):
+        places(Fraction(1, 2**61 - 1))
+
+
+def test_ternary_represents_iff_no_local_obstruction():
+    rng = random.Random(59)
+    for _ in range(200):
+        coeffs = tuple(random_fraction(rng, size=30, nonzero=True) for _ in range(3))
+        t = random_fraction(rng, size=30, nonzero=True)
+        assert ternary_represents(coeffs, t) == (local_obstructions(coeffs, t) == [])
+    for coeffs, t in [((1, 0, 1), 1), ((1, 2, 3), 0)]:
+        with pytest.raises(ZeroInput):
+            ternary_represents(coeffs, t)
+        with pytest.raises(ZeroInput):
+            local_obstructions(coeffs, t)

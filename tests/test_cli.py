@@ -78,11 +78,11 @@ def test_search_bound_env_var(monkeypatch, capsys):
 
 
 def test_bad_env_var_is_reported(monkeypatch, capsys):
-    monkeypatch.setenv("SPINEL_FACTOR_BOUND", "soon")
-    rc = main(["curves", "--q", "9", "--json"])
+    monkeypatch.setenv("SPINEL_SEARCH_BOUND", "soon")
+    rc = main(["spin", "--p", "3", "--n", "1", "--json"])
     out = capsys.readouterr()
     assert rc == 1
-    assert "SPINEL_FACTOR_BOUND" in json.loads(out.out)["detail"]
+    assert "SPINEL_SEARCH_BOUND" in json.loads(out.out)["detail"]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -167,4 +167,21 @@ def test_census_over_scan_limit_fails_fast(q, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "field-too-large"
     assert f"F_{q}" in doc["detail"]
+    assert elapsed < 1.0
+
+
+def test_hilbert_zero_input_detail(capsys):
+    assert main(["hilbert", "--a", "0", "--b", "2", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out == '{"detail": "cannot factor 0", "error": "zero-input"}\n'
+
+
+def test_classify_over_scan_limit_fails_fast(capsys):
+    t0 = time.perf_counter()
+    rc = main(["classify", "--p", "2", "--a", "60", "--json"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "bound-exceeded"
+    assert "2^60" in doc["detail"]
     assert elapsed < 1.0

@@ -2,12 +2,13 @@ from math import isqrt
 
 import pytest
 
-from spinel.errors import NotInClassList, NotPrime, NotSpinorial
+from spinel.errors import BoundExceeded, NotInClassList, NotPrime, NotSpinorial
 from spinel.isogeny import (
     ENDO_CM,
     ENDO_QUATERNION,
     KIND_ORDINARY,
     KIND_SUPERSINGULAR,
+    MAX_TRACE_SCAN,
     enumerate_classes,
     frobenius_scalar,
     isogeny_class,
@@ -133,3 +134,13 @@ def test_to_json():
         "endo": "quaternion",
         "spinorial": True,
     }
+
+
+def test_enumerate_classes_refuses_large_scan():
+    # q = 2^36: the scan covers 2 * isqrt(2^38) + 1 = 2^20 + 1 traces
+    with pytest.raises(BoundExceeded) as err:
+        enumerate_classes(2, 36)
+    detail = str(err.value)
+    assert "2^36" in detail and str(2**20 + 1) in detail and str(MAX_TRACE_SCAN) in detail
+    # q = 2^24: the 2^13 odd traces, then 0, +-2^12 and +-2^13
+    assert len(enumerate_classes(2, 24)) == 2**13 + 5

@@ -12,14 +12,12 @@ from spinel.spinstruct import (
     WeilRep,
     construct_arithmetic_spin,
     construct_arithmetic_spin_even,
-    evaluate_spin,
     has_arithmetic_spin,
     realizations,
     similitude_rep,
     spin_discriminant,
     spin_lift,
     spinorial_class,
-    weil_group_element,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -116,7 +114,7 @@ def test_weil_rep_evaluation():
     s = construct_arithmetic_spin(3, 1)
     rep = similitude_rep(s)
     assert rep.tau == -3
-    assert rep.evaluate(weil_group_element(1)) == -3
+    assert rep.evaluate(1) == -3
     assert rep.evaluate(2) == 9
     assert rep.evaluate(-1) == Fraction(-1, 3)
 
@@ -173,9 +171,9 @@ def test_evaluate_spin_pairs():
     s = construct_arithmetic_spin(3, 1)
     lift = spin_lift(similitude_rep(s))
     K = s.clifford
-    a1, a2 = evaluate_spin(lift, 1)
+    a1, a2 = lift.evaluate(1)
     assert a1 == K.x and a2 == -K.x
-    b1, b2 = evaluate_spin(lift, 2)
+    b1, b2 = lift.evaluate(2)
     assert b1 == b2 == K.element(-3, 0)
     assert a1 * a1 == K.element(-3, 0)
 
