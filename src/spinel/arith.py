@@ -5,16 +5,18 @@ p or the archimedean place, written OO.  Square classes in Q*/Q*^2 are
 represented by their canonical squarefree integer; `squarefree_part` is the
 only constructor and all discriminant comparisons go through it.
 
-Factorization is plain trial division with a hard input bound.  Inputs here
-are desk scale (discriminants, traces, small norms), so there is no need for
-anything faster, and a bound failure is a hard error rather than a silent
-partial answer.
+Primality and factoring trial-divide by the primes below 1024 and hand
+what is left to deterministic Miller-Rabin (the first 13 prime bases, exact
+below PRIMALITY_BOUND) and Pollard-Brent rho (Brent 1980, "An improved Monte
+Carlo factorization algorithm").  Factoring keeps a hard input bound: a
+bound failure is a hard error rather than a silent partial answer.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, count
 from typing import Iterator, Union
 
 from .errors import BoundExceeded, NotOddPrime, NotPrime, ZeroInput
@@ -25,8 +27,18 @@ OO = "oo"
 Place = Union[int, str]
 Rat = Union[int, Fraction]
 
-#: default trial-division bound on |n|
+#: factor bound on |n|
 DEFAULT_FACTOR_BOUND = 2**48
+
+#: trial divisors; below _TRIAL_LIMIT a number with none of them as a factor is 1 or prime
+_SMALL_PRIMES = tuple(
+    p for p in range(2, 1024) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
+_TRIAL_LIMIT = 1024**2
+
+#: Miller-Rabin bases; PRIMALITY_BOUND is the least strong pseudoprime to all of them
+_MR_BASES = _SMALL_PRIMES[:13]
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -35,51 +47,113 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _MR_BASES, for odd n >= _TRIAL_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
-def factorize(n: int) -> tuple[int, dict[int, int]]:
-    """Factor a nonzero integer as sign * prod p^e by trial division.
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division below 1024, then Miller-Rabin.
 
-    Returns (sign, {p: e}).  Every listed p is certified prime: once trial
-    division passes sqrt of the remaining cofactor, that cofactor is prime.
-    Raises ZeroInput on 0 and BoundExceeded when |n| exceeds
-    DEFAULT_FACTOR_BOUND.
+    Raises BoundExceeded when n has no prime factor below 1024 and is at
+    least PRIMALITY_BOUND, where the fixed bases stop being a proof.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    if n < _TRIAL_LIMIT:
+        return True
+    if n >= PRIMALITY_BOUND:
+        raise BoundExceeded(f"{n} exceeds primality bound {PRIMALITY_BOUND}")
+    return _strong_probable_prime(n)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n, by Pollard-Brent rho.
+
+    Iterates x -> x^2 + c from 2, batching 128 differences per gcd, and
+    steps c on the rare cycle that yields only n itself.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """Prime factors, with multiplicity, of m > 1 with no prime factor below 1024.
+
+    Below 1024^2 such an m is prime.
+    """
+    if m < _TRIAL_LIMIT or _strong_probable_prime(m):
+        return [m]
+    d = _rho_divisor(m)
+    return _large_prime_factors(d) + _large_prime_factors(m // d)
+
+
+def factorize(n: int) -> tuple[int, dict[int, int]]:
+    """Factor a nonzero integer as sign * prod p^e, primes ascending.
+
+    Trial division by the primes below 1024 stops once p^2 exceeds the
+    cofactor, which is then 1 or prime.  A cofactor past them all is prime
+    below 1024^2, and is otherwise split by Miller-Rabin and Pollard-Brent
+    rho, so every listed p is certified prime (|n| <= DEFAULT_FACTOR_BOUND
+    is far below PRIMALITY_BOUND).  Raises ZeroInput on 0 and BoundExceeded
+    when |n| exceeds DEFAULT_FACTOR_BOUND.
     """
     if n == 0:
         raise ZeroInput("cannot factor 0")
     sign = -1 if n < 0 else 1
     m = abs(n)
     if m > DEFAULT_FACTOR_BOUND:
-        raise BoundExceeded(f"|{n}| exceeds trial-division bound {DEFAULT_FACTOR_BOUND}")
+        raise BoundExceeded(f"|{n}| exceeds factor bound {DEFAULT_FACTOR_BOUND}")
     factors: dict[int, int] = {}
-    for d in (2, 3):
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-    d = 5
-    # 6k +- 1 wheel
-    while d * d <= m:
-        for step in (d, d + 2):
-            while m % step == 0:
-                factors[step] = factors.get(step, 0) + 1
-                m //= step
-        d += 6
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            m //= p
+            factors[p] = factors.get(p, 0) + 1
     if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+        for p in sorted(_large_prime_factors(m)):
+            factors[p] = factors.get(p, 0) + 1
     return sign, factors
 
 
@@ -141,38 +215,58 @@ def _omega2(u: int) -> int:
     return 1 if u % 8 in (3, 5) else 0
 
 
+def _unit_class(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), class of the unit part u of n) for a nonzero integer n.
+
+    The class is u mod 8 at p = 2 and the Legendre symbol (u/p) = +-1 at an
+    odd prime p.  Either way classes multiply mod 8, and a unit is a square
+    in Q_p exactly when its class is 1 mod 8.
+    """
+    alpha, u = _unit_part(n, p)
+    if p == 2:
+        return alpha, u % 8
+    return alpha, 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
+def _prime_symbol(x: tuple[int, int], y: tuple[int, int], p: int) -> int:
+    """(a,b)_p from x = _unit_class(a, p) and y = _unit_class(b, p).
+
+    Closed forms: at an odd p in terms of valuations and Legendre symbols,
+    at 2 via the unit characters eps and omega.
+    """
+    (alpha, u), (beta, w) = x, y
+    if p == 2:
+        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
+        return -1 if e % 2 else 1
+    s = -1 if alpha % 2 and beta % 2 and (p - 1) // 2 % 2 else 1
+    if beta % 2:
+        s *= u
+    if alpha % 2:
+        s *= w
+    return s
+
+
+def _check_place(v: Place) -> None:
+    if v != OO and (not isinstance(v, int) or not is_prime(v)):
+        raise NotPrime(f"{v!r} is not a prime or {OO!r}")
+
+
 def hilbert_symbol(a: Rat, b: Rat, v: Place) -> int:
     """Hilbert symbol (a,b)_v in {+1,-1}.
 
     +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial solution over the completion
-    at v.  Closed forms: at an odd p in terms of valuations and Legendre
-    symbols, at 2 via the unit characters eps and omega, at OO by signs.
+    at v.  At OO it goes by signs; at a prime a and b are replaced by the
+    integers num * den in their square classes.
     """
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a == 0 or b == 0:
         raise ZeroInput("hilbert symbol needs nonzero arguments")
+    _check_place(v)
     if v == OO:
         return -1 if (a < 0 and b < 0) else 1
-    if not isinstance(v, int) or not is_prime(v):
-        raise NotPrime(f"{v!r} is not a prime or {OO!r}")
-    p = v
-    # replace by integers in the same square classes
-    ai = a.numerator * a.denominator
-    bi = b.numerator * b.denominator
-    alpha, u = _unit_part(ai, p)
-    beta, w = _unit_part(bi, p)
-    if p == 2:
-        e = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
-        return -1 if e % 2 else 1
-    s = 1
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-        s = -s
-    if beta % 2:
-        s *= legendre(u, p)
-    if alpha % 2:
-        s *= legendre(w, p)
-    return s
+    x = _unit_class(a.numerator * a.denominator, v)
+    return _prime_symbol(x, _unit_class(b.numerator * b.denominator, v), v)
 
 
 def is_local_square(r: Rat, v: Place) -> bool:
@@ -180,27 +274,20 @@ def is_local_square(r: Rat, v: Place) -> bool:
     r = _as_fraction(r)
     if r == 0:
         raise ZeroInput("square class of 0 is undefined")
+    _check_place(v)
     if v == OO:
         return r > 0
-    if not isinstance(v, int) or not is_prime(v):
-        raise NotPrime(f"{v!r} is not a prime or {OO!r}")
-    p = v
-    k = valuation(r, p)
-    if k % 2:
-        return False
-    u = r / Fraction(p) ** k
-    if p == 2:
-        # u = n/d with n, d odd; d^2 = 1 mod 8 so u = n*d mod 8
-        return (u.numerator * u.denominator) % 8 == 1
-    return legendre(u, p) == 1
+    alpha, u = _unit_class(r.numerator * r.denominator, v)
+    return alpha % 2 == 0 and u % 8 == 1
 
 
 def places(*values: Rat) -> list[Place]:
     """OO, 2 and the odd primes of every numerator and denominator, sorted.
 
-    Every other place is an odd prime at which all the values are units, so
-    Hilbert symbols and the isotropy of diagonal forms built from them are
-    trivial there.
+    Each prime comes from `factorize`, so it is certified once here and the
+    per-place code need not prove it again.  Every other place is an odd
+    prime at which all the values are units, so Hilbert symbols and the
+    isotropy of diagonal forms built from them are trivial there.
     """
     primes = {2}
     for x in values:
@@ -209,22 +296,24 @@ def places(*values: Rat) -> list[Place]:
     return [OO, *sorted(primes)]
 
 
-def _quaternary_isotropic_at(coeffs: tuple[Fraction, ...], v: Place) -> bool:
-    """Isotropy of a nondegenerate diagonal quaternary form over Q_v.
+def _quaternary_isotropic_at(ints: tuple[int, ...], v: Place) -> bool:
+    """Isotropy over Q_v of the diagonal form <c1,c2,c3,c4>, v = OO or a prime.
 
-    The form <a1,a2,a3,a4> is anisotropic at v exactly when its discriminant
-    d = a1*a2*a3*a4 is a square in Q_v and the Hasse invariant
-    eps = prod_{i<j} (ai,aj)_v differs from (-1,-1)_v.  The same criterion
-    covers v = OO (d square there means positive).
+    `ints` holds the nonzero square-class integers (numerator * denominator)
+    of the ci.  The form is anisotropic at v exactly when its discriminant
+    d = c1*c2*c3*c4 is a square in Q_v and the Hasse invariant
+    eps = prod_{i<j} (ci,cj)_v differs from (-1,-1)_v.  At a prime each ci
+    is reduced to its unit class once, and every symbol is read off those.
     """
-    d = math.prod(coeffs, start=Fraction(1))
-    if not is_local_square(d, v):
-        return True
-    eps = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            eps *= hilbert_symbol(coeffs[i], coeffs[j], v)
-    return eps == hilbert_symbol(-1, -1, v)
+    if v == OO:
+        # d > 0 and eps != (-1,-1) = -1 leave only the definite forms
+        return 0 < sum(c < 0 for c in ints) < 4
+    classes = [_unit_class(c, v) for c in ints]
+    if sum(alpha for alpha, _ in classes) % 2 or math.prod(u for _, u in classes) % 8 != 1:
+        return True  # d is not a square in Q_v
+    eps = math.prod(_prime_symbol(x, y, v) for x, y in combinations(classes, 2))
+    minus_one = _unit_class(-1, v)
+    return eps == _prime_symbol(minus_one, minus_one, v)
 
 
 def _anisotropic_places(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> Iterator[Place]:
@@ -234,7 +323,8 @@ def _anisotropic_places(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> Iterator[Place]
     if t == 0 or any(c == 0 for c in cs):
         raise ZeroInput("coefficients and target must be nonzero")
     quad = (-t,) + cs
-    return (v for v in places(*quad) if not _quaternary_isotropic_at(quad, v))
+    ints = tuple(c.numerator * c.denominator for c in quad)
+    return (v for v in places(*quad) if not _quaternary_isotropic_at(ints, v))
 
 
 def ternary_represents(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> bool:

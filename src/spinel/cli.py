@@ -19,8 +19,6 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
 from .errors import NoSpinStructure, SpinelError
@@ -51,6 +49,8 @@ def _rat(x) -> str:
 def _real(x) -> str:
     if isinstance(x, Fraction):
         return _rat(x)
+    import mpmath
+
     with mpmath.workdps(20):
         return mpmath.nstr(x, 17)
 

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
-
-import mpmath
+from typing import TYPE_CHECKING, Union
 
 from . import quat
 from .arith import Rat, is_prime, ternary_represents
@@ -255,14 +253,23 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
 
 
-Real = Union[Fraction, mpmath.mpf]
+if TYPE_CHECKING:
+    import mpmath
+
+Real = Union[Fraction, "mpmath.mpf"]
 
 
 def q_power(p: int, n: int, e: Fraction) -> Real:
-    """q^e for q = p^(2n): exact Fraction when 2n*e is integral, else mpf."""
+    """q^e for q = p^(2n): exact Fraction when 2n*e is integral, else mpf.
+
+    mpmath is imported on the first inexact exponent, so `import spinel`
+    does not load it.
+    """
     e2 = Fraction(e) * 2 * n
     if e2.denominator == 1:
         return Fraction(p) ** int(e2)
+    import mpmath
+
     with mpmath.workdps(NUMERIC_DPS):
         return mpmath.power(p, mpmath.mpf(e2.numerator) / e2.denominator)
 
@@ -288,8 +295,7 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     s = Fraction(s)
 
     def inv(x):
-        one = Fraction(1) if isinstance(x, Fraction) else mpmath.mpf(1)
-        return one / (one + x)
+        return 1 / (1 + x)
 
     le = inv(q_power(p, n, Fraction(1, 2) - s)) ** 2
     lspin = inv(q_power(p, n, Fraction(1, 2) - 2 * s))

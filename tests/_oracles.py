@@ -4,18 +4,24 @@ Nothing here may import the code paths it checks: the Hilbert oracle is
 congruence search, the curve oracle is a bare double loop over (x, y), the
 field oracle is schoolbook polynomial arithmetic on base-p digits, the
 census oracle sweeps whole Weierstrass families with the per-curve
-count_points instead of the census scan, and the ternary oracle is a box
-scan.  They are slow and only run at desk scale.
+count_points instead of the census scan, the ternary oracle is a box scan,
+the primality and factoring oracles are the 6k +- 1 trial division that
+Miller-Rabin and Pollard-Brent rho replaced, and the isotropy oracle is the
+Hasse-invariant formula evaluated through the public symbol functions
+instead of the per-place kernel.  They are slow and only run at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
+from spinel.arith import hilbert_symbol, is_local_square
 from spinel.curves import WeierstrassCurve, count_points
+from spinel.errors import BoundExceeded, ZeroInput
 
 _cache: dict = {}
 
@@ -204,3 +210,68 @@ def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:
         f = Fraction(rng.randint(-size, size), rng.randint(1, size))
         if f != 0 or not nonzero:
             return f
+
+
+#: factor bound of the trial-division oracle, equal to arith.DEFAULT_FACTOR_BOUND
+FACTOR_BOUND = 2**48
+
+
+def is_prime_oracle(n: int) -> bool:
+    """Trial-division primality test, adequate for desk-scale inputs."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def factorize_oracle(n: int) -> tuple[int, dict[int, int]]:
+    """Factor a nonzero integer as sign * prod p^e by trial division.
+
+    Returns (sign, {p: e}).  Every listed p is certified prime: once trial
+    division passes sqrt of the remaining cofactor, that cofactor is prime.
+    Raises ZeroInput on 0 and BoundExceeded when |n| exceeds FACTOR_BOUND.
+    """
+    if n == 0:
+        raise ZeroInput("cannot factor 0")
+    sign = -1 if n < 0 else 1
+    m = abs(n)
+    if m > FACTOR_BOUND:
+        raise BoundExceeded(f"|{n}| exceeds trial-division bound {FACTOR_BOUND}")
+    factors: dict[int, int] = {}
+    for d in (2, 3):
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+    d = 5
+    # 6k +- 1 wheel
+    while d * d <= m:
+        for step in (d, d + 2):
+            while m % step == 0:
+                factors[step] = factors.get(step, 0) + 1
+                m //= step
+        d += 6
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return sign, factors
+
+
+def isotropic_at_oracle(coeffs: tuple[Fraction, ...], v) -> bool:
+    """Isotropy of the diagonal quaternary form <coeffs> over Q_v.
+
+    Anisotropic exactly when the discriminant is a square in Q_v and the
+    Hasse invariant prod_{i<j} (ci,cj)_v differs from (-1,-1)_v, each
+    symbol taken from the public `hilbert_symbol` and `is_local_square`.
+    """
+    d = math.prod(coeffs, start=Fraction(1))
+    if not is_local_square(d, v):
+        return True
+    eps = math.prod(hilbert_symbol(a, b, v) for a, b in combinations(coeffs, 2))
+    return eps == hilbert_symbol(-1, -1, v)

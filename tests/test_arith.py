@@ -1,10 +1,15 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from _oracles import (
+    factorize_oracle,
     hilbert_oracle,
+    is_prime_oracle,
+    isotropic_at_oracle,
     legendre_oracle,
     places_oracle,
     random_fraction,
@@ -12,6 +17,7 @@ from _oracles import (
 )
 from spinel.arith import (
     OO,
+    PRIMALITY_BOUND,
     factorize,
     hilbert_symbol,
     is_local_square,
@@ -263,3 +269,103 @@ def test_ternary_represents_iff_no_local_obstruction():
             ternary_represents(coeffs, t)
         with pytest.raises(ZeroInput):
             local_obstructions(coeffs, t)
+
+
+def _matches_trial_division(n):
+    assert is_prime(n) == is_prime_oracle(n), n
+    try:
+        want = factorize_oracle(n)
+    except BoundExceeded:
+        with pytest.raises(BoundExceeded):
+            factorize(n)
+        return
+    sign, got = factorize(n)
+    # same primes in the same (ascending) dict order, all plain ints
+    assert (sign, list(got.items())) == (want[0], list(want[1].items())), n
+    assert all(type(p) is int and type(e) is int for p, e in got.items())
+
+
+def test_small_n_match_trial_division_oracle():
+    for n in range(-10**5 + 1, 10**5):
+        if n:
+            _matches_trial_division(n)
+
+
+def test_seeded_n_below_factor_bound_match_trial_division_oracle():
+    rng = random.Random(67)
+    for _ in range(2000):
+        bits = rng.randint(2, 48)
+        _matches_trial_division(rng.randrange(2 ** (bits - 1), 2**bits))
+
+
+def _next_prime(n):
+    while not is_prime_oracle(n):
+        n += 1
+    return n
+
+
+def test_hard_inputs_match_trial_division_oracle():
+    rng = random.Random(71)
+    # semiprimes whose factors are both past the trial divisors
+    for _ in range(12):
+        p, q = (_next_prime(rng.randrange(1025, 2 ** rng.randint(11, 24))) for _ in range(2))
+        _matches_trial_division(p * q)
+    _matches_trial_division(16777199 * 16777213)
+    # squares of the two largest primes below 2^24, just under 2^48, and
+    # higher powers past the trial divisors
+    for n in (16777199**2, 16777213**2, 65521**3, 1031**3 * 1033):
+        _matches_trial_division(n)
+    # Carmichael numbers, then strong pseudoprimes to the first bases
+    for n in (561, 41041, 825265, 3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not is_prime(n)
+        _matches_trial_division(n)
+
+
+def test_is_prime_needs_the_last_bases():
+    # a strong pseudoprime to every prime base 2..31
+    assert not is_prime(3825123056546413051)
+    assert not is_prime_oracle(3825123056546413051)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_past_primality_bound():
+    assert not is_prime(PRIMALITY_BOUND + 1)  # even
+    with pytest.raises(BoundExceeded):
+        is_prime(2**89 - 1)
+
+
+def test_isotropy_kernel_matches_public_symbols():
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(2000):
+        values = [random_fraction(rng, size=40, nonzero=True) for _ in range(4)]
+        if rng.random() < 0.25:
+            values[rng.randrange(4)] *= rng.choice([1031, 65537, 2**31 - 1])
+        t, coeffs = values[0], tuple(values[1:])
+        quad = (-t, *coeffs)
+        want = []
+        for v in places_oracle(*quad):
+            isotropic = isotropic_at_oracle(quad, v)
+            outcomes.add((v if v in (OO, 2) else "odd", isotropic))
+            if not isotropic:
+                want.append(v)
+        assert local_obstructions(coeffs, t) == want, (coeffs, t)
+    assert outcomes == {(v, i) for v in (OO, 2, "odd") for i in (True, False)}
+
+
+P48 = 281474976710597  # a prime just below 2^48
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: factorize(P48),
+        lambda: hilbert_symbol(P48, -1, P48),
+        lambda: ternary_represents((-1, -P48, P48), 1),
+    ],
+    ids=["factorize", "hilbert_symbol", "ternary_represents"],
+)
+def test_worst_case_prime_is_fast(call):
+    t0 = time.perf_counter()
+    call()
+    assert time.perf_counter() - t0 < 0.5

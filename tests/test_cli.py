@@ -185,3 +185,24 @@ def test_classify_over_scan_limit_fails_fast(capsys):
     assert doc["error"] == "bound-exceeded"
     assert "2^60" in doc["detail"]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv,rc,error",
+    [
+        # p = 2^61 - 1: primality is decided before the trace-scan limit refuses it
+        (["classify", "--p", "2305843009213693951", "--a", "1"], 1, "bound-exceeded"),
+        # a prime just below the 2^48 factor bound
+        (["bpinf", "--p", "281474976710597"], 0, None),
+        (["spin", "--p", "281474976710597", "--n", "1"], 0, None),
+    ],
+    ids=["classify-mersenne61", "bpinf-p48", "spin-p48"],
+)
+def test_large_prime_fails_or_answers_fast(argv, rc, error, capsys):
+    t0 = time.perf_counter()
+    got = main(argv + ["--json"])
+    elapsed = time.perf_counter() - t0
+    assert got == rc
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("error") == error
+    assert elapsed < 1.0
