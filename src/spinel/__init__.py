@@ -19,8 +19,9 @@ from .arith import (
     squarefree_part,
     ternary_represents,
 )
-from .curves import FiniteField, WeierstrassCurve, count_points, trace_census
+from .curves import WeierstrassCurve, count_points, trace_census
 from .errors import SpinelError
+from .fields import FiniteField
 from .isogeny import IsogenyClass, enumerate_classes, frobenius_scalar, isogeny_class
 from .lfunc import l_values, verify_identity_exact, zeta_h1, zeta_spin
 from .quat import Quaternion, QuaternionAlgebra, b_p_infty, find_pure_of_norm

@@ -5,13 +5,13 @@ computation (point counts, census of traces, pointwise Frobenius checks),
 used to cross-check the isogeny classification and the spinorial classes
 without going through any of that theory.
 
-F_{p^a} is realized as F_p[x]/(m(x)) for the lexicographically smallest
-monic irreducible m (coefficients compared constant term first), so all
-field data is deterministic and reproducible.  Elements are ints in
-[0, q), encoding coefficient vectors in base p, constant term last digit.
-Every field, whatever q, computes through one representation: exp/log
-tables of a fixed primitive element plus Zech logarithms, O(q) entries built
-at construction.
+A curve is handled as list operations over the whole field F_q (see
+spinel.fields), not as one field-method call per element: _horner
+evaluates a polynomial at every x at once, one list comprehension per
+Horner step on the exp/log/Zech tables, and point counts, point lists and
+census rows read off those lists.  The group law is one function on the
+same tables (_group_law), shared by point_add, point_mul and the Frobenius
+check, each of which checks the short form once per call.
 """
 
 from __future__ import annotations
@@ -19,230 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from operator import mul as _times
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .arith import factorize, is_prime
-from .errors import FieldTooLarge, NotPrime, PrecheckFailed, SearchExhausted
+from .errors import FieldTooLarge, PrecheckFailed, SearchExhausted
+from .fields import FiniteField
 
 #: refuse brute force beyond this field size
 DEFAULT_FIELD_CAP = 10_000
 
-#: refuse to construct F_q beyond this order; construction builds O(q) tables
-MAX_FIELD_ORDER = 2**14
-
 #: refuse a trace census whose normal-form scan exceeds this many point evaluations
 MAX_CENSUS_EVALUATIONS = 10**7
-
-
-def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """Does monic d divide monic f in F_p[x]?  Coefficients ascending."""
-    rem = list(f)
-    while len(rem) >= len(d):
-        c = rem[-1] % p
-        if c:
-            shift = len(rem) - len(d)
-            for i, dc in enumerate(d):
-                rem[shift + i] = (rem[shift + i] - c * dc) % p
-        rem.pop()
-    return all(c % p == 0 for c in rem)
-
-
-def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
-    for coeffs in product(range(p), repeat=deg):
-        yield coeffs + (1,)
-
-
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    deg = len(m) - 1
-    if m[0] == 0:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if _poly_divides(cand, m, p):
-                return False
-    return True
-
-
-def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
-    """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order."""
-    for tail in product(range(p), repeat=a):
-        m = tail + (1,)
-        if _is_irreducible(m, p):
-            return tail
-    raise AssertionError("irreducible polynomials of every degree exist")
-
-
-class FiniteField:
-    """F_{p^a} with int-encoded elements and exact log-table arithmetic.
-
-    A primitive element g is fixed at construction.  exp[k] = g^k and
-    log[g^k] = k turn products, inverses and powers into index arithmetic,
-    and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
-    g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
-    Zero gets the log 2(q - 1), which points into a run of zeros at the end
-    of exp, so a product or sum that is zero needs no branch.
-    """
-
-    def __init__(self, p: int, a: int = 1):
-        if a < 1:
-            raise ValueError("a must be positive")
-        # p^a >= 2^a, so a long exponent is over the limit without computing p^a
-        if p >= 2 and (a >= MAX_FIELD_ORDER.bit_length() or p**a > MAX_FIELD_ORDER):
-            shown = f"{p}^{a} = {p**a}" if a * p.bit_length() <= 256 else f"{p}^{a}"
-            raise FieldTooLarge(
-                f"F_q with p = {p}, a = {a}: q = {shown} exceeds the field "
-                f"construction limit {MAX_FIELD_ORDER}"
-            )
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        self.p = p
-        self.a = a
-        self.q = q = p**a
-        self.modulus = _smallest_modulus(p, a)  # x^a + sum modulus[i] x^i
-        self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
-        powers = self._powers(self._primitive_element())
-        # two periods, so a sum of two logs needs no reduction mod q - 1, then
-        # zeros for every index reached from the log of zero
-        self._exp = powers + powers + [0] * (2 * q - 1)
-        self._log = log = [2 * (q - 1)] * q
-        for k, u in enumerate(powers):
-            log[u] = k
-        # 1 + u changes only the constant digit of u
-        self._zech = [log[u - u % p + (u + 1) % p] for u in powers]
-
-    def decode(self, u: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.a):
-            out.append(u % self.p)
-            u //= self.p
-        return tuple(out)
-
-    def encode(self, coeffs: tuple[int, ...]) -> int:
-        u = 0
-        for c in reversed(coeffs):
-            u = u * self.p + c % self.p
-        return u
-
-    def from_int(self, c: int) -> int:
-        """The image of the integer constant c."""
-        return c % self.p
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def _mul_raw(self, u: int, v: int) -> int:
-        """Schoolbook product mod the modulus; only the table builder uses it."""
-        cu, cv = self.decode(u), self.decode(v)
-        prod = [0] * (2 * self.a - 1)
-        for i, ci in enumerate(cu):
-            if ci:
-                for j, cj in enumerate(cv):
-                    prod[i + j] += ci * cj
-        # fold down with x^a = -modulus
-        for deg in range(2 * self.a - 2, self.a - 1, -1):
-            c = prod[deg] % self.p
-            prod[deg] = 0
-            if c:
-                for i, mc in enumerate(self.modulus):
-                    prod[deg - self.a + i] -= c * mc
-        return self.encode(tuple(c % self.p for c in prod[: self.a]))
-
-    def _primitive_element(self) -> int:
-        """The first u in 1..q-1 with u^((q-1)/r) != 1 for every prime r | q - 1."""
-        order = self.q - 1
-        primes = factorize(order)[1]
-        # for a > 1 the constants 1..p-1 have order dividing p - 1 < q - 1
-        for g in range(1 if self.a == 1 else self.p, self.q):
-            if all(self._pow_raw(g, order // r) != 1 for r in primes):
-                return g
-        raise AssertionError("the multiplicative group of a finite field is cyclic")
-
-    def _pow_raw(self, u: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, u)
-            u = self._mul_raw(u, u)
-            e >>= 1
-        return out
-
-    def _powers(self, g: int) -> list[int]:
-        """[g^0, ..., g^(q-2)]: multiplication by g is F_p-linear on the digits."""
-        p, a = self.p, self.a
-        columns = list(zip(*(self.decode(self._mul_raw(g, p**i)) for i in range(a))))
-        weights = [p**i for i in range(a)]
-        out = []
-        digits = [1] + [0] * (a - 1)
-        for _ in range(self.q - 1):
-            out.append(sum(map(_times, digits, weights)))
-            digits = [sum(map(_times, digits, col)) % p for col in columns]
-        return out
-
-    def add(self, u: int, v: int) -> int:
-        if u and v:
-            log = self._log
-            lu = log[u]
-            # a negative index wraps mod q - 1, the length of the Zech table
-            return self._exp[lu + self._zech[log[v] - lu]]
-        return u or v
-
-    def mul(self, u: int, v: int) -> int:
-        log = self._log
-        return self._exp[log[u] + log[v]]
-
-    def neg(self, u: int) -> int:
-        return self._exp[self._log[u] + self._neg_shift]
-
-    def sub(self, u: int, v: int) -> int:
-        return self.add(u, self.neg(v))
-
-    def pow(self, u: int, e: int) -> int:
-        if u == 0:
-            if e < 0:
-                raise ZeroDivisionError("0 is not invertible")
-            return 0 if e else 1
-        return self._exp[self._log[u] * e % (self.q - 1)]
-
-    def inv(self, u: int) -> int:
-        if u == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return self._exp[self.q - 1 - self._log[u]]
-
-    def sqrt_counts(self) -> list[int]:
-        """counts[v] = #{w : w^2 = v}, read off the parity of log v."""
-        if self.p == 2:
-            return [1] * self.q  # squaring is a bijection in characteristic 2
-        return [1] + [2 - 2 * (k & 1) for k in self._log[1:]]
-
-    def sqrts(self, u: int) -> tuple[int, ...]:
-        """All w with w^2 = u, from half the log of u."""
-        if u == 0:
-            return (0,)
-        k = self._log[u]
-        if self.p == 2:
-            # q - 1 is odd, so exactly one of k and k + q - 1 is even
-            return (self._exp[(k + (k & 1) * (self.q - 1)) // 2],)
-        if k & 1:
-            return ()
-        w = self._exp[k // 2]
-        return (w, self.neg(w))
-
-    def artin_schreier_image(self) -> frozenset[int]:
-        """{z^2 + z} for char 2; solvability set of y^2 + y = d."""
-        return frozenset(self.add(self.mul(z, z), z) for z in self.elements())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.a, self.modulus))
-
-    def __str__(self) -> str:
-        return f"F_{self.q}"
 
 
 @dataclass(frozen=True)
@@ -317,36 +103,48 @@ def _check_cap(F: FiniteField) -> None:
         raise FieldTooLarge(f"q = {F.q} exceeds brute-force cap {DEFAULT_FIELD_CAP}")
 
 
+def _horner(F: FiniteField, coeffs: tuple[int, ...]) -> list[int]:
+    """[c0 x^n + c1 x^(n-1) + ... + cn for x in F], coeffs = (c0, ..., cn), n >= 1.
+
+    Horner's rule over the whole field at once, one list comprehension per
+    step on the log tables: a product by x adds log x, and a sum with the
+    constant c is a Zech lookup (zero, which has no log, gives c).
+    """
+    exp, log, zech = F._exp, F._log, F._zech
+    lead = log[coeffs[0]]
+    values = [exp[lead + lx] for lx in log]  # c0 x
+    for k, c in enumerate(coeffs[1:], 2):
+        if c:
+            lc = log[c]
+            values = [exp[lc + zech[log[v] - lc]] if v else c for v in values]
+        if k < len(coeffs):
+            values = [exp[log[v] + lx] for v, lx in zip(values, log)]
+    return values
+
+
 def count_points(E: WeierstrassCurve) -> int:
     """#E(F_q) including the point at infinity, by direct enumeration.
 
-    Odd characteristic: complete the square, (2y + a1 x + a3)^2 = 4*rhs + h^2,
-    and read solution counts off the parity of logs (sqrt_counts).
-    Characteristic 2: for h = a1 x + a3 nonzero substitute y = h z to reach
-    z^2 + z = rhs/h^2 and use the Artin-Schreier image; h = 0 leaves the
-    bijective y -> y^2.
+    Odd characteristic: completing the square turns the equation into
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and the count over x is
+    the number of square roots of that cubic, or of a quarter of it, since
+    4 is a square (sqrt_counts).  Characteristic 2: for h = a1 x + a3 nonzero
+    y = h z turns the equation into z^2 + z = rhs/h^2, counted off the
+    Artin-Schreier image; h = 0 leaves the bijective y -> y^2.  The cubic, h
+    and rhs are evaluated over the whole field by _horner.
     """
     F = E.field
     _check_cap(F)
-    n = 1
     if F.p == 2:
-        image = F.artin_schreier_image()
-        for x in F.elements():
-            h = F.add(F.mul(E.a1, x), E.a3)
-            d = E.rhs(x)
-            if h == 0:
-                n += 1
-            else:
-                h2i = F.inv(F.mul(h, h))
-                n += 2 if F.mul(d, h2i) in image else 0
-        return n
-    counts = F.sqrt_counts()
-    four = F.from_int(4)
-    for x in F.elements():
-        h = F.add(F.mul(E.a1, x), E.a3)
-        disc = F.add(F.mul(four, E.rhs(x)), F.mul(h, h))
-        n += counts[disc]
-    return n
+        exp, log, counts, order = F._exp, F._log, F.artin_schreier_counts, F.q - 1
+        return 1 + sum(
+            counts[exp[log[d] + (-2 * log[h]) % order]] if h else 1  # d / h^2
+            for d, h in zip(_horner(F, (1, E.a2, E.a4, E.a6)), _horner(F, (E.a1, E.a3)))
+        )
+    b2, b4, b6, _ = E._b_invariants()
+    quarter, half = F.inv(F.from_int(4)), F.inv(F.from_int(2))
+    cubic = (1, F.mul(b2, quarter), F.mul(b4, half), F.mul(b6, quarter))
+    return 1 + sum(map(F.sqrt_counts().__getitem__, _horner(F, cubic)))
 
 
 def trace_of(E: WeierstrassCurve) -> int:
@@ -372,23 +170,21 @@ def _census_rows(F: FiniteField) -> list[tuple]:
     """
     add, mul = F.add, F.mul
     xs = F.elements()
-    sq = [mul(x, x) for x in xs]
-    cube = [mul(s, x) for s, x in zip(sq, xs)]
     if F.p == 2:
         # y^2 + xy = x^3 + a2 x^2 + a6, constant a2: h = x, and each x != 0
         # has the value x + a6 / x^2
         rows = [
             (lambda c, a6=a6: (1, c, 0, 0, a6),
-             [add(x, mul(a6, F.inv(s))) for x, s in zip(xs[1:], sq[1:])], ())
+             [add(x, mul(a6, F.inv(mul(x, x)))) for x in xs[1:]], ())
             for a6 in xs[1:]
         ]
         # y^2 + a3 y = x^3 + a4 x + a6 with a6 = c a3^2: h = a3, and each x
         # has the value (x^3 + a4 x) / a3^2
         for a3, a4 in product(xs[1:], xs):
-            w = F.inv(sq[a3])
+            w = F.inv(mul(a3, a3))
             rows.append(
-                (lambda c, a3=a3, a4=a4: (0, 0, a3, a4, mul(c, sq[a3])),
-                 [mul(add(u, mul(a4, x)), w) for u, x in zip(cube, xs)], ())
+                (lambda c, a3=a3, a4=a4: (0, 0, a3, a4, mul(c, mul(a3, a3))),
+                 _horner(F, (w, 0, mul(a4, w), 0)), ())
             )
         return rows
     # odd p: y^2 = x^3 + a2 x^2 + a4 x + a6, constant a6
@@ -403,9 +199,7 @@ def _census_rows(F: FiniteField) -> list[tuple]:
             for A in [0, *F._exp[: gcd(4, F.q - 1)]]
         ]
     return [
-        (lambda c, a2=a2, a4=a4: (0, a2, 0, a4, c),
-         [add(add(u, mul(a2, s)), mul(a4, x)) for u, s, x in zip(cube, sq, xs)],
-         singular)
+        (lambda c, a2=a2, a4=a4: (0, a2, 0, a4, c), _horner(F, (1, a2, a4, 0)), singular)
         for a2, a4, singular in outer
     ]
 
@@ -419,11 +213,7 @@ def _census_size(F: FiniteField) -> int:
 
 def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int], int]]:
     """(a-invariants, trace) for every curve of the normal-form scan."""
-    if F.p == 2:
-        image = F.artin_schreier_image()
-        sol = [2 * (d in image) for d in F.elements()]
-    else:
-        sol = F.sqrt_counts()
+    sol = F.artin_schreier_counts if F.p == 2 else F.sqrt_counts()
     rows = _census_rows(F)
     add = F.add
     for c in F.elements():
@@ -479,53 +269,92 @@ def point_neg(E: WeierstrassCurve, P: Point) -> Point:
     return (x, E.field.neg(y))
 
 
-def point_add(E: WeierstrassCurve, P: Point, Q: Point) -> Point:
-    """Chord-tangent addition."""
-    _require_short(E)
+def _group_law(E: WeierstrassCurve) -> Callable[[Point, Point], Point]:
+    """Chord-tangent addition on E(F_q) as one function on the field's tables.
+
+    Short form, p >= 5, and P, Q on E; the callers check the form once.
+    Products and quotients add and subtract logs, and u - v is a Zech lookup
+    on u and -v = g^((q-1)/2) v.
+    """
     F = E.field
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and F.add(y1, y2) == 0:
-        return None
-    if P == Q:
-        num = F.add(F.mul(F.from_int(3), F.mul(x1, x1)), E.a4)
-        den = F.mul(F.from_int(2), y1)
-    else:
-        num = F.sub(y2, y1)
-        den = F.sub(x2, x1)
-    lam = F.mul(num, F.inv(den))
-    x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
-    y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
-    return (x3, y3)
+    exp, log, zech = F._exp, F._log, F._zech
+    half, order = F._neg_shift, F.q - 1
+    minus_a4, log2, log3 = F.neg(E.a4), log[2], log[3]
+
+    def minus(u: int, v: int) -> int:
+        if not v:
+            return u
+        lv = log[v] + half  # a log of -v
+        if not u:
+            return exp[lv]
+        lu = log[u]
+        return exp[lu + zech[(lv - lu) % order]]
+
+    def add(P: Point, Q: Point) -> Point:
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None  # Q = -P
+            # slope (3 x1^2 + a4) / (2 y1), the numerator as 3 x1^2 - (-a4)
+            num = minus(exp[(log3 + 2 * log[x1]) % order] if x1 else 0, minus_a4)
+            den = log2 + log[y1]
+        else:
+            num = minus(y2, y1)
+            den = log[minus(x2, x1)]
+        lam = exp[(log[num] - den) % order] if num else 0
+        x3 = minus(minus(exp[2 * log[lam]], x1), x2)
+        return (x3, minus(exp[log[lam] + log[minus(x1, x3)]], y1))
+
+    return add
+
+
+def _multiple(add: Callable[[Point, Point], Point], m: int, P: Point) -> Point:
+    """[m]P for m >= 0 by double and add on the group law add."""
+    out: Point = None
+    while m:
+        if m & 1:
+            out = add(out, P)
+        m >>= 1
+        if m:
+            P = add(P, P)
+    return out
+
+
+def point_add(E: WeierstrassCurve, P: Point, Q: Point) -> Point:
+    """Chord-tangent addition of two points of E."""
+    _require_short(E)
+    return _group_law(E)(P, Q)
 
 
 def point_mul(E: WeierstrassCurve, m: int, P: Point) -> Point:
     """[m]P by double and add; negative m through the involution."""
+    _require_short(E)
     if m < 0:
-        return point_mul(E, -m, point_neg(E, P))
-    out: Point = None
-    base = P
-    while m:
-        if m & 1:
-            out = point_add(E, out, base)
-        base = point_add(E, base, base)
-        m >>= 1
-    return out
+        m, P = -m, point_neg(E, P)
+    return _multiple(_group_law(E), m, P)
 
 
 def curve_points(E: WeierstrassCurve) -> list[Point]:
-    """All points of E(F_q), infinity first.  Short form only."""
+    """All points of E(F_q), infinity first, then by x, y = w before -w.
+
+    Short form only.  The right-hand side comes from _horner over the whole
+    field, and its square roots from half its log.
+    """
     _require_short(E)
-    _check_cap(E.field)
     F = E.field
+    _check_cap(F)
+    exp, log, half = F._exp, F._log, F._neg_shift
     pts: list[Point] = [None]
-    for x in F.elements():
-        for y in F.sqrts(E.rhs(x)):
-            pts.append((x, y))
+    for x, v in enumerate(_horner(F, (1, E.a2, E.a4, E.a6))):
+        if not v:
+            pts.append((x, 0))
+        elif not log[v] & 1:
+            k = log[v] >> 1
+            pts += ((x, exp[k]), (x, exp[k + half]))
     return pts
 
 
@@ -601,4 +430,5 @@ def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:
         raise PrecheckFailed("expected a quadratic field F_{p^2}")
     if count_points(E) != (F.p + 1) ** 2:
         raise PrecheckFailed("curve is not in the tau = -p class")
-    return all(point_mul(E, F.p + 1, P) is None for P in curve_points(E))
+    add = _group_law(E)
+    return all(_multiple(add, F.p + 1, P) is None for P in curve_points(E))

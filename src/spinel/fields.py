@@ -1,0 +1,262 @@
+"""Finite fields F_{p^a} with exact log-table arithmetic.
+
+F_{p^a} is realized as F_p[x]/(m(x)) for the lexicographically smallest
+monic irreducible m (coefficients compared constant term first), so all
+field data is deterministic and reproducible.  Elements are ints in
+[0, q), encoding coefficient vectors in base p, constant term last digit.
+Every field, whatever q, computes through one representation: exp/log
+tables of a fixed primitive element plus Zech logarithms, O(q) entries built
+at construction by walking the powers of that element (u -> u g mod p for a
+prime field, a digit-matrix step for a > 1).
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from itertools import product
+from operator import mul as _times
+from typing import Iterator
+
+from .arith import factorize, is_prime
+from .errors import FieldTooLarge, NotPrime
+
+#: refuse to construct F_q beyond this order; construction builds O(q) tables
+MAX_FIELD_ORDER = 2**14
+
+
+def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
+    """Does monic d divide monic f in F_p[x]?  Coefficients ascending."""
+    rem = list(f)
+    while len(rem) >= len(d):
+        c = rem[-1] % p
+        if c:
+            shift = len(rem) - len(d)
+            for i, dc in enumerate(d):
+                rem[shift + i] = (rem[shift + i] - c * dc) % p
+        rem.pop()
+    return all(c % p == 0 for c in rem)
+
+
+def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
+    for coeffs in product(range(p), repeat=deg):
+        yield coeffs + (1,)
+
+
+def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
+    deg = len(m) - 1
+    if m[0] == 0:
+        return deg == 1
+    for d in range(1, deg // 2 + 1):
+        for cand in _monic_polys(p, d):
+            if _poly_divides(cand, m, p):
+                return False
+    return True
+
+
+def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
+    """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order."""
+    for tail in product(range(p), repeat=a):
+        m = tail + (1,)
+        if _is_irreducible(m, p):
+            return tail
+    raise AssertionError("irreducible polynomials of every degree exist")
+
+
+def _prime_field_powers(p: int) -> list[int]:
+    """[g^0, ..., g^(p-2)] for the least primitive root g mod p.
+
+    g is the first residue with g^((p-1)/r) != 1 for every prime r | p - 1.
+    The walk u -> u g doubles: g^n, ..., g^(2n-1) is g^n times the block
+    g^0, ..., g^(n-1), one list comprehension per block.
+    """
+    order = p - 1
+    primes = factorize(order)[1]
+    g = next(g for g in range(1, p) if all(pow(g, order // r, p) != 1 for r in primes))
+    powers = [1]
+    while len(powers) < order:
+        h = powers[-1] * g % p
+        powers += [u * h % p for u in powers[: order - len(powers)]]
+    return powers
+
+
+class FiniteField:
+    """F_{p^a} with int-encoded elements and exact log-table arithmetic.
+
+    A primitive element g is fixed at construction.  exp[k] = g^k and
+    log[g^k] = k turn products, inverses and powers into index arithmetic,
+    and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
+    g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
+    Zero gets the log 2(q - 1), which points into a run of zeros at the end
+    of exp, so a product or sum that is zero needs no branch.
+    """
+
+    def __init__(self, p: int, a: int = 1):
+        if a < 1:
+            raise ValueError("a must be positive")
+        # p^a >= 2^a, so a long exponent is over the limit without computing p^a
+        if p >= 2 and (a >= MAX_FIELD_ORDER.bit_length() or p**a > MAX_FIELD_ORDER):
+            shown = f"{p}^{a} = {p**a}" if a * p.bit_length() <= 256 else f"{p}^{a}"
+            raise FieldTooLarge(
+                f"F_q with p = {p}, a = {a}: q = {shown} exceeds the field "
+                f"construction limit {MAX_FIELD_ORDER}"
+            )
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        self.p = p
+        self.a = a
+        self.q = q = p**a
+        self.modulus = _smallest_modulus(p, a)  # x^a + sum modulus[i] x^i
+        self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
+        powers = _prime_field_powers(p) if a == 1 else self._powers(self._primitive_element())
+        # two periods, so a sum of two logs needs no reduction mod q - 1, then
+        # zeros for every index reached from the log of zero
+        self._exp = powers + powers + [0] * (2 * q - 1)
+        self._log = log = [2 * (q - 1)] * q
+        for k, u in enumerate(powers):
+            log[u] = k
+        # 1 + u changes only the constant digit of u: shift the log table by
+        # one and wrap every run of p encodings at its constant digit p - 1
+        succ = log[1:] + log[:1]
+        succ[p - 1 :: p] = log[::p]
+        self._zech = list(map(succ.__getitem__, powers))
+
+    def decode(self, u: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(self.a):
+            out.append(u % self.p)
+            u //= self.p
+        return tuple(out)
+
+    def encode(self, coeffs: tuple[int, ...]) -> int:
+        u = 0
+        for c in reversed(coeffs):
+            u = u * self.p + c % self.p
+        return u
+
+    def from_int(self, c: int) -> int:
+        """The image of the integer constant c."""
+        return c % self.p
+
+    def elements(self) -> range:
+        return range(self.q)
+
+    def _mul_raw(self, u: int, v: int) -> int:
+        """Schoolbook product mod the modulus; only the table builder uses it."""
+        cu, cv = self.decode(u), self.decode(v)
+        prod = [0] * (2 * self.a - 1)
+        for i, ci in enumerate(cu):
+            if ci:
+                for j, cj in enumerate(cv):
+                    prod[i + j] += ci * cj
+        # fold down with x^a = -modulus
+        for deg in range(2 * self.a - 2, self.a - 1, -1):
+            c = prod[deg] % self.p
+            prod[deg] = 0
+            if c:
+                for i, mc in enumerate(self.modulus):
+                    prod[deg - self.a + i] -= c * mc
+        return self.encode(tuple(c % self.p for c in prod[: self.a]))
+
+    def _primitive_element(self) -> int:
+        """For a > 1, the first u with u^((q-1)/r) != 1 for every prime r | q - 1."""
+        order = self.q - 1
+        primes = factorize(order)[1]
+        # the constants 1..p-1 have order dividing p - 1 < q - 1
+        for g in range(self.p, self.q):
+            if all(self._pow_raw(g, order // r) != 1 for r in primes):
+                return g
+        raise AssertionError("the multiplicative group of a finite field is cyclic")
+
+    def _pow_raw(self, u: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, u)
+            u = self._mul_raw(u, u)
+            e >>= 1
+        return out
+
+    def _powers(self, g: int) -> list[int]:
+        """[g^0, ..., g^(q-2)]: multiplication by g is F_p-linear on the digits."""
+        p, a = self.p, self.a
+        columns = list(zip(*(self.decode(self._mul_raw(g, p**i)) for i in range(a))))
+        weights = [p**i for i in range(a)]
+        out = []
+        digits = [1] + [0] * (a - 1)
+        for _ in range(self.q - 1):
+            out.append(sum(map(_times, digits, weights)))
+            digits = [sum(map(_times, digits, col)) % p for col in columns]
+        return out
+
+    def add(self, u: int, v: int) -> int:
+        if u and v:
+            log = self._log
+            lu = log[u]
+            # a negative index wraps mod q - 1, the length of the Zech table
+            return self._exp[lu + self._zech[log[v] - lu]]
+        return u or v
+
+    def mul(self, u: int, v: int) -> int:
+        log = self._log
+        return self._exp[log[u] + log[v]]
+
+    def neg(self, u: int) -> int:
+        return self._exp[self._log[u] + self._neg_shift]
+
+    def sub(self, u: int, v: int) -> int:
+        return self.add(u, self.neg(v))
+
+    def pow(self, u: int, e: int) -> int:
+        if u == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 is not invertible")
+            return 0 if e else 1
+        return self._exp[self._log[u] * e % (self.q - 1)]
+
+    def inv(self, u: int) -> int:
+        if u == 0:
+            raise ZeroDivisionError("0 is not invertible")
+        return self._exp[self.q - 1 - self._log[u]]
+
+    def sqrt_counts(self) -> list[int]:
+        """counts[v] = #{w : w^2 = v}, read off the parity of log v."""
+        if self.p == 2:
+            return [1] * self.q  # squaring is a bijection in characteristic 2
+        return [1] + [2 - 2 * (k & 1) for k in self._log[1:]]
+
+    def sqrts(self, u: int) -> tuple[int, ...]:
+        """All w with w^2 = u, from half the log of u."""
+        if u == 0:
+            return (0,)
+        k = self._log[u]
+        if self.p == 2:
+            # q - 1 is odd, so exactly one of k and k + q - 1 is even
+            return (self._exp[(k + (k & 1) * (self.q - 1)) // 2],)
+        if k & 1:
+            return ()
+        w = self._exp[k // 2]
+        return (w, self.neg(w))
+
+    @cached_property
+    def artin_schreier_counts(self) -> list[int]:
+        """counts[d] = #{z : z^2 + z = d}, 2 or 0, in characteristic 2.
+
+        Built once per field: z^2 + z = z (z + 1) has the log k + zech[k] at
+        z = g^k, and z = 1 gives the log of zero.
+        """
+        exp, counts = self._exp, [0] * self.q
+        for k, z in enumerate(self._zech):
+            counts[exp[k + z]] = 2
+        return counts
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FiniteField)
+            and (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.modulus))
+
+    def __str__(self) -> str:
+        return f"F_{self.q}"

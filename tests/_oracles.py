@@ -5,17 +5,21 @@ congruence search, the curve oracle is a bare double loop over (x, y), the
 field oracle is schoolbook polynomial arithmetic on base-p digits, the
 census oracle sweeps whole Weierstrass families with the per-curve
 count_points instead of the census scan, the ternary oracle is a box scan,
-the primality and factoring oracles are the 6k +- 1 trial division that
-Miller-Rabin and Pollard-Brent rho replaced, and the isotropy oracle is the
-Hasse-invariant formula evaluated through the public symbol functions
-instead of the per-place kernel.  They are slow and only run at desk scale.
+the primality and factoring oracles are trial division (that Miller-Rabin
+and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
+and the isotropy oracle is the Hasse-invariant formula evaluated through
+the public symbol functions instead of the per-place kernel.  They are slow
+and only run at desk scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, compress, count, product
+from typing import Iterator
 
 import numpy as np
 
@@ -215,21 +219,35 @@ def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:
 #: factor bound of the trial-division oracle, equal to arith.DEFAULT_FACTOR_BOUND
 FACTOR_BOUND = 2**48
 
+#: the sieve covers every trial divisor up to sqrt(FACTOR_BOUND)
+_SIEVE_LIMIT = 2**24
+
+
+@functools.cache
+def _sieved_primes() -> array:
+    """The primes below _SIEVE_LIMIT, by the sieve of Eratosthenes (built once)."""
+    sieve = bytearray([1]) * _SIEVE_LIMIT
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(_SIEVE_LIMIT - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _SIEVE_LIMIT, i)))
+    return array("I", compress(range(_SIEVE_LIMIT), sieve))
+
+
+def _trial_divisors() -> Iterator[int]:
+    """The sieved primes, then every odd number past them, so any n is covered."""
+    return chain(_sieved_primes(), count(_SIEVE_LIMIT + 1, 2))
+
 
 def is_prime_oracle(n: int) -> bool:
     """Trial-division primality test, adequate for desk-scale inputs."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
+    for d in _trial_divisors():
+        if d * d > n:
+            return True
         if n % d == 0:
             return False
-        d += 2
-    return True
 
 
 def factorize_oracle(n: int) -> tuple[int, dict[int, int]]:
@@ -246,18 +264,12 @@ def factorize_oracle(n: int) -> tuple[int, dict[int, int]]:
     if m > FACTOR_BOUND:
         raise BoundExceeded(f"|{n}| exceeds trial-division bound {FACTOR_BOUND}")
     factors: dict[int, int] = {}
-    for d in (2, 3):
+    for d in _trial_divisors():
+        if d * d > m:
+            break
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
-    d = 5
-    # 6k +- 1 wheel
-    while d * d <= m:
-        for step in (d, d + 2):
-            while m % step == 0:
-                factors[step] = factors.get(step, 0) + 1
-                m //= step
-        d += 6
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
     return sign, factors
@@ -275,3 +287,73 @@ def isotropic_at_oracle(coeffs: tuple[Fraction, ...], v) -> bool:
         return True
     eps = math.prod(hilbert_symbol(a, b, v) for a, b in combinations(coeffs, 2))
     return eps == hilbert_symbol(-1, -1, v)
+
+
+def matrix_walk_powers(p: int, a: int, modulus: tuple[int, ...]) -> list[int]:
+    """[g^0, ..., g^(q-2)] by the walk FiniteField used before the prime-field
+    walk: g is the first u (from p when a > 1) with u^((q-1)/r) != 1 for every
+    prime r | q - 1, tested by schoolbook square and multiply, and each power
+    comes from the last by an a x a digit matrix."""
+    q = p**a
+
+    def digits(u):
+        return [u // p**i % p for i in range(a)]
+
+    def mul(u, v):
+        prod = [0] * (2 * a - 1)
+        for i, ci in enumerate(digits(u)):
+            for j, cj in enumerate(digits(v)):
+                prod[i + j] += ci * cj
+        for deg in range(2 * a - 2, a - 1, -1):
+            c = prod[deg] % p
+            prod[deg] = 0
+            for i, mc in enumerate(modulus):
+                prod[deg - a + i] -= c * mc
+        return _from_digits(prod[:a], p)
+
+    def power(u, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, u)
+            u = mul(u, u)
+            e >>= 1
+        return out
+
+    primes = factorize_oracle(q - 1)[1]
+    g = next(
+        u for u in range(1 if a == 1 else p, q)
+        if all(power(u, (q - 1) // r) != 1 for r in primes)
+    )
+    columns = list(zip(*(digits(mul(g, p**i)) for i in range(a))))
+    weights = [p**i for i in range(a)]
+    out = []
+    d = [1] + [0] * (a - 1)
+    for _ in range(q - 1):
+        out.append(sum(x * w for x, w in zip(d, weights)))
+        d = [sum(x * c for x, c in zip(d, col)) % p for col in columns]
+    return out
+
+
+def point_add_oracle(E, P, Q):
+    """Chord-tangent addition through the field's public methods, one call
+    per operation: the point_add that the table group law replaced."""
+    F = E.field
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2 and F.add(y1, y2) == 0:
+        return None
+    if P == Q:
+        num = F.add(F.mul(F.from_int(3), F.mul(x1, x1)), E.a4)
+        den = F.mul(F.from_int(2), y1)
+    else:
+        num = F.sub(y2, y1)
+        den = F.sub(x2, x1)
+    lam = F.mul(num, F.inv(den))
+    x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
+    y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
+    return (x3, y3)

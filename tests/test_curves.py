@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import census_pairs_oracle, j_invariant, naive_point_count
+from _oracles import census_pairs_oracle, j_invariant, naive_point_count, point_add_oracle
 from spinel.curves import (
     MAX_CENSUS_EVALUATIONS,
     FiniteField,
@@ -10,6 +10,7 @@ from spinel.curves import (
     _census_rows,
     _census_scan,
     _census_size,
+    _group_law,
     count_points,
     curve_points,
     find_q14_curve,
@@ -213,3 +214,38 @@ def test_census_scan_limit():
     assert _census_size(FiniteField(1009, 1)) <= MAX_CENSUS_EVALUATIONS
     with pytest.raises(FieldTooLarge, match="F_64.*16773120.*10000000"):
         trace_census(FiniteField(2, 6))
+
+
+def test_group_law_matches_method_point_add():
+    # the table group law against the method-call point_add it replaced, on
+    # seeded pairs with the doubling, inverse, y = 0 and x = 0 cases forced in
+    rng = random.Random(31)
+    hit = set()
+    for p, a in [(5, 1), (7, 1), (5, 2), (11, 2), (13, 1), (17, 2), (101, 1)]:
+        F = FiniteField(p, a)
+        for _ in range(4):
+            # a root r of the cubic gives the point (r, 0)
+            r, a4 = rng.randrange(F.q), rng.randrange(F.q)
+            a6 = F.neg(F.add(F.pow(r, 3), F.mul(a4, r)))
+            try:
+                E = WeierstrassCurve(F, 0, 0, 0, a4, a6)
+            except ValueError:
+                continue
+            add = _group_law(E)
+            pts = curve_points(E)
+            special = [P for P in pts[1:] if 0 in P]
+            pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(40)]
+            pairs += [(P, P) for P in pts[1:4] + special]
+            pairs += [(P, point_neg(E, P)) for P in pts[1:4] + special]
+            pairs += [(P, rng.choice(pts)) for P in special]
+            for P, Q in pairs:
+                want = point_add_oracle(E, P, Q)
+                assert add(P, Q) == point_add(E, P, Q) == want, (E, P, Q)
+                if P is not None and Q is not None:
+                    hit.update(
+                        name for name, case in (
+                            ("double", P == Q), ("inverse", want is None),
+                            ("y = 0", P[1] == 0), ("x = 0", P[0] == 0),
+                        ) if case
+                    )
+    assert hit == {"double", "inverse", "y = 0", "x = 0"}

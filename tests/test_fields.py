@@ -1,5 +1,6 @@
 """Field arithmetic against the schoolbook oracle, and the helpers read off logs."""
 
+import math
 import random
 import time
 
@@ -10,10 +11,10 @@ from _oracles import (
     field_mul_oracle,
     field_neg_oracle,
     field_pow_oracle,
+    matrix_walk_powers,
     naive_point_count,
 )
 from spinel.curves import (
-    MAX_FIELD_ORDER,
     FiniteField,
     WeierstrassCurve,
     count_points,
@@ -22,6 +23,7 @@ from spinel.curves import (
     point_mul,
 )
 from spinel.errors import FieldTooLarge
+from spinel.fields import MAX_FIELD_ORDER
 
 
 def _prime_powers(limit):
@@ -143,3 +145,44 @@ def test_frobenius_check_is_the_p_plus_1_torsion_check():
             assert (F.pow(x, F.q), F.pow(y, F.q)) == P
             assert (point_mul(E, -p, P) == P) == (point_mul(E, p + 1, P) is None)
             assert point_mul(E, p + 1, P) is None
+
+
+def _extension_fields(limit):
+    """Every (p, a) with a > 1 and p^a <= limit."""
+    return [
+        (p, a)
+        for p in range(2, math.isqrt(limit) + 1)
+        if all(p % d for d in range(2, p))
+        for a in range(2, limit.bit_length())
+        if p**a <= limit
+    ]
+
+
+def _seeded_primes(count, limit, seed):
+    rng = random.Random(seed)
+    primes = [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    return sorted({2, 3, *rng.sample(primes, count)})
+
+
+#: the fields whose primitive element, the first in encoding order, has
+#: degree 2 in x; in every other extension field it is x + c
+_DEGREE_TWO_G = {(3, 4), (2, 8), (2, 9), (5, 4), (2, 12), (2, 14)}
+
+
+@pytest.mark.parametrize(
+    "p,a",
+    _extension_fields(MAX_FIELD_ORDER) + [(p, 1) for p in _seeded_primes(24, MAX_FIELD_ORDER, 29)],
+    ids=lambda x: str(x),
+)
+def test_exp_table_matches_matrix_walk(p, a):
+    # differential check of the walks that build exp against the digit-matrix walk
+    F = FiniteField(p, a)
+    assert F._exp[: F.q - 1] == matrix_walk_powers(p, a, F.modulus)
+    assert (F._exp[1] >= p * p) == ((p, a) in _DEGREE_TWO_G)
+
+
+@pytest.mark.parametrize("p,a", [(257, 1), (19, 2)])
+def test_count_points_matches_naive_count_past_256(p, a):
+    F = FiniteField(p, a)
+    for E in _random_curves(F, 2, seed=F.q):
+        assert count_points(E) == naive_point_count(E), E

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from spinel.arith import squarefree_part
+from spinel.arith import squarefree_part, ternary_represents
 from spinel.errors import NotSpinorial, PrecheckFailed, ZeroInput
 from spinel.quat import b_p_infty
 from spinel.spinspace import OrthogonalInvolution, covering_map
@@ -223,3 +224,13 @@ def test_structure_json():
     assert doc["tau"] == -3
     assert doc["u"] == ["0", "0", "1", "0"]
     assert doc["algebra"] == {"a": "-1", "b": "-3"}
+
+
+def test_norm_one_bit_has_the_closed_form_below_10_4():
+    # B_{p,oo} has a pure quaternion of norm 1 exactly when p = 2 or
+    # p = 3 mod 4: the computed local-global bit against the closed form
+    primes = [n for n in range(2, 10**4) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 1229
+    for p in primes:
+        bit = ternary_represents(b_p_infty(p).pure_norm_coefficients(), 1)
+        assert bit == (p == 2 or p % 4 == 3), p
