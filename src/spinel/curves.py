@@ -24,9 +24,6 @@ from typing import Callable, Iterator, Optional
 from .errors import FieldTooLarge, PrecheckFailed, SearchExhausted
 from .fields import FiniteField
 
-#: refuse brute force beyond this field size
-DEFAULT_FIELD_CAP = 10_000
-
 #: refuse a trace census whose normal-form scan exceeds this many point evaluations
 MAX_CENSUS_EVALUATIONS = 10**7
 
@@ -98,11 +95,6 @@ class WeierstrassCurve:
         )
 
 
-def _check_cap(F: FiniteField) -> None:
-    if F.q > DEFAULT_FIELD_CAP:
-        raise FieldTooLarge(f"q = {F.q} exceeds brute-force cap {DEFAULT_FIELD_CAP}")
-
-
 def _horner(F: FiniteField, coeffs: tuple[int, ...]) -> list[int]:
     """[c0 x^n + c1 x^(n-1) + ... + cn for x in F], coeffs = (c0, ..., cn), n >= 1.
 
@@ -134,7 +126,6 @@ def count_points(E: WeierstrassCurve) -> int:
     and rhs are evaluated over the whole field by _horner.
     """
     F = E.field
-    _check_cap(F)
     if F.p == 2:
         exp, log, counts, order = F._exp, F._log, F.artin_schreier_counts, F.q - 1
         return 1 + sum(
@@ -242,7 +233,6 @@ def trace_census(F: FiniteField) -> set[int]:
     before any scanning if the scan needs more than MAX_CENSUS_EVALUATIONS
     point evaluations.
     """
-    _check_cap(F)
     size = _census_size(F)
     if size > MAX_CENSUS_EVALUATIONS:
         raise FieldTooLarge(
@@ -346,7 +336,6 @@ def curve_points(E: WeierstrassCurve) -> list[Point]:
     """
     _require_short(E)
     F = E.field
-    _check_cap(F)
     exp, log, half = F._exp, F._log, F._neg_shift
     pts: list[Point] = [None]
     for x, v in enumerate(_horner(F, (1, E.a2, E.a4, E.a6))):
@@ -372,7 +361,6 @@ def _reduced_family(F: FiniteField) -> Iterator[tuple[int, int, int, int, int]]:
 def find_trace_zero_curve(p: int) -> WeierstrassCurve:
     """First curve over F_p with exactly p + 1 points, in scan order."""
     F = FiniteField(p, 1)
-    _check_cap(F)
     for coeffs in _reduced_family(F):
         try:
             E = WeierstrassCurve(F, *coeffs)
@@ -388,30 +376,16 @@ def find_q14_curve(p: int) -> WeierstrassCurve:
 
     A trace-zero curve over F_p has Frobenius eigenvalues +-i*sqrt(p), so
     its base change to F_{p^2} has trace -2p and (p+1)^2 points; the count
-    is re-verified directly.  Falls back to scanning F_{p^2} families if the
-    base-change route somehow fails, and raising SearchExhausted after that
-    would falsify the classification.
+    is re-verified directly, and a mismatch would falsify that argument.
     """
     F2 = FiniteField(p, 2)
-    _check_cap(F2)
     target = (p + 1) ** 2
-    try:
-        E0 = find_trace_zero_curve(p)
-    except SearchExhausted:
-        E0 = None
-    if E0 is not None:
-        # constants embed as themselves under the int encoding
-        E = WeierstrassCurve(F2, E0.a1, E0.a2, E0.a3, E0.a4, E0.a6)
-        if count_points(E) == target:
-            return E
-    for coeffs in _reduced_family(F2):
-        try:
-            E = WeierstrassCurve(F2, *coeffs)
-        except ValueError:
-            continue
-        if count_points(E) == target:
-            return E
-    raise SearchExhausted(f"no curve with {target} points over F_{p**2}")
+    E0 = find_trace_zero_curve(p)
+    # constants embed as themselves under the int encoding
+    E = WeierstrassCurve(F2, E0.a1, E0.a2, E0.a3, E0.a4, E0.a6)
+    if count_points(E) != target:
+        raise SearchExhausted(f"the base change of {E0} lacks {target} points over F_{p**2}")
+    return E
 
 
 def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:

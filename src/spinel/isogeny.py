@@ -33,7 +33,7 @@ ENDO_QUATERNION = "quaternion"
 
 #: refuse to enumerate classes over F_q when the trace scan 2*isqrt(4q) + 1
 #: exceeds this many traces
-MAX_TRACE_SCAN = 10**6
+MAX_TRACE_SCAN = 10**5
 
 
 def _case(p: int, a: int, beta: int) -> str | None:

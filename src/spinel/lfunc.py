@@ -73,34 +73,31 @@ def _content(f: IntPoly) -> int:
         g = gcd(g, abs(c))
     return g or 1
 
+
+def _primitive(f: IntPoly) -> IntPoly:
+    c = _content(f)
+    return tuple(x // c for x in f)
+
+
+def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Pseudo-remainder of f by g in Z[T]: scale by g's lead, never divide."""
+    a, lead = list(f), g[-1]
+    while len(a) >= len(g):
+        top, shift = a.pop(), len(a) - len(g) + 1
+        if top:
+            a = [x * lead for x in a]
+            for i, c in enumerate(g[:-1]):
+                a[shift + i] -= top * c
+    return _trim(tuple(a)) if a else (0,)
+
+
 def _poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic-free gcd in Z[T]: Euclid over Q, then primitive integer scaling."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
-    while any(c != 0 for c in b):
-        # a mod b
-        a = a[:]
-        while len(a) >= len(b) and any(c != 0 for c in a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            coef = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= coef * b[i]
-            a.pop()
-        if not a:
-            a = [Fraction(0)]
-        a, b = b, a
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = _trim(tuple(int(c * den) for c in a))
-    cont = _content(ints)
-    out = tuple(c // cont for c in ints)
-    if out[-1] < 0:
-        out = tuple(-c for c in out)
-    return out
+    """Primitive gcd in Z[T] with positive lead, by the primitive remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
+    a, b = _primitive(f), _primitive(g)
+    while any(b):
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[-1] > 0 else tuple(-c for c in a)
 
 
 def poly_str(f: IntPoly, var: str = "T") -> str:
@@ -184,19 +181,18 @@ class RationalFunction:
 
 
 def _poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """f // g assuming exact divisibility over Q, result scaled to Z."""
-    a = [Fraction(c) for c in f]
-    out = [Fraction(0)] * (len(f) - len(g) + 1)
+    """f / g for a primitive g that divides f over Q; the quotient is in Z[T]
+    by Gauss's lemma, so every step divides exactly by g's lead."""
+    a = list(f)
+    out = [0] * (len(f) - len(g) + 1)
     for k in range(len(out) - 1, -1, -1):
-        coef = a[k + len(g) - 1] / Fraction(g[-1])
+        coef, r = divmod(a[k + len(g) - 1], g[-1])
+        assert r == 0, "inexact polynomial division"
         out[k] = coef
-        for i in range(len(g)):
-            a[k + i] -= coef * g[i]
-    assert all(c == 0 for c in a), "inexact polynomial division"
-    den = 1
-    for c in out:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _trim(tuple(int(c * den) for c in out))
+        for i, c in enumerate(g):
+            a[k + i] -= coef * c
+    assert not any(a), "inexact polynomial division"
+    return _trim(tuple(out))
 
 
 def _check_pn(p: int, n: int) -> None:
@@ -303,12 +299,12 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     return LValues(s, le, lspin, lhalf, lhalf**2)
 
 
-GaussianInt = tuple[Fraction, Fraction]  # re + im*i
+GaussianInt = tuple[int, int]  # re + im*i
 GaussPoly = tuple[GaussianInt, ...]
 
 
 def _gauss_mul_poly(f: GaussPoly, g: GaussPoly) -> GaussPoly:
-    out = [(Fraction(0), Fraction(0)) for _ in range(len(f) + len(g) - 1)]
+    out = [(0, 0)] * (len(f) + len(g) - 1)
     for a, (ar, ai) in enumerate(f):
         for b, (br, bi) in enumerate(g):
             re, im = out[a + b]
@@ -334,13 +330,10 @@ class GaussianFactorization:
 def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
     """Split the spin zeta denominator into the two Gaussian linear factors."""
     _check_pn(p, n)
-    one = (Fraction(1), Fraction(0))
-    plus_i = (Fraction(0), Fraction(1))
-    minus_i = (Fraction(0), Fraction(-1))
-    f1: GaussPoly = (one, plus_i)    # 1 + iV
-    f2: GaussPoly = (one, minus_i)   # 1 - iV
+    f1: GaussPoly = ((1, 0), (0, 1))    # 1 + iV
+    f2: GaussPoly = ((1, 0), (0, -1))   # 1 - iV
     prod = _gauss_mul_poly(f1, f2)
     assert all(im == 0 for _, im in prod)
-    rational = _trim(tuple(int(re) for re, _ in prod))
+    rational = _trim(tuple(re for re, _ in prod))
     assert rational == (1, 0, 1)  # 1 + V^2
     return GaussianFactorization(p, n, (f1, f2), rational)

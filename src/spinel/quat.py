@@ -326,13 +326,10 @@ def find_pure_of_norm(
         scale = lcm(scale, c.denominator)
     c1, c2, c3 = (int(c * scale) for c in (cf1, cf2, cf3))
     m_scaled = int(m * scale)
+    cmin = min(c1, c2, c3)
     plan: list[tuple[int, int]] = []
     for d in range(1, bound + 1):
-        if definite:
-            smax = isqrt(int(m * d * d / min(cf1, cf2, cf3))) + 1
-            smax = min(smax, bound)
-        else:
-            smax = bound
+        smax = min(isqrt(m_scaled * d * d // cmin) + 1, bound) if definite else bound
         plan.extend((d, s) for s in range(smax + 1))
     if rng is not None:
         rng.shuffle(plan)

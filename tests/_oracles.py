@@ -7,9 +7,11 @@ census oracle sweeps whole Weierstrass families with the per-curve
 count_points instead of the census scan, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
-and the isotropy oracle is the Hasse-invariant formula evaluated through
-the public symbol functions instead of the per-place kernel.  They are slow
-and only run at desk scale.
+the isotropy oracle is the Hasse-invariant formula evaluated through
+the public symbol functions instead of the per-place kernel, the Z[T]
+oracles are Euclid and division over Fraction, and the pure-norm search
+oracle computes its shell limits as Fraction products.  They are slow and
+only run at desk scale.
 """
 
 from __future__ import annotations
@@ -357,3 +359,136 @@ def point_add_oracle(E, P, Q):
     x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
     y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
     return (x3, y3)
+
+
+def poly_gcd_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Euclid over Q, then primitive integer scaling: the lfunc._poly_gcd
+    that the primitive remainder sequence in Z[T] replaced, except that each
+    remainder drops its zero leading coefficients.  The replaced code kept
+    them and divided by the zero lead on the next step, so it raised
+    ZeroDivisionError on inputs such as (-1 + T + T^2, -2 - 2T - 2T^2)."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while any(c != 0 for c in b):
+        a = a[:]
+        while len(a) >= len(b) and any(c != 0 for c in a):
+            if a[-1] == 0:
+                a.pop()
+                continue
+            coef = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i in range(len(b)):
+                a[shift + i] -= coef * b[i]
+            a.pop()
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        if not a:
+            a = [Fraction(0)]
+        a, b = b, a
+    den = 1
+    for c in a:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = _trim_oracle(tuple(int(c * den) for c in a))
+    cont = _content_oracle(ints)
+    out = tuple(c // cont for c in ints)
+    if out[-1] < 0:
+        out = tuple(-c for c in out)
+    return out
+
+
+def _poly_divexact_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """f // g over Q, scaled to Z: the lfunc._poly_divexact that exact
+    division in Z[T] replaced."""
+    a = [Fraction(c) for c in f]
+    out = [Fraction(0)] * (len(f) - len(g) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        coef = a[k + len(g) - 1] / Fraction(g[-1])
+        out[k] = coef
+        for i in range(len(g)):
+            a[k + i] -= coef * g[i]
+    assert all(c == 0 for c in a), "inexact polynomial division"
+    den = 1
+    for c in out:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _trim_oracle(tuple(int(c * den) for c in out))
+
+
+def _trim_oracle(c: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _content_oracle(f: tuple[int, ...]) -> int:
+    g = 0
+    for c in f:
+        g = math.gcd(g, abs(c))
+    return g or 1
+
+
+def rational_function_oracle(num: tuple[int, ...], den: tuple[int, ...]):
+    """(num, den) in RationalFunction's normal form, reduced through the
+    Fraction Euclid and Fraction division above; den must be nonzero."""
+    num, den = _trim_oracle(num), _trim_oracle(den)
+    if not any(num):
+        return (0,), (1,)
+    g = poly_gcd_oracle(num, den)
+    if len(g) > 1 or g[0] != 1:
+        num = _poly_divexact_oracle(num, g)
+        den = _poly_divexact_oracle(den, g)
+    c = math.gcd(_content_oracle(num), _content_oracle(den))
+    num = tuple(x // c for x in num)
+    den = tuple(x // c for x in den)
+    if den[-1] < 0:
+        num = tuple(-x for x in num)
+        den = tuple(-x for x in den)
+    return num, den
+
+
+def _shell_candidates_oracle(c1: int, c2: int, c3: int, target: int, s: int):
+    rng = [0, *chain.from_iterable((t, -t) for t in range(1, s + 1))]
+    for z in rng:
+        for y in rng:
+            q, r = divmod(target - c2 * y * y - c3 * z * z, c1)
+            if r != 0 or q < 0:
+                continue
+            root = math.isqrt(q)
+            if root * root != q or root > s or max(abs(y), abs(z), root) != s:
+                continue
+            yield (root, y, z)
+            if root:
+                yield (-root, y, z)
+
+
+def find_pure_of_norm_oracle(B, m, bound: int, rng=None):
+    """The quat.find_pure_of_norm whose shell limits were Fraction products,
+    with its shell scan: same plan, same shuffle, same first witness."""
+    m = Fraction(m)
+    cf1, cf2, cf3 = B.pure_norm_coefficients()
+    definite = cf1 > 0 and cf2 > 0 and cf3 > 0
+    if definite and m < 0:
+        return None
+    if m == 0:
+        raise ZeroInput("use m != 0; 0 is represented trivially")
+    scale = 1
+    for c in (cf1, cf2, cf3, m):
+        scale = math.lcm(scale, c.denominator)
+    c1, c2, c3 = (int(c * scale) for c in (cf1, cf2, cf3))
+    m_scaled = int(m * scale)
+    plan: list[tuple[int, int]] = []
+    for d in range(1, bound + 1):
+        if definite:
+            smax = math.isqrt(int(m * d * d / min(cf1, cf2, cf3))) + 1
+            smax = min(smax, bound)
+        else:
+            smax = bound
+        plan.extend((d, s) for s in range(smax + 1))
+    if rng is not None:
+        rng.shuffle(plan)
+    for d, s in plan:
+        for w1, w2, w3 in _shell_candidates_oracle(c1, c2, c3, m_scaled * d * d, s):
+            u = B.element(0, Fraction(w1, d), Fraction(w2, d), Fraction(w3, d))
+            if u.reduced_norm() == m:
+                return u
+    return None

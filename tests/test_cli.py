@@ -187,6 +187,30 @@ def test_classify_over_scan_limit_fails_fast(capsys):
     assert elapsed < 1.0
 
 
+def test_classify_at_scan_limit(capsys):
+    # q = 2^29 scans 92,681 traces and answers with the 46,340 odd traces,
+    # 0 and +-2^15; q = 2^30 would scan 131,073
+    t0 = time.perf_counter()
+    assert main(["classify", "--p", "2", "--a", "29", "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    assert len(json.loads(capsys.readouterr().out)) == 46340 + 3
+    assert elapsed < 5.0
+    assert main(["classify", "--p", "2", "--a", "30", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "bound-exceeded"
+    assert "131073" in doc["detail"]
+
+
+def test_find_q14_at_field_limit(capsys):
+    # q = 127^2 = 16129, the largest p^2 within the field limit 2^14
+    t0 = time.perf_counter()
+    assert main(["curves", "--q", "16129", "--find-q14", "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points"] == 128**2 and doc["supersingular"]
+    assert elapsed < 5.0
+
+
 @pytest.mark.parametrize(
     "argv,rc,error",
     [

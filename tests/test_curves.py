@@ -122,11 +122,17 @@ def test_supersingular_detection():
     assert not is_supersingular(E2)
 
 
-def test_field_cap_guard():
-    F = FiniteField(101, 2)  # q = 10201 over the default cap
-    E = WeierstrassCurve(F, 0, 0, 0, 1, 0)
-    with pytest.raises(FieldTooLarge):
-        count_points(E)
+def test_count_and_frobenius_at_q_10201():
+    # F_{101^2} lies above 10^4 and below the field limit 2^14.  The count of
+    # y^2 = x^3 + x over F_{p^2} follows from its trace t over F_p as
+    # p^2 + 1 - (t^2 - 2p), with t from the double-loop oracle.
+    p = 101
+    t = p + 1 - naive_point_count(WeierstrassCurve(FiniteField(p, 1), 0, 0, 0, 1, 0))
+    E2 = WeierstrassCurve(FiniteField(p, 2), 0, 0, 0, 1, 0)
+    assert count_points(E2) == p * p + 1 - (t * t - 2 * p)
+    E = find_q14_curve(p)
+    assert count_points(E) == (p + 1) ** 2
+    assert verify_frobenius_scalar(E)
 
 
 def test_singular_curves_rejected():
@@ -145,7 +151,8 @@ def test_find_trace_zero_curve():
 
 
 def test_find_q14_curve_counts():
-    for p in [2, 3, 5, 7, 11, 13]:
+    # every p with p^2 <= 2^14: the base change of a trace-zero curve
+    for p in [p for p in range(2, 128) if all(p % d for d in range(2, p))]:
         E = find_q14_curve(p)
         assert E.field.q == p * p
         assert count_points(E) == (p + 1) ** 2

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from _oracles import poly_gcd_oracle, rational_function_oracle
 from spinel.errors import NotPrime
 from spinel.lfunc import (
     RationalFunction,
+    _poly_gcd,
     factor_over_gaussians,
     l_values,
     poly_add,
@@ -150,3 +153,32 @@ def test_l_value_errors():
         l_values(4, 1, 1)
     with pytest.raises(ValueError):
         zeta_spin(3, 0)
+
+
+def _random_poly(rng, size):
+    """A polynomial of degree 0..3 with nonzero lead, coefficients |c| <= size."""
+    lead = rng.choice([-1, 1]) * rng.randint(1, size)
+    return (*(rng.randint(-size, size) for _ in range(rng.randint(0, 3))), lead)
+
+
+def test_normal_form_matches_fraction_euclid():
+    # num = c1 f h and den = c2 g h with a planted common factor h, integer
+    # contents c1, c2 and leads of either sign, reduced in Z[T] and by the
+    # Fraction Euclid and division that the Z[T] routines replaced
+    rng = random.Random(20)
+    nontrivial = negative_den = 0
+    for k in range(600):
+        size = 10**4 if k % 5 == 0 else 6
+        h = _random_poly(rng, size)
+        c1, c2 = rng.randint(-12, 12), rng.choice([-1, 1]) * rng.randint(1, 12)
+        num = poly_mul((c1,), poly_mul(_random_poly(rng, size), h))
+        den = poly_mul((c2,), poly_mul(_random_poly(rng, size), h))
+        assert _poly_gcd(num, den) == poly_gcd_oracle(num, den), (num, den)
+        R = RationalFunction(num, den)
+        assert (R.num, R.den) == rational_function_oracle(num, den), (num, den)
+        nontrivial += len(_poly_gcd(num, den)) > 1
+        negative_den += den[-1] < 0
+    assert nontrivial > 300 and negative_den > 200
+    # the replaced Fraction Euclid raised ZeroDivisionError here
+    R = RationalFunction((-1, 1, 1), (-2, -2, -2))
+    assert (R.num, R.den) == ((1, -1, -1), (2, 2, 2))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import random_fraction
+from _oracles import find_pure_of_norm_oracle, random_fraction
 from spinel.arith import OO, ternary_represents
 from spinel.errors import AlgebraMismatch, NotInvertible, ZeroInput
 from spinel.quat import (
@@ -177,6 +177,32 @@ def test_find_pure_of_norm_fractional_target():
     u = find_pure_of_norm(B, Fraction(3, 4))
     assert u is not None
     assert u.reduced_norm() == Fraction(3, 4)
+
+
+def test_find_pure_of_norm_matches_fraction_shell_limits():
+    # the shell limits set the plan's length, so a seeded shuffle pins them too
+    rng = random.Random(43)
+    outcomes = set()
+    for k in range(160):
+        a = random_fraction(rng, 6, nonzero=True)
+        b = random_fraction(rng, 6, nonzero=True)
+        m = random_fraction(rng, 9, nonzero=True)
+        definite = k % 2 == 0
+        if definite:
+            a, b = -abs(a), -abs(b)
+            m = abs(m) if k % 8 else m
+        elif a < 0 and b < 0:
+            a = -a
+        B = QuaternionAlgebra(a, b)
+        bound = rng.randint(1, 9)
+        got = find_pure_of_norm(B, m, bound)
+        assert got == find_pure_of_norm_oracle(B, m, bound), (a, b, m, bound)
+        seed = rng.randrange(2**32)
+        assert find_pure_of_norm(B, m, bound, random.Random(seed)) == find_pure_of_norm_oracle(
+            B, m, bound, random.Random(seed)
+        ), (a, b, m, bound, seed)
+        outcomes.add((definite, got is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_algebra_mismatch():
