@@ -40,6 +40,19 @@ _TRIAL_LIMIT = 1024**2
 _MR_BASES = _SMALL_PRIMES[:13]
 PRIMALITY_BOUND = 3317044064679887385961981
 
+#: refuse an exact power of p (q = p^a, p^n, q^e) at or above 2^MAX_POWER_BITS
+MAX_POWER_BITS = 4096
+
+
+def check_power(p: int, k: int) -> None:
+    """Raise BoundExceeded if p^k >= 2^MAX_POWER_BITS, for p >= 2 and k >= 0.
+
+    p^k >= 2^(k (bitlen(p) - 1)), so a far larger power is refused without
+    computing it, and one that is computed has under 2 MAX_POWER_BITS bits.
+    """
+    if k * (p.bit_length() - 1) >= MAX_POWER_BITS or (p**k).bit_length() > MAX_POWER_BITS:
+        raise BoundExceeded(f"{p}^{k} is at or above 2^{MAX_POWER_BITS}, the exact power limit")
+
 
 def _as_fraction(x: Rat) -> Fraction:
     if isinstance(x, (int, Fraction)):

@@ -120,11 +120,6 @@ def _cmd_classify(args) -> int:
 def _cmd_spin(args) -> int:
     p, n = args.p, args.n
     bound = search_bound()
-    if args.tau_sign == "plus":
-        # the structure with disc -p^n still exists; the lift must fail
-        tau = p**n
-    else:
-        tau = -(p**n)
     if n % 2 == 1:
         s = spinstruct.construct_arithmetic_spin(p, n, bound=bound)
     else:
@@ -134,11 +129,12 @@ def _cmd_spin(args) -> int:
                 f"no arithmetic spin structure for p = {p}, n = {n}: "
                 "B_{p,oo} has no pure quaternion of norm 1"
             )
-    if tau > 0:
-        # same involution, but Frobenius from the +2p^n class
+    if args.tau_sign == "plus":
+        # same involution, but Frobenius from the +2p^n class; the lift must fail
         s = spinstruct.SpinStructure(
             spinstruct.spinorial_class(p, n, 1), s.algebra, s.sigma, s.clifford
         )
+    tau = s.tau
     rep = spinstruct.WeilRep(s, tau)
     lift = spinstruct.spin_lift(rep)
     doc = {
@@ -222,13 +218,14 @@ def _cmd_curves(args) -> int:
             raise SpinelError("--find-q14 needs q = p^2")
         E = curves.find_q14_curve(p)
         n = curves.count_points(E)
+        trace = args.q + 1 - n
         doc = {
             "coeffs": E.to_json(),
             "points": n,
-            "trace": args.q + 1 - n,
-            "supersingular": curves.is_supersingular(E),
+            "trace": trace,
+            "supersingular": trace % p == 0,
         }
-        _emit(doc, args.json, f"{E}: {n} points, trace {doc['trace']}")
+        _emit(doc, args.json, f"{E}: {n} points, trace {trace}")
         return 0
     F = curves.FiniteField(p, a)
     traces = sorted(curves.trace_census(F))

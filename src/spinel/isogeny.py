@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import is_prime
+from .arith import check_power, is_prime
 from .errors import BoundExceeded, NotInClassList, NotPrime, NotSpinorial
 
 KIND_ORDINARY = "ordinary"
@@ -109,6 +109,7 @@ def _check_field(p: int, a: int) -> None:
         raise NotPrime(f"{p} is not prime")
     if a < 1:
         raise ValueError("a must be positive")
+    check_power(p, a)
 
 
 def _record(p: int, a: int, beta: int, case: str) -> IsogenyClass:

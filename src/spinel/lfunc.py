@@ -26,7 +26,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Union
 
 from . import quat
-from .arith import Rat, is_prime, ternary_represents
+from .arith import Rat, check_power, is_prime, ternary_represents
 from .errors import NotPrime, ZeroInput
 
 #: working precision for numeric L-values; well beyond the 1e-12 tolerance
@@ -200,6 +200,7 @@ def _check_pn(p: int, n: int) -> None:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be positive")
+    check_power(p, 2 * n)
 
 
 def zeta_spin(p: int, n: int) -> RationalFunction:
@@ -258,12 +259,14 @@ Real = Union[Fraction, "mpmath.mpf"]
 def q_power(p: int, n: int, e: Fraction) -> Real:
     """q^e for q = p^(2n): exact Fraction when 2n*e is integral, else mpf.
 
+    An exact power p^(2ne) must lie below the limit of arith.check_power.
     mpmath is imported on the first inexact exponent, so `import spinel`
     does not load it.
     """
     e2 = Fraction(e) * 2 * n
     if e2.denominator == 1:
-        return Fraction(p) ** int(e2)
+        check_power(p, abs(e2.numerator))
+        return Fraction(p) ** e2.numerator
     import mpmath
 
     with mpmath.workdps(NUMERIC_DPS):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import quat
-from .arith import squarefree_part, ternary_represents, valuation
+from .arith import check_power, squarefree_part, ternary_represents, valuation
 from .errors import NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from .isogeny import IsogenyClass, frobenius_scalar, isogeny_class
 from .quat import Quaternion, QuaternionAlgebra
@@ -121,6 +121,7 @@ def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     """The spinorial class over F_{p^(2n)} with tau = sign * p^n."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    check_power(p, 2 * n)  # before computing p^n
     return isogeny_class(p, 2 * n, 2 * sign * p**n)
 
 

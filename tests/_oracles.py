@@ -8,7 +8,9 @@ count_points instead of the census scan, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
 the isotropy oracle is the Hasse-invariant formula evaluated through
-the public symbol functions instead of the per-place kernel, the Z[T]
+the public symbol functions instead of the per-place kernel, the Frobenius
+oracle is double and add to [p+1]P for every point instead of one walk per
+cyclic subgroup, the Z[T]
 oracles are Euclid and division over Fraction, and the pure-norm search
 oracle computes its shell limits as Fraction products.  They are slow and
 only run at desk scale.
@@ -26,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from spinel.arith import hilbert_symbol, is_local_square
-from spinel.curves import WeierstrassCurve, count_points
+from spinel.curves import WeierstrassCurve, count_points, curve_points, point_mul
 from spinel.errors import BoundExceeded, ZeroInput
 
 _cache: dict = {}
@@ -293,9 +295,10 @@ def isotropic_at_oracle(coeffs: tuple[Fraction, ...], v) -> bool:
 
 def matrix_walk_powers(p: int, a: int, modulus: tuple[int, ...]) -> list[int]:
     """[g^0, ..., g^(q-2)] by the walk FiniteField used before the prime-field
-    walk: g is the first u (from p when a > 1) with u^((q-1)/r) != 1 for every
-    prime r | q - 1, tested by schoolbook square and multiply, and each power
-    comes from the last by an a x a digit matrix."""
+    walk and the multiplication-table walk: g is the first u (from p when
+    a > 1) with u^((q-1)/r) != 1 for every prime r | q - 1, tested by
+    schoolbook square and multiply, and each power comes from the last by an
+    a x a digit matrix."""
     q = p**a
 
     def digits(u):
@@ -335,6 +338,15 @@ def matrix_walk_powers(p: int, a: int, modulus: tuple[int, ...]) -> list[int]:
         out.append(sum(x * w for x, w in zip(d, weights)))
         d = [sum(x * c for x, c in zip(d, col)) % p for col in columns]
     return out
+
+
+def frobenius_ladder_oracle(E, m: int | None = None) -> bool:
+    """[m]P = O for every point P of curve_points(E), m = p + 1 by default,
+    by double and add for each point: the check verify_frobenius_scalar ran
+    before it walked one cyclic subgroup at a time."""
+    if m is None:
+        m = E.field.p + 1
+    return all(point_mul(E, m, P) is None for P in curve_points(E))
 
 
 def point_add_oracle(E, P, Q):

@@ -16,8 +16,10 @@ from _oracles import (
     ternary_search,
 )
 from spinel.arith import (
+    MAX_POWER_BITS,
     OO,
     PRIMALITY_BOUND,
+    check_power,
     factorize,
     hilbert_symbol,
     is_local_square,
@@ -369,3 +371,20 @@ def test_worst_case_prime_is_fast(call):
     t0 = time.perf_counter()
     call()
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_exact_power_limit():
+    # p^k is refused exactly when p^k >= 2^MAX_POWER_BITS (13^1107 has one bit
+    # too many), and a huge k is refused at once, without computing p^k
+    for p in (2, 3, 5, 13, 43, 127, 2**61 - 1):
+        k = 0
+        while (p ** (k + 1)).bit_length() <= MAX_POWER_BITS:
+            k += 1
+        check_power(p, k)
+        with pytest.raises(BoundExceeded, match=f"{p}\\^{k + 1} .* 2\\^{MAX_POWER_BITS}"):
+            check_power(p, k + 1)
+    t0 = time.perf_counter()
+    for p, k in [(2, 2**61 - 1), (3, 10**30), (2**61 - 1, 2**61 - 1)]:
+        with pytest.raises(BoundExceeded):
+            check_power(p, k)
+    assert time.perf_counter() - t0 < 0.1

@@ -1,10 +1,11 @@
 import json
 import pathlib
+import random
 import time
 
 import pytest
 
-from spinel import __version__
+from spinel import __version__, curves
 from spinel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -211,6 +212,24 @@ def test_find_q14_at_field_limit(capsys):
     assert elapsed < 5.0
 
 
+def test_find_q14_counts_the_curve_once(monkeypatch, capsys):
+    # find_q14_curve counts the F_{p^2} curve to check it, and the command
+    # counts it once more for points, trace and supersingularity
+    counted = []
+    count_points = curves.count_points
+
+    def counting(E):
+        if E.field.a == 2:
+            counted.append(E)
+        return count_points(E)
+
+    monkeypatch.setattr(curves, "count_points", counting)
+    assert main(["curves", "--q", "289", "--find-q14", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["points"], doc["trace"], doc["supersingular"]) == (18**2, -34, True)
+    assert len(counted) == 2
+
+
 @pytest.mark.parametrize(
     "argv,rc,error",
     [
@@ -230,3 +249,91 @@ def test_large_prime_fails_or_answers_fast(argv, rc, error, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc.get("error") == error
     assert elapsed < 1.0
+
+
+# --- fuzz gate over the argument space ----------------------------------------
+
+_M61 = str(2**61 - 1)
+
+#: integers around every limit: the field order 2^14 (16129 = 127^2, 16411 the
+#: first prime above), the census scan (32, 64, 81, 243, 1409), the trace scan
+#: (2^29, 2^30), the factor bound 2^48, the primality bound, the exact power
+#: limit 2^4096 (n = 2047, 2048 for p = 2), and the out-of-range 0 and negatives
+_FUZZ_INTS = [
+    "1", "2", "3", "5", "7", "13", "17", "127", "0", "-1", "-7", _M61,
+    str(2**14 - 1), str(2**14), str(2**14 + 1), "16129", "16411",
+    "32", "64", "81", "243", "1409", "29", "30", "2047", "2048", "2049",
+    str(2**48 - 1), str(2**48), str(2**48 + 1), "281474976710597",
+    "3317044064679887385961980", "3317044064679887385961981", "3317044064679887385961982",
+    "99999", "100000", "100001",
+]
+_FUZZ_WORDS = ["x", "1/2", "", "1e3", "0x10", " 5", "oo"]
+_FUZZ_FRACTIONS = _FUZZ_INTS + _FUZZ_WORDS + ["-3/4", "7/9", "1/0", "0/5", "3/" + _M61, "-" + _M61]
+
+#: inputs the gate found hanging or raising before the library bounded its
+#: exact powers: p^n, p^a and q^s with exponents in the thousands and beyond
+_FUZZ_FOUND = [
+    ["classify", "--p", "31", "--a", "16129", "--json"],
+    ["classify", "--p", "3", "--a", "100000"],
+    ["spin", "--p", "31", "--n", "100000", "--json"],
+    ["spin", "--p", "3317044064679887385961982", "--n", "3317044064679887385961982"],
+    ["crystal", "--p", "7", "--n", "281474976710655", "--json"],
+    ["crystal", "--p", "81", "--n", _M61, "--ell", "16383", "--json"],
+    ["lfunc", "--p", "17", "--n", "10000000", "--json"],
+    ["lfunc", "--p", "3", "--n", "1415", "--s", "2", "--json"],
+    ["lfunc", "--p", "281474976710597", "--n", "100000", "--json"],
+    ["lfunc", "--p", "2", "--n", "1", "--s", "-" + _M61, "--json"],
+]
+
+
+def _fuzz_argv(rng):
+    def pick(pool=_FUZZ_INTS):
+        # in-range small values 40% of the time, so commands also answer
+        r = rng.random()
+        return rng.choice(_FUZZ_WORDS if r < 0.1 else _FUZZ_INTS[:8] if r < 0.5 else pool)
+
+    cmd = rng.choice(["hilbert", "bpinf", "classify", "spin", "lfunc", "curves", "crystal", "selftest"])
+    argv = [cmd]
+    if cmd == "hilbert":
+        argv += ["--a", pick(_FUZZ_FRACTIONS), "--b", pick(_FUZZ_FRACTIONS)]
+        if rng.random() < 0.4:
+            argv += ["--place", pick(_FUZZ_INTS + ["oo"])]
+    elif cmd == "bpinf":
+        argv += ["--p", pick()]
+    elif cmd == "classify":
+        argv += ["--p", pick(), "--a", pick()]
+    elif cmd in ("spin", "lfunc", "crystal"):
+        argv += ["--p", pick(), "--n", pick()]
+        if cmd == "spin" and rng.random() < 0.3:
+            argv += ["--tau-sign", rng.choice(["plus", "minus", "zero"])]
+        if cmd == "lfunc" and rng.random() < 0.5:
+            argv += ["--s", pick(_FUZZ_FRACTIONS)]
+        if cmd == "crystal" and rng.random() < 0.5:
+            argv += ["--ell", pick()]
+    elif cmd == "curves":
+        argv += ["--q", pick()]
+        argv += rng.choice([[], [], ["--census"], ["--find-q14"], ["--find-q14"]])
+    if rng.random() < 0.8:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        rng.shuffle(argv)
+    return argv
+
+
+def test_fuzz_gate(capsys):
+    # every argv exits 0, 1 or 2 inside the wall budget, without a traceback,
+    # and a --json call that reaches a command prints one JSON document
+    rng = random.Random(8)
+    argvs = _FUZZ_FOUND + [_fuzz_argv(rng) for _ in range(400)]
+    start = time.perf_counter()
+    for argv in argvs:
+        t0 = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr().out
+        assert rc in (0, 1, 2), argv
+        assert elapsed < 3.0, (argv, elapsed)
+        if "--json" in argv and rc != 2:
+            assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+            json.loads(out)
+    assert time.perf_counter() - start < 10.0

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from _oracles import census_pairs_oracle, j_invariant, naive_point_count, point_add_oracle
+from _oracles import (
+    census_pairs_oracle,
+    frobenius_ladder_oracle,
+    j_invariant,
+    naive_point_count,
+    point_add_oracle,
+)
 from spinel.curves import (
     MAX_CENSUS_EVALUATIONS,
     FiniteField,
@@ -10,6 +16,7 @@ from spinel.curves import (
     _census_rows,
     _census_scan,
     _census_size,
+    _exponent_divides,
     _group_law,
     count_points,
     curve_points,
@@ -180,6 +187,53 @@ def test_group_law_on_rational_points():
 def test_verify_frobenius_scalar():
     E = find_q14_curve(5)
     assert verify_frobenius_scalar(E)
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi + 1) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", _primes(5, 61))
+def test_frobenius_walk_matches_ladder(p):
+    # the subgroup walk against [p+1]P by double and add for every point; the
+    # walk's False branch with exponents that miss some order: p is prime to
+    # every order above 1, and (p+1)/2 misses the points of order p + 1
+    E = find_q14_curve(p)
+    assert verify_frobenius_scalar(E) is frobenius_ladder_oracle(E) is True
+    for m in (p, (p + 1) // 2, 2 * (p + 1), 1):
+        assert _exponent_divides(E, m) is frobenius_ladder_oracle(E, m), m
+    assert _exponent_divides(E, p) is _exponent_divides(E, (p + 1) // 2) is False
+
+
+def test_frobenius_walk_matches_ladder_on_other_curves():
+    # curves outside the tau = -p class against exponents from the group order
+    # n: n itself holds by Lagrange, n / r for a prime r | n holds exactly
+    # when the group has no point of order n.  Every short curve over F_5 and
+    # F_7 is taken, so groups made of 2-torsion alone are met, and seeded
+    # random ones over F_{p^2} and F_p
+    rng = random.Random(47)
+    outcomes = set()
+    coeffs = [
+        (F, a4, a6)
+        for F in (FiniteField(5), FiniteField(7))
+        for a4 in F.elements()
+        for a6 in F.elements()
+    ]
+    for p, a in [(5, 2), (7, 2), (11, 2), (13, 1), (101, 1), (13, 2)]:
+        F = FiniteField(p, a)
+        coeffs += [(F, rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3)]
+    for F, a4, a6 in coeffs:
+        try:
+            E = WeierstrassCurve(F, 0, 0, 0, a4, a6)
+        except ValueError:
+            continue
+        p, n = F.p, count_points(E)
+        exponents = [n, p + 1, p, 2, 1] + [n // r for r in _primes(2, n) if n % r == 0]
+        for m in exponents:
+            got = _exponent_divides(E, m)
+            assert got is frobenius_ladder_oracle(E, m), (E, m)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_verify_frobenius_scalar_precheck():

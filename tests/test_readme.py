@@ -13,6 +13,7 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 LIMITS = [
     (arith, "DEFAULT_FACTOR_BOUND"),
     (arith, "PRIMALITY_BOUND"),
+    (arith, "MAX_POWER_BITS"),
     (fields, "MAX_FIELD_ORDER"),
     (curves, "MAX_CENSUS_EVALUATIONS"),
     (isogeny, "MAX_TRACE_SCAN"),
