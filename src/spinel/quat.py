@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import arith
 from .arith import OO, Place, Rat
@@ -305,10 +305,14 @@ def find_pure_of_norm(
     Writes u = (w1*i + w2*j + w3*k)/d and scans denominators d <= bound and
     integer boxes of growing sup norm.  The default order is deterministic
     (d ascending, then sup norm, then component order), so witnesses are
-    reproducible; passing an rng shuffles the order, which can only change
-    which witness is returned, never whether one exists within the box.
-    When the restriction of Nrd to pure quaternions is definite, shells
-    beyond sqrt(|m| d^2 / min coefficient) are skipped.
+    reproducible.  That plan of (d, shell) pairs is scanned lazily: a
+    witness in the first shells costs the same at any bound, and only a
+    miss walks the whole box.  Passing an rng materialises and shuffles the
+    whole plan, O(bound^2) entries, before the scan, so rng callers should
+    keep the bound small; the shuffle can only change which witness is
+    returned, never whether one exists within the box.  When the
+    restriction of Nrd to pure quaternions is definite, shells beyond
+    sqrt(|m| d^2 / min coefficient) are skipped.
 
     None is advisory: it means no witness in the box, not nonexistence.
     Pair with `arith.ternary_represents` for an actual decision.
@@ -327,13 +331,18 @@ def find_pure_of_norm(
     c1, c2, c3 = (int(c * scale) for c in (cf1, cf2, cf3))
     m_scaled = int(m * scale)
     cmin = min(c1, c2, c3)
-    plan: list[tuple[int, int]] = []
-    for d in range(1, bound + 1):
-        smax = min(isqrt(m_scaled * d * d // cmin) + 1, bound) if definite else bound
-        plan.extend((d, s) for s in range(smax + 1))
+
+    def plan() -> Iterator[tuple[int, int]]:
+        for d in range(1, bound + 1):
+            smax = min(isqrt(m_scaled * d * d // cmin) + 1, bound) if definite else bound
+            for s in range(smax + 1):
+                yield d, s
+
+    order: Iterable[tuple[int, int]] = plan()
     if rng is not None:
-        rng.shuffle(plan)
-    for d, s in plan:
+        order = list(order)
+        rng.shuffle(order)
+    for d, s in order:
         for w1, w2, w3 in _shell_candidates(c1, c2, c3, m_scaled * d * d, s):
             u = B.element(0, Fraction(w1, d), Fraction(w2, d), Fraction(w3, d))
             if u.reduced_norm() == m:

@@ -78,6 +78,23 @@ def test_search_bound_env_var(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_large_search_bound_answers_fast(monkeypatch, capsys):
+    # the search plan is scanned lazily: the witnesses sit in the first shells,
+    # so a huge box answers as fast as the default (an eager plan of about
+    # bound^2 / 2 entries ran out of a 1 GB address space at bound 30000)
+    for argv in (["spin", "--p", "3", "--n", "2", "--json"], ["spin", "--p", "2", "--n", "1", "--json"]):
+        monkeypatch.delenv("SPINEL_SEARCH_BOUND", raising=False)
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("SPINEL_SEARCH_BOUND", "1000000000")
+        t0 = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - t0
+        assert rc == 0, argv
+        assert capsys.readouterr().out == default
+        assert elapsed < 1.0, (argv, elapsed)
+
+
 def test_bad_env_var_is_reported(monkeypatch, capsys):
     monkeypatch.setenv("SPINEL_SEARCH_BOUND", "soon")
     rc = main(["spin", "--p", "3", "--n", "1", "--json"])
@@ -268,6 +285,9 @@ _FUZZ_INTS = [
     "99999", "100000", "100001",
 ]
 _FUZZ_WORDS = ["x", "1/2", "", "1e3", "0x10", " 5", "oo"]
+#: SPINEL_SEARCH_BOUND values: empty and negative boxes, the smallest, the
+#: default, one whose eager plan could not fit in memory, and a non-number
+_FUZZ_SEARCH_BOUNDS = ["0", "-1", "1", "50", "1000000000", "soon"]
 _FUZZ_FRACTIONS = _FUZZ_INTS + _FUZZ_WORDS + ["-3/4", "7/9", "1/0", "0/5", "3/" + _M61, "-" + _M61]
 
 #: inputs the gate found hanging or raising before the library bounded its
@@ -320,20 +340,26 @@ def _fuzz_argv(rng):
     return argv
 
 
-def test_fuzz_gate(capsys):
+def test_fuzz_gate(monkeypatch, capsys):
     # every argv exits 0, 1 or 2 inside the wall budget, without a traceback,
-    # and a --json call that reaches a command prints one JSON document
+    # and a --json call that reaches a command prints one JSON document; about
+    # one call in five also sets SPINEL_SEARCH_BOUND
     rng = random.Random(8)
     argvs = _FUZZ_FOUND + [_fuzz_argv(rng) for _ in range(400)]
     start = time.perf_counter()
     for argv in argvs:
+        bound = rng.choice(_FUZZ_SEARCH_BOUNDS) if rng.random() < 0.2 else None
+        if bound is None:
+            monkeypatch.delenv("SPINEL_SEARCH_BOUND", raising=False)
+        else:
+            monkeypatch.setenv("SPINEL_SEARCH_BOUND", bound)
         t0 = time.perf_counter()
         rc = main(argv)
         elapsed = time.perf_counter() - t0
         out = capsys.readouterr().out
-        assert rc in (0, 1, 2), argv
-        assert elapsed < 3.0, (argv, elapsed)
+        assert rc in (0, 1, 2), (argv, bound)
+        assert elapsed < 3.0, (argv, bound, elapsed)
         if "--json" in argv and rc != 2:
-            assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+            assert out.endswith("\n") and out.count("\n") == 1, (argv, bound, out)
             json.loads(out)
     assert time.perf_counter() - start < 10.0

@@ -1,12 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import _oracles
 from _oracles import find_pure_of_norm_oracle, random_fraction
-from spinel.arith import OO, ternary_represents
+from spinel import quat
+from spinel.arith import OO, is_prime, ternary_represents
 from spinel.errors import AlgebraMismatch, NotInvertible, ZeroInput
 from spinel.quat import (
+    DEFAULT_SEARCH_BOUND,
     QuaternionAlgebra,
     b_p_infty,
     find_pure_of_norm,
@@ -203,6 +207,64 @@ def test_find_pure_of_norm_matches_fraction_shell_limits():
         ), (a, b, m, bound, seed)
         outcomes.add((definite, got is None))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_find_pure_of_norm_large_bound_is_fast():
+    # the plan is scanned lazily, so a witness in the first shell costs the
+    # same at any bound; an eager plan of about bound^2 / 2 entries cannot fit
+    B = b_p_infty(3)
+    t0 = time.perf_counter()
+    assert find_pure_of_norm(B, 1, bound=10**9) == B.i
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _record_shells(monkeypatch, module, name):
+    """Stub module.name, a shell scan, to record its (target, shell) and find nothing."""
+    shells = []
+
+    def record(c1, c2, c3, target, s):
+        shells.append((target, s))
+        return ()
+
+    monkeypatch.setattr(module, name, record)
+    return shells
+
+
+def test_find_pure_of_norm_lazy_plan_matches_eager_on_spin_inputs(monkeypatch):
+    # B_{p,oo} with the norms the spin chain searches (1, p and p^n) at the
+    # default bound, against the eager plan of the oracle, with and without a
+    # seeded shuffle.  A miss scans the whole box (3-5 s for p^3 once p > 50),
+    # so every plan is first compared whole, with both shell scans stubbed to
+    # find nothing; then the real witnesses where the first shells hold one.
+    cases = [(b_p_infty(p), p, m) for p in range(2, 300) if is_prime(p) for m in (1, p, p**3)]
+    seeds = (None, 0, 1, 2)
+    with monkeypatch.context() as patch:
+        lazy = _record_shells(patch, quat, "_shell_candidates")
+        eager = _record_shells(patch, _oracles, "_shell_candidates_oracle")
+        for B, p, m in cases:
+            for seed in seeds:
+                rngs = [None if seed is None else random.Random(seed) for _ in range(2)]
+                lazy.clear()
+                eager.clear()
+                assert find_pure_of_norm(B, m, rng=rngs[0]) is None
+                assert find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND, rngs[1]) is None
+                assert lazy == eager and lazy, (p, m, seed)
+    hits = 0
+    for B, p, m in cases:
+        # the first shells hold i (norm 1 where it is represented), j or
+        # i + j (norm p) and p j or 2(i + j) (norm p^3, inside the box for p <= 50)
+        if (m == p**3 and p > DEFAULT_SEARCH_BOUND) or not ternary_represents(B.pure_norm_coefficients(), m):
+            continue
+        # a shuffle can put the first witness far into the box, so only the
+        # small cases run the real shell scans shuffled
+        shuffled = m < p**3 and p < DEFAULT_SEARCH_BOUND
+        for seed in seeds if shuffled else (None,):
+            rngs = [None if seed is None else random.Random(seed) for _ in range(2)]
+            got = find_pure_of_norm(B, m, rng=rngs[0])
+            assert got is not None, (p, m, seed)
+            assert got == find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND, rngs[1]), (p, m, seed)
+            hits += 1
+    assert hits > 100
 
 
 def test_algebra_mismatch():
