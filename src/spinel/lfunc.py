@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Union
 
-from . import quat
-from .arith import Rat, check_power, is_prime, ternary_represents
+from . import spinstruct
+from .arith import Rat, check_power, is_prime
 from .errors import NotPrime, ZeroInput
 
 #: working precision for numeric L-values; well beyond the 1e-12 tolerance
@@ -243,10 +243,7 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     lhs = zeta_h1(p, n).reciprocal()
     half = RationalFunction((1,), (1, p**n))
     rhs = half * half
-    vacuous = False
-    if n % 2 == 0:
-        B = quat.b_p_infty(p)
-        vacuous = not ternary_represents(B.pure_norm_coefficients(), 1)
+    vacuous = n % 2 == 0 and not spinstruct.pure_unit_exists(p)
     return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
@@ -33,6 +34,10 @@ DEFAULT_SEARCH_BOUND = 50
 
 #: how far b_p_infty will scan for the second symbol entry
 _BPINF_SCAN_LIMIT = 10_000
+
+#: primes kept by each per-p memo (b_p_infty, and spinstruct's norm-1 bit
+#: and norm-1 witnesses); the least recently used prime is dropped first
+MEMO_PRIMES = 128
 
 
 @dataclass(frozen=True)
@@ -234,6 +239,7 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset[Place]:
     )
 
 
+@lru_cache(maxsize=MEMO_PRIMES)
 def b_p_infty(p: int) -> QuaternionAlgebra:
     """The quaternion algebra ramified exactly at {p, OO}.
 
@@ -241,6 +247,8 @@ def b_p_infty(p: int) -> QuaternionAlgebra:
     positive integer a that works, certified by recomputing the ramified
     set.  Exhausting the scan would contradict the classification of
     quaternion algebras over Q, so that is a hard error.
+
+    Memoised per p (the algebra is frozen); errors are raised on every call.
     """
     if not arith.is_prime(p):
         raise NotPrime(f"{p} is not prime")

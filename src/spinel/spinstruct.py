@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import quat
@@ -125,6 +126,26 @@ def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     return isogeny_class(p, 2 * n, 2 * sign * p**n)
 
 
+@lru_cache(maxsize=quat.MEMO_PRIMES)
+def pure_unit_exists(p: int) -> bool:
+    """Whether B_{p,oo} has a pure quaternion of norm 1, memoised per p.
+
+    Decided by local-global reduction of the pure norm form; it holds iff
+    p = 2 or p = 3 mod 4.  This is the existence condition for even n.
+    """
+    return ternary_represents(quat.b_p_infty(p).pure_norm_coefficients(), 1)
+
+
+@lru_cache(maxsize=quat.MEMO_PRIMES)
+def _unit_witness(p: int, bound: int) -> Quaternion:
+    """The first pure v with Nrd(v) = 1 in box `bound`, for p with a pure unit."""
+    v = quat.find_pure_of_norm(quat.b_p_infty(p), 1, bound)
+    if v is None:
+        # represented over Q but not in the search box: enlarge, do not guess
+        raise SearchExhausted(f"norm-1 witness exists but exceeds box {bound}")
+    return v
+
+
 def has_arithmetic_spin(
     c: IsogenyClass, bound: int = quat.DEFAULT_SEARCH_BOUND
 ) -> SpinExistence:
@@ -144,32 +165,30 @@ def has_arithmetic_spin(
         return SpinExistence(
             False, None, f"tau = +{tau}: no square root in an imaginary quadratic K"
         )
-    B = quat.b_p_infty(p)
     if n % 2 == 1:
-        u = _canonical_u(B, p, n, bound)
+        u = _odd_u(quat.b_p_infty(p), p, n, bound)
         return SpinExistence(True, u, f"disc -{p}^{n}: u = {u}")
-    if not ternary_represents(B.pure_norm_coefficients(), 1):
+    if not pure_unit_exists(p):
         return SpinExistence(
             False, None, "no pure quaternion of norm 1 in B_{p,oo} (local obstruction)"
         )
-    v = quat.find_pure_of_norm(B, 1, bound)
-    if v is None:
-        # represented over Q but not in the search box: enlarge, do not guess
-        raise SearchExhausted(f"norm-1 witness exists but exceeds box {bound}")
-    u = v * p ** (n // 2)
+    u = _unit_witness(p, bound) * p ** (n // 2)
     return SpinExistence(True, u, f"disc -1: u = {u}")
 
 
-def _canonical_u(B: QuaternionAlgebra, p: int, n: int, bound: int) -> Quaternion:
+def _odd_u(
+    B: QuaternionAlgebra, p: int, n: int, bound: int, rng: random.Random | None = None
+) -> Quaternion:
     """u = p^((n-1)/2) * v with v pure of norm p, for odd n.
 
-    For odd p the presentation (-a,-p) makes v = j immediate; for p = 2 a
-    short search finds one (i + j in (-1,-1)).
+    Without an rng v is canonical: for odd p the presentation (-a,-p) makes
+    v = j immediate, and for p = 2 a short search finds i + j in (-1,-1).
+    An rng searches the box for v in a random order instead.
     """
-    if B.b == -p:
+    if rng is None and B.b == -p:
         v = B.j
     else:
-        v = quat.find_pure_of_norm(B, p, bound)
+        v = quat.find_pure_of_norm(B, p, bound, rng)
         if v is None:
             raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")
     return v * p ** ((n - 1) // 2)
@@ -183,22 +202,17 @@ def construct_arithmetic_spin(
 ) -> SpinStructure:
     """The arithmetic spin structure for the class tau = -p^n, n odd.
 
-    Default is the canonical construction u = p^((n-1)/2) * v with v^2 = -p;
-    passing an rng instead searches for any pure u of norm p^n in a random
-    order.  All routes produce involutions of discriminant class
-    squarefree_part(-p), hence isomorphic structures.
+    The structure is u = p^((n-1)/2) * v with v pure and v^2 = -p.  By
+    default v is the canonical witness (j, or i + j for p = 2); passing an
+    rng instead searches for any pure v of norm p in a random order.  All
+    routes produce involutions of discriminant class squarefree_part(-p),
+    hence isomorphic structures.
     """
     if n < 1 or n % 2 == 0:
         raise ZeroInput(f"n = {n}: this construction needs odd n >= 1")
     c = spinorial_class(p, n, -1)
     B = quat.b_p_infty(p)
-    if rng is None:
-        u = _canonical_u(B, p, n, bound)
-    else:
-        u = quat.find_pure_of_norm(B, p**n, bound, rng=rng)
-        if u is None:
-            raise SearchExhausted(f"no pure quaternion of norm {p}^{n} in box {bound}")
-    sigma = OrthogonalInvolution(B, u)
+    sigma = OrthogonalInvolution(B, _odd_u(B, p, n, bound, rng))
     return SpinStructure(c, B, sigma, sigma.clifford_algebra())
 
 

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+
+import spinel
 
 from _oracles import poly_gcd_oracle, rational_function_oracle
 from spinel.errors import NotPrime
@@ -94,6 +100,24 @@ def test_identity_vacuous_flag():
     assert verify_identity_exact(13, 2).vacuous
     assert not verify_identity_exact(2, 2).vacuous
     assert not verify_identity_exact(5, 1).vacuous
+
+
+def test_import_spinel_does_not_load_mpmath():
+    # mpmath is imported only for an irrational L-value; the exact spin
+    # chain, memos included, runs without it
+    code = (
+        "import sys, spinel; "
+        "spinel.construct_arithmetic_spin(2, 3); spinel.construct_arithmetic_spin_even(3, 2); "
+        "spinel.verify_identity_exact(5, 2); spinel.l_values(3, 1, 1); "
+        "print('mpmath' in sys.modules)"
+    )
+    src = str(Path(spinel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_l_values_exact_point():

@@ -18,6 +18,7 @@ LIMITS = [
     (curves, "MAX_CENSUS_EVALUATIONS"),
     (isogeny, "MAX_TRACE_SCAN"),
     (quat, "DEFAULT_SEARCH_BOUND"),
+    (quat, "MEMO_PRIMES"),
 ]
 
 

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from spinel.arith import squarefree_part, ternary_represents
-from spinel.errors import NotSpinorial, PrecheckFailed, ZeroInput
-from spinel.quat import b_p_infty
+from spinel import quat, spinstruct
+from spinel.arith import OO, squarefree_part, ternary_represents
+from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
+from spinel.lfunc import verify_identity_exact
+from spinel.quat import b_p_infty, find_pure_of_norm, ramified_places
 from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
     SpinStructure,
@@ -22,6 +26,13 @@ from spinel.spinstruct import (
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+
+#: the per-p memos of the spin chain
+MEMOS = (b_p_infty, spinstruct.pure_unit_exists, spinstruct._unit_witness)
+
+
+def _primes_below(bound):
+    return [n for n in range(2, bound) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def test_frozen_structure_p3():
@@ -91,6 +102,18 @@ def test_randomized_search_matches_canonical():
         assert searched.sigma.is_isomorphic_to(canonical.sigma)
         assert searched.clifford.delta == canonical.clifford.delta
         assert searched.tau == canonical.tau
+
+
+def test_randomized_search_for_odd_n_searches_norm_p():
+    # the rng route searches norm p and scales by p^((n-1)/2), as the
+    # canonical route does; a search for norm p^3 missed the whole default
+    # box for these primes and raised after seconds
+    for p in (73, 101, 293):
+        start = time.perf_counter()
+        s = construct_arithmetic_spin(p, 3, rng=random.Random(1))
+        assert time.perf_counter() - start < 1.0, p
+        assert s.sigma.discriminant() == s.clifford.delta == -p
+        assert s.tau == -(p**3)
 
 
 def test_has_arithmetic_spin_sign_dichotomy():
@@ -229,8 +252,67 @@ def test_structure_json():
 def test_norm_one_bit_has_the_closed_form_below_10_4():
     # B_{p,oo} has a pure quaternion of norm 1 exactly when p = 2 or
     # p = 3 mod 4: the computed local-global bit against the closed form
-    primes = [n for n in range(2, 10**4) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    primes = _primes_below(10**4)
     assert len(primes) == 1229
     for p in primes:
         bit = ternary_represents(b_p_infty(p).pure_norm_coefficients(), 1)
         assert bit == (p == 2 or p % 4 == 3), p
+
+
+def test_memos_match_fresh_computation_below_2000():
+    # every per-p memo against its function body, or the search it reads, run afresh
+    for p in _primes_below(2000):
+        B = b_p_infty(p)
+        fresh = b_p_infty.__wrapped__(p)
+        assert B == fresh and ramified_places(B) == {p, OO}, p
+        unit = spinstruct.pure_unit_exists(p)
+        assert unit == ternary_represents(fresh.pure_norm_coefficients(), 1), p
+        for bound in (1, 2, 50):
+            v = spinstruct._odd_u(B, p, 1, bound)
+            assert v == find_pure_of_norm(fresh, p, bound), (p, bound)
+            if unit:
+                v = spinstruct._unit_witness(p, bound)
+                assert v == find_pure_of_norm(fresh, 1, bound), (p, bound)
+        for n in (2, 4):
+            cert = has_arithmetic_spin(spinorial_class(p, n, -1))
+            assert verify_identity_exact(p, n).vacuous == (not cert.exists), (p, n)
+
+
+def test_memos_are_bounded():
+    for p in _primes_below(2000)[:300]:
+        has_arithmetic_spin(spinorial_class(p, 1, -1))
+        has_arithmetic_spin(spinorial_class(p, 2, -1))
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == quat.MEMO_PRIMES
+        assert 0 < info.currsize <= info.maxsize, memo
+    assert b_p_infty.cache_info().currsize == quat.MEMO_PRIMES
+
+
+def test_memos_keep_no_errors():
+    for bad in (1, 4):
+        for _ in range(3):
+            with pytest.raises(NotPrime):
+                b_p_infty(bad)
+            with pytest.raises(NotPrime):
+                spinstruct.pure_unit_exists(bad)
+    # the memoised norm-1 search for p = 3 (n even) and the per-call norm-2
+    # search for p = 2 (n odd): an empty box raises on every call and never
+    # hides the default box's witness
+    for p, n in ((3, 2), (2, 1)):
+        c = spinorial_class(p, n, -1)
+        for _ in range(2):
+            with pytest.raises(SearchExhausted):
+                has_arithmetic_spin(c, 0)
+            assert has_arithmetic_spin(c).exists
+    with pytest.raises(SearchExhausted):
+        construct_arithmetic_spin(2, 1, 0)
+
+
+def test_memoised_objects_reject_assignment():
+    B = b_p_infty(7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        B.a = Fraction(-3)
+    for v in (spinstruct._unit_witness(2, 50), spinstruct._unit_witness(7, 50)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.x1 = Fraction(0)
