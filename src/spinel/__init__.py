@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 from .arith import (
     OO,
     hilbert_symbol,
-    is_local_square,
-    legendre,
     squarefree_part,
     ternary_represents,
 )
@@ -27,11 +25,9 @@ from .lfunc import l_values, verify_identity_exact, zeta_h1, zeta_spin
 from .quat import Quaternion, QuaternionAlgebra, b_p_infty, find_pure_of_norm
 from .spinspace import (
     EtaleElement,
-    GroupDescriptor,
     OrthogonalInvolution,
     QuadraticEtale,
     covering_map,
-    spinor_norm_is_trivial,
 )
 from .spinstruct import (
     RealizationData,
@@ -49,8 +45,6 @@ from .spinstruct import (
 __all__ = [
     "OO",
     "hilbert_symbol",
-    "is_local_square",
-    "legendre",
     "squarefree_part",
     "ternary_represents",
     "FiniteField",
@@ -71,11 +65,9 @@ __all__ = [
     "b_p_infty",
     "find_pure_of_norm",
     "EtaleElement",
-    "GroupDescriptor",
     "OrthogonalInvolution",
     "QuadraticEtale",
     "covering_map",
-    "spinor_norm_is_trivial",
     "RealizationData",
     "SpinLift",
     "SpinStructure",

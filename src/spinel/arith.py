@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Iterator, Union
+from typing import Union
 
-from .errors import BoundExceeded, NotOddPrime, NotPrime, ZeroInput
+from .errors import BoundExceeded, NotPrime, ZeroInput
 
 #: archimedean place marker; primes are plain ints
 OO = "oo"
@@ -195,20 +195,6 @@ def valuation(r: Rat, p: int) -> int:
     return _unit_part(r.numerator, p)[0] - _unit_part(r.denominator, p)[0]
 
 
-def legendre(a: Rat, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    if not (is_prime(p) and p % 2 == 1):
-        raise NotOddPrime(f"{p} is not an odd prime")
-    a = _as_fraction(a)
-    if a.denominator % p == 0:
-        raise ZeroInput(f"{a} is not a p-integer at {p}")
-    num = a.numerator * pow(a.denominator, -1, p) % p
-    if num == 0:
-        return 0
-    s = pow(num, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
-
-
 def _unit_part(n: int, p: int) -> tuple[int, int]:
     """Write n = p^v * u and return (v, u)."""
     v = 0
@@ -282,18 +268,6 @@ def hilbert_symbol(a: Rat, b: Rat, v: Place) -> int:
     return _prime_symbol(x, _unit_class(b.numerator * b.denominator, v), v)
 
 
-def is_local_square(r: Rat, v: Place) -> bool:
-    """Is r a square in the completion of Q at v?"""
-    r = _as_fraction(r)
-    if r == 0:
-        raise ZeroInput("square class of 0 is undefined")
-    _check_place(v)
-    if v == OO:
-        return r > 0
-    alpha, u = _unit_class(r.numerator * r.denominator, v)
-    return alpha % 2 == 0 and u % 8 == 1
-
-
 def places(*values: Rat) -> list[Place]:
     """OO, 2 and the odd primes of every numerator and denominator, sorted.
 
@@ -329,17 +303,6 @@ def _quaternary_isotropic_at(ints: tuple[int, ...], v: Place) -> bool:
     return eps == _prime_symbol(minus_one, minus_one, v)
 
 
-def _anisotropic_places(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> Iterator[Place]:
-    """Places where <-t, a1, a2, a3> is anisotropic, in `places` order."""
-    cs = tuple(_as_fraction(c) for c in coeffs)
-    t = _as_fraction(t)
-    if t == 0 or any(c == 0 for c in cs):
-        raise ZeroInput("coefficients and target must be nonzero")
-    quad = (-t,) + cs
-    ints = tuple(c.numerator * c.denominator for c in quad)
-    return (v for v in places(*quad) if not _quaternary_isotropic_at(ints, v))
-
-
 def ternary_represents(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> bool:
     """Does a1*x^2 + a2*y^2 + a3*z^2 represent t over Q?
 
@@ -347,9 +310,10 @@ def ternary_represents(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> bool:
     everywhere else the quaternary form is unimodular at an odd prime, hence
     isotropic.  Stops at the first anisotropic place.
     """
-    return next(_anisotropic_places(coeffs, t), None) is None
-
-
-def local_obstructions(coeffs: tuple[Rat, Rat, Rat], t: Rat) -> list[Place]:
-    """Places where <-t, a1, a2, a3> is anisotropic (empty iff represented)."""
-    return list(_anisotropic_places(coeffs, t))
+    cs = tuple(_as_fraction(c) for c in coeffs)
+    t = _as_fraction(t)
+    if t == 0 or any(c == 0 for c in cs):
+        raise ZeroInput("coefficients and target must be nonzero")
+    quad = (-t,) + cs
+    ints = tuple(c.numerator * c.denominator for c in quad)
+    return all(_quaternary_isotropic_at(ints, v) for v in places(*quad))

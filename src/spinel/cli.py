@@ -103,7 +103,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_bpinf(args) -> int:
     B = quat.b_p_infty(args.p)
-    ram = sorted(v for v in B.ramified_places() if v != OO)
+    ram = sorted(v for v in quat.ramified_places(B) if v != OO)
     doc = B.to_json() | {"ramified": ram + [OO]}
     _emit(doc, args.json, f"B_{{{args.p},oo}} = {B}, ramified at {ram + [OO]}")
     return 0
@@ -135,18 +135,8 @@ def _cmd_spin(args) -> int:
             spinstruct.spinorial_class(p, n, 1), s.algebra, s.sigma, s.clifford
         )
     tau = s.tau
-    rep = spinstruct.WeilRep(s, tau)
-    lift = spinstruct.spin_lift(rep)
-    doc = {
-        "algebra": s.algebra.to_json(),
-        "u": s.sigma.u.to_json(),
-        "disc": s.sigma.discriminant(),
-        "delta": s.clifford.delta,
-        "tau": tau,
-        "lift": None,
-        "eigen_abs_sq": None,
-        "slope": None,
-    }
+    lift = spinstruct.spin_lift(spinstruct.WeilRep(s, tau))
+    doc = s.to_json() | {"lift": None, "eigen_abs_sq": None, "slope": None}
     lines = [
         f"class: beta = {2 * tau} over F_{p**(2 * n)}",
         f"algebra: {s.algebra}",

@@ -10,8 +10,8 @@ spinel.fields), not as one field-method call per element: _horner
 evaluates a polynomial at every x at once, one list comprehension per
 Horner step on the exp/log/Zech tables, and point counts, point lists and
 census rows read off those lists.  The group law is one function on the
-same tables (_group_law), shared by point_add, point_mul and the Frobenius
-check, each of which checks the short form once per call.
+same tables (_group_law); the Frobenius check is its only caller and checks
+the short form once per call.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ MAX_CENSUS_EVALUATIONS = 10**7
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, nonsingular, over F."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, nonsingular, over F.
+
+    The coefficients are element codes of F (ints in [0, q)), not integers
+    to be reduced: -1 over F_9 is refused, not read as some element.
+    """
 
     field: FiniteField
     a1: int
@@ -40,6 +44,11 @@ class WeierstrassCurve:
     a6: int
 
     def __post_init__(self):
+        q = self.field.q
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            c = getattr(self, name)
+            if not isinstance(c, int) or not 0 <= c < q:
+                raise ValueError(f"{name} = {c!r} over F_{q}: coefficients are ints in [0, {q})")
         if self.discriminant() == 0:
             raise ValueError("singular Weierstrass equation")
 
@@ -70,15 +79,6 @@ class WeierstrassCurve:
         t3 = neg(m(c(27), m(b6, b6)))
         t4 = m(c(9), m(b2, m(b4, b6)))
         return add(add(t1, t2), add(t3, t4))
-
-    def rhs(self, x: int) -> int:
-        """x^3 + a2 x^2 + a4 x + a6."""
-        F = self.field
-        x2 = F.mul(x, x)
-        return F.add(
-            F.add(F.mul(x2, x), F.mul(self.a2, x2)),
-            F.add(F.mul(self.a4, x), self.a6),
-        )
 
     def is_short(self) -> bool:
         return self.a1 == 0 and self.a2 == 0 and self.a3 == 0
@@ -136,15 +136,6 @@ def count_points(E: WeierstrassCurve) -> int:
     quarter, half = F.inv(F.from_int(4)), F.inv(F.from_int(2))
     cubic = (1, F.mul(b2, quarter), F.mul(b4, half), F.mul(b6, quarter))
     return 1 + sum(map(F.sqrt_counts().__getitem__, _horner(F, cubic)))
-
-
-def trace_of(E: WeierstrassCurve) -> int:
-    return E.field.q + 1 - count_points(E)
-
-
-def is_supersingular(E: WeierstrassCurve) -> bool:
-    """p divides the trace; over F_p (p >= 5) equivalent to trace = 0."""
-    return trace_of(E) % E.field.p == 0
 
 
 def _census_rows(F: FiniteField) -> list[tuple]:
@@ -252,13 +243,6 @@ def _require_short(E: WeierstrassCurve) -> None:
         raise PrecheckFailed("group law implemented for short form, p >= 5 only")
 
 
-def point_neg(E: WeierstrassCurve, P: Point) -> Point:
-    if P is None:
-        return None
-    x, y = P
-    return (x, E.field.neg(y))
-
-
 def _group_law(E: WeierstrassCurve) -> Callable[[Point, Point], Point]:
     """Chord-tangent addition on E(F_q) as one function on the field's tables.
 
@@ -300,32 +284,6 @@ def _group_law(E: WeierstrassCurve) -> Callable[[Point, Point], Point]:
         return (x3, minus(exp[log[lam] + log[minus(x1, x3)]], y1))
 
     return add
-
-
-def _multiple(add: Callable[[Point, Point], Point], m: int, P: Point) -> Point:
-    """[m]P for m >= 0 by double and add on the group law add."""
-    out: Point = None
-    while m:
-        if m & 1:
-            out = add(out, P)
-        m >>= 1
-        if m:
-            P = add(P, P)
-    return out
-
-
-def point_add(E: WeierstrassCurve, P: Point, Q: Point) -> Point:
-    """Chord-tangent addition of two points of E."""
-    _require_short(E)
-    return _group_law(E)(P, Q)
-
-
-def point_mul(E: WeierstrassCurve, m: int, P: Point) -> Point:
-    """[m]P by double and add; negative m through the involution."""
-    _require_short(E)
-    if m < 0:
-        m, P = -m, point_neg(E, P)
-    return _multiple(_group_law(E), m, P)
 
 
 def curve_points(E: WeierstrassCurve) -> list[Point]:

@@ -24,10 +24,6 @@ class NotPrime(SpinelError):
     code = "not-prime"
 
 
-class NotOddPrime(SpinelError):
-    code = "not-odd-prime"
-
-
 class AlgebraMismatch(SpinelError):
     code = "algebra-mismatch"
 

@@ -211,9 +211,6 @@ class FiniteField:
     def neg(self, u: int) -> int:
         return self._exp[self._log[u] + self._neg_shift]
 
-    def sub(self, u: int, v: int) -> int:
-        return self.add(u, self.neg(v))
-
     def pow(self, u: int, e: int) -> int:
         if u == 0:
             if e < 0:

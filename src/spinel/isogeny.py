@@ -75,20 +75,9 @@ class IsogenyClass:
     def q(self) -> int:
         return self.p**self.a
 
-    def is_ordinary(self) -> bool:
-        return self.kind == KIND_ORDINARY
-
-    def is_supersingular(self) -> bool:
-        return self.kind == KIND_SUPERSINGULAR
-
     def is_spinorial(self) -> bool:
         """Quaternionic endomorphisms, i.e. case 2(a): beta = +-2*p^(a/2)."""
         return self.endo == ENDO_QUATERNION
-
-    @property
-    def frobenius_disc(self) -> int:
-        """beta^2 - 4q, the discriminant of Z[Frobenius]; 0 in the spinorial case."""
-        return self.beta * self.beta - 4 * self.q
 
     def to_json(self) -> dict:
         return {

@@ -15,11 +15,14 @@ and the half-substitution gives the exact identity
     L(E, s) = L(rho_spin, s/2)^2.
 
 Everything here is exact rational-function arithmetic in Z[T]; numeric
-L-values are a secondary check done in high-precision floating point.
+L-values are a secondary check done in high-precision floating point,
+NUMERIC_DPS digits from q^e to the last square, with mpmath imported only
+when an exponent makes q^e irrational.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,16 +43,6 @@ def _trim(c: tuple[int, ...]) -> IntPoly:
     while n > 1 and c[n - 1] == 0:
         n -= 1
     return tuple(c[:n])
-
-
-def poly_add(f: IntPoly, g: IntPoly) -> IntPoly:
-    n = max(len(f), len(g))
-    return _trim(
-        tuple(
-            (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-            for i in range(n)
-        )
-    )
 
 
 def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -168,9 +161,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {t}")
         return poly_eval(self.num, t) / den
 
-    def is_polynomial(self) -> bool:
-        return self.den == (1,)
-
     def __str__(self) -> str:
         ns, ds = poly_str(self.num), poly_str(self.den)
         if self.den == (1,):
@@ -285,18 +275,22 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     """Evaluate L(E, s), L(rho_spin, s) and L(rho_spin, s/2)^2.
 
     Exact rational answers are returned whenever q^(1/2 - s) resp.
-    q^(1/2 - 2s) is rational; otherwise mpf at NUMERIC_DPS digits.
+    q^(1/2 - 2s) is rational; otherwise mpf, with every step from q^e on
+    rounded at NUMERIC_DPS digits.
     """
     _check_pn(p, n)
     s = Fraction(s)
+    half = q_power(p, n, Fraction(1, 2) - s)
+    spin = q_power(p, n, Fraction(1, 2) - 2 * s)
+    precision = nullcontext()
+    if not (isinstance(half, Fraction) and isinstance(spin, Fraction)):
+        import mpmath
 
-    def inv(x):
-        return 1 / (1 + x)
-
-    le = inv(q_power(p, n, Fraction(1, 2) - s)) ** 2
-    lspin = inv(q_power(p, n, Fraction(1, 2) - 2 * s))
-    lhalf = inv(q_power(p, n, Fraction(1, 2) - s))
-    return LValues(s, le, lspin, lhalf, lhalf**2)
+        precision = mpmath.workdps(NUMERIC_DPS)
+    with precision:
+        lhalf, lspin = 1 / (1 + half), 1 / (1 + spin)
+        lsq = lhalf**2
+    return LValues(s, lsq, lspin, lhalf, lsq)
 
 
 GaussianInt = tuple[int, int]  # re + im*i

@@ -75,12 +75,6 @@ class QuaternionAlgebra:
     def k(self) -> "Quaternion":
         return self.element(0, 0, 0, 1)
 
-    def ramified_places(self) -> frozenset[Place]:
-        return ramified_places(self)
-
-    def is_division(self) -> bool:
-        return bool(self.ramified_places())
-
     def pure_norm_coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         """Diagonal coefficients of Nrd restricted to pure quaternions."""
         return (-self.a, -self.b, self.a * self.b)
@@ -192,9 +186,6 @@ class Quaternion:
         x0, x1, x2, x3 = self.coords()
         return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
-    def reduced_trace(self) -> Fraction:
-        return 2 * self.x0
-
     def inverse(self) -> "Quaternion":
         """gamma(x)/Nrd(x); in a division algebra every nonzero x qualifies."""
         n = self.reduced_norm()
@@ -256,7 +247,7 @@ def b_p_infty(p: int) -> QuaternionAlgebra:
         return QuaternionAlgebra(Fraction(-1), Fraction(-1))
     for a in range(1, _BPINF_SCAN_LIMIT):
         B = QuaternionAlgebra(Fraction(-a), Fraction(-p))
-        if B.ramified_places() == frozenset({p, OO}):
+        if ramified_places(B) == frozenset({p, OO}):
             return B
     raise SearchExhausted(f"no (-a,-{p}) presentation with a < {_BPINF_SCAN_LIMIT}")
 

@@ -14,16 +14,21 @@ in the Kummer square
     1 -> mu_2 -> GSpin = Res_{K/Q} Gm --z -> z^2--> GO+ = K* -> K*/K*^2,
 
 so an element t of GO+(Q) lifts to GSpin(Q) iff t is a square in K; the
-connecting map sends t to its class in K*/K*^2.
+connecting map sends t to its class in K*/K*^2.  The spin chain lifts only
+the Frobenius scalar, a rational t, and t is a square in K iff t or
+t/delta is a square in Q (QuadraticEtale.sqrt_rational).  The groups are
+not objects here: similitudes are tested through
+OrthogonalInvolution.multiplier and is_proper_similitude, and the cover
+is covering_map.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import Rat, squarefree_part
 from .errors import (
@@ -75,9 +80,6 @@ class QuadraticEtale:
     def x(self) -> "EtaleElement":
         return self.element(0, 1)
 
-    def is_split(self) -> bool:
-        return self.delta == 1
-
     def sqrt_rational(self, t: Rat) -> Optional["EtaleElement"]:
         """A square root in K of a nonzero rational t, or None.
 
@@ -95,37 +97,6 @@ class QuadraticEtale:
         if d is not None:
             return self.element(0, d)
         return None
-
-    def sqrt(self, z: Union["EtaleElement", Rat]) -> Optional["EtaleElement"]:
-        """A square root of z in K, or None.
-
-        For z = c + d*x with d != 0, (e + f*x)^2 = z forces
-        e^2 = (c + sqrt(c^2 - delta*d^2))/2 for one of the two sign choices,
-        with f = d/(2e); both conditions are exact rational-square tests.
-        """
-        if not isinstance(z, EtaleElement):
-            return self.sqrt_rational(z)
-        if z.ring != self:
-            raise DeltaMismatch(f"{z.ring} vs {self}")
-        if z.d == 0:
-            return self.sqrt_rational(z.c) if z.c != 0 else self.element(0)
-        disc = z.c * z.c - self.delta * z.d * z.d  # = Norm(z)
-        root = _fraction_sqrt(disc)
-        if root is None:
-            return None
-        for branch in (root, -root):
-            e2 = (z.c + branch) / 2
-            e = _fraction_sqrt(e2)
-            if e is not None and e != 0:
-                return self.element(e, z.d / (2 * e))
-        return None
-
-    def is_square(self, z: Union["EtaleElement", Rat]) -> bool:
-        """Triviality of the class of z in K*/K*^2 (the Kummer connecting map)."""
-        return self.sqrt(z) is not None
-
-    def to_json(self) -> dict:
-        return {"delta": self.delta}
 
     def __str__(self) -> str:
         return f"Q[x]/(x^2 - ({self.delta}))"
@@ -204,9 +175,6 @@ class EtaleElement:
         """N_{K/Q}(z) = c^2 - delta*d^2."""
         return self.c * self.c - self.ring.delta * self.d * self.d
 
-    def trace(self) -> Fraction:
-        return 2 * self.c
-
     def is_unit(self) -> bool:
         return self.norm() != 0
 
@@ -221,9 +189,6 @@ class EtaleElement:
 
     def square(self) -> "EtaleElement":
         return self * self
-
-    def to_json(self) -> list[str]:
-        return [str(self.c), str(self.d)]
 
     def __str__(self) -> str:
         if self.d == 0:
@@ -298,24 +263,6 @@ class OrthogonalInvolution:
         """The even Clifford algebra K = Q[x]/(x^2 - disc(sigma))."""
         return QuadraticEtale(self.discriminant())
 
-    def clifford_embedding(self) -> Quaternion:
-        """The image of x in B: u rescaled so that its square is exactly delta.
-
-        u^2 = -Nrd(u) for pure u, and -Nrd(u)/delta is a positive rational
-        square, so a rational rescaling lands on u'^2 = delta.
-        """
-        delta = self.discriminant()
-        ratio = -self.u.reduced_norm() / delta
-        s = _fraction_sqrt(ratio)
-        assert s is not None  # ratio is a square by construction of delta
-        return self.u * (1 / s)
-
-    def embed(self, z: EtaleElement) -> Quaternion:
-        """Ring embedding K -> B sending x to the rescaled u."""
-        if z.ring.delta != self.discriminant():
-            raise DeltaMismatch("element lives in a different Clifford algebra")
-        return self.algebra.scalar(z.c) + self.clifford_embedding() * z.d
-
     def multiplier(self, g: Quaternion) -> Fraction:
         """mu(g) with sigma(g)*g = mu(g)*1; raises NotSimilitude otherwise."""
         if g.algebra != self.algebra:
@@ -328,13 +275,6 @@ class OrthogonalInvolution:
             raise NotInvertible(f"g = {g} is not invertible")
         return mu
 
-    def is_similitude(self, g: Quaternion) -> bool:
-        try:
-            self.multiplier(g)
-        except (NotSimilitude, NotInvertible):
-            return False
-        return True
-
     def is_proper_similitude(self, g: Quaternion) -> bool:
         """Similitude with Nrd(g) = mu(g); these form GO+ = Q(u)*."""
         try:
@@ -342,9 +282,6 @@ class OrthogonalInvolution:
         except (NotSimilitude, NotInvertible):
             return False
         return g.reduced_norm() == mu
-
-    def to_json(self) -> dict:
-        return {"u": self.u.to_json(), "disc": self.discriminant()}
 
     def __str__(self) -> str:
         return f"int({self.u}) o gamma on {self.algebra}"
@@ -359,64 +296,6 @@ def covering_map(z: EtaleElement) -> EtaleElement:
     if not z.is_unit():
         raise NotUnit(f"{z} is not a unit of {z.ring}")
     return z.square()
-
-
-def spinor_norm_is_trivial(z: Union[EtaleElement, Rat], K: QuadraticEtale) -> bool:
-    """Whether z in GO+(Q) = K* lies in the image of GSpin(Q) = K*.
-
-    This is triviality of the connecting-map class in K*/K*^2, i.e. z being
-    a square in K.
-    """
-    return K.is_square(z)
-
-
-_KINDS = frozenset({"GO", "O", "GO+", "O+", "GSpin", "Spin", "SpecialClifford"})
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """A similitude or spin group attached to (B, sigma), as predicates.
-
-    No element lists are stored.  GO and O test quaternions through sigma;
-    the remaining kinds live on the even Clifford side and test units of K
-    (GO+, GSpin and SpecialClifford are the full unit group, O+ and Spin the
-    norm-one subgroup).
-    """
-
-    kind: str
-    sigma: OrthogonalInvolution
-    clifford: QuadraticEtale = field(init=False)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        object.__setattr__(self, "clifford", self.sigma.clifford_algebra())
-
-    def contains(self, g: Union[Quaternion, EtaleElement]) -> bool:
-        if self.kind in ("GO", "O"):
-            if not isinstance(g, Quaternion):
-                raise TypeError("GO/O membership tests quaternions")
-            if not self.sigma.is_similitude(g):
-                return False
-            return self.kind == "GO" or self.sigma.multiplier(g) == 1
-        if isinstance(g, Quaternion):
-            # proper similitudes of B are exactly the units of Q(u) = K
-            if self.kind == "GO+":
-                return self.sigma.is_proper_similitude(g)
-            raise TypeError(f"{self.kind} membership tests Clifford units")
-        if g.ring != self.clifford:
-            raise DeltaMismatch("element lives in a different Clifford algebra")
-        if self.kind in ("GO+", "GSpin", "SpecialClifford"):
-            return g.is_unit()
-        return g.norm() == 1  # O+, Spin
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.sigma})"
-
-
-def groups_of(sigma: OrthogonalInvolution) -> dict[str, GroupDescriptor]:
-    """All attached group descriptors, keyed by kind."""
-    return {kind: GroupDescriptor(kind, sigma) for kind in sorted(_KINDS)}
 
 
 def random_involution(

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import quat
-from .arith import check_power, squarefree_part, ternary_represents, valuation
+from .arith import check_power, ternary_represents, valuation
 from .errors import NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from .isogeny import IsogenyClass, frobenius_scalar, isogeny_class
 from .quat import Quaternion, QuaternionAlgebra
@@ -75,10 +75,6 @@ class WeilRep:
     structure: SpinStructure
     tau: int
 
-    def evaluate(self, m: int) -> Fraction:
-        """Value on the m-th power of geometric Frobenius."""
-        return Fraction(self.tau) ** m
-
 
 @dataclass(frozen=True)
 class SpinLift:
@@ -90,10 +86,6 @@ class SpinLift:
 
     rep: WeilRep
     z: EtaleElement
-
-    def evaluate(self, m: int) -> tuple[EtaleElement, EtaleElement]:
-        """Eigenvalue pair on the m-th power of geometric Frobenius."""
-        return (self.z**m, (-self.z) ** m)
 
 
 @dataclass(frozen=True)
@@ -288,8 +280,3 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
         v_p_q=v_q,
         normalized_slope=Fraction(v_phi_sq, 2 * v_q),
     )
-
-
-def spin_discriminant(p: int, n: int) -> int:
-    """The forced discriminant class: squarefree_part(-p^n)."""
-    return squarefree_part(-(Fraction(p) ** n))

@@ -8,8 +8,9 @@ count_points instead of the census scan, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
 the isotropy oracle is the Hasse-invariant formula evaluated through
-the public symbol functions instead of the per-place kernel, the Frobenius
-oracle is double and add to [p+1]P for every point instead of one walk per
+the public Hilbert symbol and a local-square test by listing squares instead
+of the per-place kernel, the Frobenius oracle is double and add to [p+1]P
+for every point on the method-call group law instead of one table walk per
 cyclic subgroup, the Z[T]
 oracles are Euclid and division over Fraction, and the pure-norm search
 oracle computes its shell limits as Fraction products.  They are slow and
@@ -27,8 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from spinel.arith import hilbert_symbol, is_local_square
-from spinel.curves import WeierstrassCurve, count_points, curve_points, point_mul
+from spinel.arith import OO, hilbert_symbol
+from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
 
 _cache: dict = {}
@@ -97,7 +98,11 @@ def naive_point_count(E) -> int:
     F = E.field
     n = 1
     for x in F.elements():
-        rhs = E.rhs(x)
+        x2 = F.mul(x, x)
+        rhs = F.add(
+            F.add(F.mul(x2, x), F.mul(E.a2, x2)),
+            F.add(F.mul(E.a4, x), E.a6),
+        )
         for y in F.elements():
             lhs = F.add(
                 F.mul(y, y),
@@ -114,7 +119,7 @@ def j_invariant(F, coeffs) -> int:
     m, c = F.mul, F.from_int
     b2 = F.add(m(a1, a1), m(c(4), a2))
     b4 = F.add(m(c(2), a4), m(a1, a3))
-    c4 = F.sub(m(b2, b2), m(c(24), b4))
+    c4 = F.add(m(b2, b2), F.neg(m(c(24), b4)))
     return m(F.pow(c4, 3), F.inv(WeierstrassCurve(F, *coeffs).discriminant()))
 
 
@@ -279,15 +284,32 @@ def factorize_oracle(n: int) -> tuple[int, dict[int, int]]:
     return sign, factors
 
 
+def is_local_square_oracle(r: Fraction, v) -> bool:
+    """Is the nonzero rational r a square in Q_v?
+
+    At OO iff r > 0.  At a prime p iff num * den (same square class) has
+    even valuation and its unit part is in the list of squares of units
+    mod p, or mod 8 at p = 2.
+    """
+    if v == OO:
+        return r > 0
+    n, k = r.numerator * r.denominator, 0
+    while n % v == 0:
+        n, k = n // v, k + 1
+    m = 8 if v == 2 else v
+    return k % 2 == 0 and n % m in {x * x % m for x in range(m) if x % v}
+
+
 def isotropic_at_oracle(coeffs: tuple[Fraction, ...], v) -> bool:
     """Isotropy of the diagonal quaternary form <coeffs> over Q_v.
 
     Anisotropic exactly when the discriminant is a square in Q_v and the
     Hasse invariant prod_{i<j} (ci,cj)_v differs from (-1,-1)_v, each
-    symbol taken from the public `hilbert_symbol` and `is_local_square`.
+    symbol taken from the public `hilbert_symbol`, the square test from
+    `is_local_square_oracle`.
     """
     d = math.prod(coeffs, start=Fraction(1))
-    if not is_local_square(d, v):
+    if not is_local_square_oracle(d, v):
         return True
     eps = math.prod(hilbert_symbol(a, b, v) for a, b in combinations(coeffs, 2))
     return eps == hilbert_symbol(-1, -1, v)
@@ -340,19 +362,34 @@ def matrix_walk_powers(p: int, a: int, modulus: tuple[int, ...]) -> list[int]:
     return out
 
 
+def multiple_oracle(E, m: int, P):
+    """[m]P for m >= 0 by double and add on point_add_oracle."""
+    out = None
+    while m:
+        if m & 1:
+            out = point_add_oracle(E, out, P)
+        P = point_add_oracle(E, P, P)
+        m >>= 1
+    return out
+
+
 def frobenius_ladder_oracle(E, m: int | None = None) -> bool:
     """[m]P = O for every point P of curve_points(E), m = p + 1 by default,
     by double and add for each point: the check verify_frobenius_scalar ran
     before it walked one cyclic subgroup at a time."""
     if m is None:
         m = E.field.p + 1
-    return all(point_mul(E, m, P) is None for P in curve_points(E))
+    return all(multiple_oracle(E, m, P) is None for P in curve_points(E))
 
 
 def point_add_oracle(E, P, Q):
     """Chord-tangent addition through the field's public methods, one call
     per operation: the point_add that the table group law replaced."""
     F = E.field
+
+    def sub(u, v):
+        return F.add(u, F.neg(v))
+
     if P is None:
         return Q
     if Q is None:
@@ -365,11 +402,11 @@ def point_add_oracle(E, P, Q):
         num = F.add(F.mul(F.from_int(3), F.mul(x1, x1)), E.a4)
         den = F.mul(F.from_int(2), y1)
     else:
-        num = F.sub(y2, y1)
-        den = F.sub(x2, x1)
+        num = sub(y2, y1)
+        den = sub(x2, x1)
     lam = F.mul(num, F.inv(den))
-    x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
-    y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
+    x3 = sub(sub(F.mul(lam, lam), x1), x2)
+    y3 = sub(F.mul(lam, sub(x1, x3)), y1)
     return (x3, y3)
 
 

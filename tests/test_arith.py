@@ -8,6 +8,7 @@ import pytest
 from _oracles import (
     factorize_oracle,
     hilbert_oracle,
+    is_local_square_oracle,
     is_prime_oracle,
     isotropic_at_oracle,
     legendre_oracle,
@@ -19,19 +20,38 @@ from spinel.arith import (
     MAX_POWER_BITS,
     OO,
     PRIMALITY_BOUND,
+    _quaternary_isotropic_at,
     check_power,
     factorize,
     hilbert_symbol,
-    is_local_square,
     is_prime,
-    legendre,
-    local_obstructions,
     places,
     squarefree_part,
     ternary_represents,
     valuation,
 )
-from spinel.errors import BoundExceeded, NotOddPrime, NotPrime, ZeroInput
+from spinel.errors import BoundExceeded, NotPrime, ZeroInput
+
+
+def _obstructions(coeffs, t):
+    """Places where <-t, a1, a2, a3> is anisotropic, by the per-place kernel."""
+    quad = (-Fraction(t), *map(Fraction, coeffs))
+    ints = tuple(c.numerator * c.denominator for c in quad)
+    return [v for v in places(*quad) if not _quaternary_isotropic_at(ints, v)]
+
+
+#: representatives of Q_v* / Q_v*^2 other than 1; at an odd p they are e, p
+#: and e p for a unit e that is not a square mod p
+_CLASSES = {
+    OO: (-1,),
+    2: (-1, 2, -2, 5, -5, 10, -10),
+    **{p: (e, p, e * p) for p, e in ((3, 2), (5, 3), (7, 3), (11, 2))},
+}
+
+
+def _square_by_symbols(a, v):
+    """a is a square in Q_v iff (a, b)_v = 1 for every class b."""
+    return all(hilbert_symbol(a, b, v) == 1 for b in _CLASSES[v])
 
 
 def test_is_prime_small():
@@ -90,29 +110,16 @@ def test_squarefree_part_square_scaling():
 
 
 def test_legendre_known():
-    assert legendre(-2, 5) == -1
-    assert legendre(2, 7) == 1
-    assert legendre(Fraction(1, 3), 7) == legendre(3, 7)
+    # the Legendre symbol (a/p) of a p-unit a is the Hilbert symbol (a, p)_p
+    assert hilbert_symbol(-2, 5, 5) == -1
+    assert hilbert_symbol(2, 7, 7) == 1
+    assert hilbert_symbol(Fraction(1, 3), 7, 7) == hilbert_symbol(3, 7, 7) == -1
 
 
 def test_legendre_against_square_lists():
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
         for a in range(1, p):
-            assert legendre(a, p) == legendre_oracle(a, p)
-
-
-def test_legendre_zero_convention():
-    assert legendre(0, 5) == 0
-    assert legendre(10, 5) == 0
-
-
-def test_legendre_errors():
-    with pytest.raises(NotOddPrime):
-        legendre(3, 2)
-    with pytest.raises(NotOddPrime):
-        legendre(3, 15)
-    with pytest.raises(ZeroInput):
-        legendre(Fraction(1, 5), 5)
+            assert hilbert_symbol(a, p, p) == legendre_oracle(a, p)
 
 
 def test_valuation():
@@ -188,27 +195,26 @@ def test_hilbert_errors():
 
 
 def test_is_local_square():
-    assert is_local_square(4, OO)
-    assert is_local_square(4, 2)
-    assert is_local_square(4, 7)
-    assert not is_local_square(-4, OO)
-    assert not is_local_square(2, 2)  # odd valuation
-    assert is_local_square(17, 2)  # 1 mod 8
-    assert not is_local_square(3, 2)
-    assert is_local_square(-1, 5)
-    assert not is_local_square(-1, 3)
-    assert is_local_square(Fraction(1, 4), 2)
+    # local squares read off the Hilbert symbol, which is nondegenerate
+    for a, v in [(4, OO), (4, 2), (4, 7), (17, 2), (-1, 5), (Fraction(1, 4), 2)]:
+        assert _square_by_symbols(a, v) and is_local_square_oracle(Fraction(a), v), (a, v)
+    for a, v in [(-4, OO), (2, 2), (3, 2), (-1, 3)]:  # 2 has odd valuation at 2
+        assert not _square_by_symbols(a, v) and not is_local_square_oracle(Fraction(a), v)
 
 
 def test_is_local_square_vs_hilbert():
     # a is a square in Q_v iff (a, b)_v = 1 for every b
     rng = random.Random(7)
+    squares = 0
     for _ in range(200):
         a = random_fraction(rng, nonzero=True)
         v = rng.choice([OO, 2, 3, 5, 11])
-        if is_local_square(a, v):
+        assert _square_by_symbols(a, v) == is_local_square_oracle(a, v), (a, v)
+        if is_local_square_oracle(a, v):
+            squares += 1
             b = random_fraction(rng, nonzero=True)
             assert hilbert_symbol(a, b, v) == 1
+    assert squares > 20
 
 
 def test_ternary_represents_known():
@@ -232,9 +238,10 @@ def test_ternary_witness_search_agrees():
 
 
 def test_local_obstructions():
-    assert local_obstructions((2, 5, 10), 1) == [5]
-    assert local_obstructions((1, 3, 3), 1) == []
-    obs = local_obstructions((1, 1, 1), -1)
+    assert _obstructions((2, 5, 10), 1) == [5]
+    assert not ternary_represents((2, 5, 10), 1)
+    assert _obstructions((1, 3, 3), 1) == []
+    obs = _obstructions((1, 1, 1), -1)
     assert 2 in obs and OO in obs
 
 
@@ -265,12 +272,10 @@ def test_ternary_represents_iff_no_local_obstruction():
     for _ in range(200):
         coeffs = tuple(random_fraction(rng, size=30, nonzero=True) for _ in range(3))
         t = random_fraction(rng, size=30, nonzero=True)
-        assert ternary_represents(coeffs, t) == (local_obstructions(coeffs, t) == [])
+        assert ternary_represents(coeffs, t) == (_obstructions(coeffs, t) == [])
     for coeffs, t in [((1, 0, 1), 1), ((1, 2, 3), 0)]:
         with pytest.raises(ZeroInput):
             ternary_represents(coeffs, t)
-        with pytest.raises(ZeroInput):
-            local_obstructions(coeffs, t)
 
 
 def _matches_trial_division(n):
@@ -351,7 +356,8 @@ def test_isotropy_kernel_matches_public_symbols():
             outcomes.add((v if v in (OO, 2) else "odd", isotropic))
             if not isotropic:
                 want.append(v)
-        assert local_obstructions(coeffs, t) == want, (coeffs, t)
+        assert _obstructions(coeffs, t) == want, (coeffs, t)
+        assert ternary_represents(coeffs, t) == (want == []), (coeffs, t)
     assert outcomes == {(v, i) for v in (OO, 2, "odd") for i in (True, False)}
 
 

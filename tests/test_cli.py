@@ -12,6 +12,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 GOLDEN_CASES = [
     ("spin_p3_n1", ["spin", "--p", "3", "--n", "1", "--json"]),
+    ("spin_p3_n1_plus", ["spin", "--p", "3", "--n", "1", "--tau-sign", "plus", "--json"]),
+    ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
+    ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
     ("lfunc_p3_n1_s1", ["lfunc", "--p", "3", "--n", "1", "--s", "1", "--json"]),
     ("classify_p5_a1", ["classify", "--p", "5", "--a", "1", "--json"]),
     ("crystal_p3_n1", ["crystal", "--p", "3", "--n", "1", "--json"]),
@@ -142,6 +145,19 @@ def test_hilbert_single_place(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["symbols"] == {"oo": -1}
     assert doc["product"] == -1
+
+
+def test_lfunc_inexact_values_are_correctly_rounded(capsys):
+    # L(E, 1/3) = 0.1676563149664450453... and L(rho_spin, 1/3) =
+    # 0.5905414368138760669... at 80 digits, rounded to 17 significant digits
+    assert main(["lfunc", "--p", "3", "--n", "1", "--s", "1/3"]) == 0
+    out = capsys.readouterr().out
+    assert "L(E, 1/3) = 0.16765631496644505\n" in out
+    assert "L(rho_spin, 1/3) = 0.59054143681387607\n" in out
+    assert main(["lfunc", "--p", "3", "--n", "1", "--s", "1/3", "--json"]) == 0
+    numeric = json.loads(capsys.readouterr().out)["numeric"]
+    assert numeric["l_curve"] == numeric["l_spin_half_sq"] == "0.16765631496644505"
+    assert numeric["l_spin"] == "0.59054143681387607"
 
 
 def test_version(capsys):

@@ -46,7 +46,6 @@ def test_trace_sqrt_q_in_even_degree_needs_p_not_1_mod_3():
 def test_kinds_and_endomorphism_labels():
     ordinary = isogeny_class(5, 1, 2)
     assert ordinary.kind == KIND_ORDINARY
-    assert ordinary.is_ordinary()
     assert ordinary.endo == ENDO_CM
     assert not ordinary.is_spinorial()
 
@@ -59,7 +58,7 @@ def test_kinds_and_endomorphism_labels():
     assert quat.kind == KIND_SUPERSINGULAR
     assert quat.endo == ENDO_QUATERNION
     assert quat.is_spinorial()
-    assert quat.frobenius_disc == 0
+    assert quat.beta**2 == 4 * quat.q  # Frobenius is the rational scalar beta/2
 
 
 def test_spinorial_classes_are_exactly_full_trace_even_degree():
@@ -76,17 +75,16 @@ def test_hasse_bound_and_disc_sign():
         for c in enumerate_classes(p, a):
             assert c.beta * c.beta <= 4 * c.q
             assert isqrt(4 * c.q) >= abs(c.beta)
-            if c.is_spinorial():
-                assert c.frobenius_disc == 0
-            else:
-                assert c.frobenius_disc < 0
+            # beta^2 - 4q, the discriminant of Z[Frobenius], vanishes exactly
+            # on the spinorial classes
+            assert (c.beta * c.beta - 4 * c.q == 0) == c.is_spinorial()
 
 
 def test_ordinary_iff_trace_prime_to_p():
     for p, a in [(5, 1), (3, 2), (5, 2), (7, 2)]:
         for c in enumerate_classes(p, a):
-            assert c.is_ordinary() == (c.beta % p != 0)
-            assert c.is_ordinary() != c.is_supersingular()
+            assert (c.kind == KIND_ORDINARY) == (c.beta % p != 0)
+            assert c.kind in (KIND_ORDINARY, KIND_SUPERSINGULAR)
 
 
 def test_frobenius_scalar():

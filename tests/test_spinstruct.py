@@ -20,7 +20,6 @@ from spinel.spinstruct import (
     has_arithmetic_spin,
     realizations,
     similitude_rep,
-    spin_discriminant,
     spin_lift,
     spinorial_class,
 )
@@ -59,7 +58,7 @@ def test_structure_invariants_across_primes():
         s = construct_arithmetic_spin(p, 1)
         assert s.curve_class.beta == -2 * p
         assert s.sigma.discriminant() == squarefree_part(-p)
-        assert s.clifford.delta == spin_discriminant(p, 1)
+        assert s.clifford.delta == squarefree_part(-p)
         assert s.tau == -p
         # u generates the fixed discriminant class: -Nrd(u) = delta mod squares
         u = s.sigma.u
@@ -137,10 +136,12 @@ def test_has_arithmetic_spin_rejects_non_spinorial():
 def test_weil_rep_evaluation():
     s = construct_arithmetic_spin(3, 1)
     rep = similitude_rep(s)
+    assert rep.structure is s
     assert rep.tau == -3
-    assert rep.evaluate(1) == -3
-    assert rep.evaluate(2) == 9
-    assert rep.evaluate(-1) == Fraction(-1, 3)
+    # Frobenius acts by the scalar tau, a proper similitude of multiplier q
+    g = s.algebra.scalar(rep.tau)
+    assert s.sigma.is_proper_similitude(g)
+    assert s.sigma.multiplier(g) == 9
 
 
 def test_spin_lift_squares_to_tau():
@@ -195,11 +196,11 @@ def test_evaluate_spin_pairs():
     s = construct_arithmetic_spin(3, 1)
     lift = spin_lift(similitude_rep(s))
     K = s.clifford
-    a1, a2 = lift.evaluate(1)
+    # the eigenvalue pair (z^m, (-z)^m) on the m-th power of Frobenius
+    a1, a2 = lift.z, -lift.z
     assert a1 == K.x and a2 == -K.x
-    b1, b2 = lift.evaluate(2)
-    assert b1 == b2 == K.element(-3, 0)
-    assert a1 * a1 == K.element(-3, 0)
+    assert a1**2 == a2**2 == K.element(-3, 0)
+    assert a1**-1 == K.element(0, Fraction(-1, 3))
 
 
 def test_realizations_slope_quarter():
@@ -232,12 +233,11 @@ def test_realizations_ell_label():
 
 
 def test_spin_discriminant_values():
-    assert spin_discriminant(3, 1) == -3
-    assert spin_discriminant(3, 3) == -3
-    assert spin_discriminant(2, 1) == -2
-    assert spin_discriminant(5, 1) == -5
-    assert spin_discriminant(3, 2) == -1
-    assert spin_discriminant(7, 2) == -1
+    # the forced class squarefree_part(-p^n), read off the constructions
+    for p, n, disc in [(3, 1, -3), (3, 3, -3), (2, 1, -2), (5, 1, -5)]:
+        assert construct_arithmetic_spin(p, n).sigma.discriminant() == disc
+    for p, n in [(3, 2), (7, 2)]:
+        assert construct_arithmetic_spin_even(p, n).sigma.discriminant() == -1
 
 
 def test_structure_json():
