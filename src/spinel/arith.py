@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import BoundExceeded, NotPrime, ZeroInput
 
@@ -55,7 +55,9 @@ def check_power(p: int, k: int) -> None:
 
 
 def _as_fraction(x: Rat) -> Fraction:
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
@@ -141,6 +143,15 @@ def _large_prime_factors(m: int) -> list[int]:
     return _large_prime_factors(d) + _large_prime_factors(m // d)
 
 
+def _factorable(n: int) -> int:
+    """|n|, after refusing 0 and |n| above DEFAULT_FACTOR_BOUND."""
+    if n == 0:
+        raise ZeroInput("cannot factor 0")
+    if abs(n) > DEFAULT_FACTOR_BOUND:
+        raise BoundExceeded(f"|{n}| exceeds factor bound {DEFAULT_FACTOR_BOUND}")
+    return abs(n)
+
+
 def factorize(n: int) -> tuple[int, dict[int, int]]:
     """Factor a nonzero integer as sign * prod p^e, primes ascending.
 
@@ -151,12 +162,8 @@ def factorize(n: int) -> tuple[int, dict[int, int]]:
     is far below PRIMALITY_BOUND).  Raises ZeroInput on 0 and BoundExceeded
     when |n| exceeds DEFAULT_FACTOR_BOUND.
     """
-    if n == 0:
-        raise ZeroInput("cannot factor 0")
+    m = _factorable(n)
     sign = -1 if n < 0 else 1
-    m = abs(n)
-    if m > DEFAULT_FACTOR_BOUND:
-        raise BoundExceeded(f"|{n}| exceeds factor bound {DEFAULT_FACTOR_BOUND}")
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > m:
@@ -250,36 +257,63 @@ def _check_place(v: Place) -> None:
         raise NotPrime(f"{v!r} is not a prime or {OO!r}")
 
 
+def integer_symbol(m: int, n: int, v: Place) -> int:
+    """Hilbert symbol (m,n)_v of nonzero integers at OO or a certified prime v.
+
+    v is not proved prime here: it must come from `places` or have passed
+    the public `hilbert_symbol`'s check.  At OO it goes by signs.
+    """
+    if v == OO:
+        return -1 if (m < 0 and n < 0) else 1
+    return _prime_symbol(_unit_class(m, v), _unit_class(n, v), v)
+
+
 def hilbert_symbol(a: Rat, b: Rat, v: Place) -> int:
     """Hilbert symbol (a,b)_v in {+1,-1}.
 
     +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial solution over the completion
-    at v.  At OO it goes by signs; at a prime a and b are replaced by the
-    integers num * den in their square classes.
+    at v.  a and b are replaced by the integers num * den in their square
+    classes, and v is proved prime first.
     """
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a == 0 or b == 0:
         raise ZeroInput("hilbert symbol needs nonzero arguments")
     _check_place(v)
-    if v == OO:
-        return -1 if (a < 0 and b < 0) else 1
-    x = _unit_class(a.numerator * a.denominator, v)
-    return _prime_symbol(x, _unit_class(b.numerator * b.denominator, v), v)
+    return integer_symbol(a.numerator * a.denominator, b.numerator * b.denominator, v)
+
+
+def _finite_places(ints: Iterable[int]) -> set[int]:
+    """2 and the primes dividing any of the integers, each found by `factorize` once.
+
+    Each integer is checked against 0 and DEFAULT_FACTOR_BOUND as given,
+    then stripped of the primes already in the set, 2 included, and only
+    what is left is factored: an integer whose odd primes all came earlier
+    costs no factoring.
+    """
+    primes = {2}
+    for n in ints:
+        n = _factorable(n)
+        for p in primes:
+            while n % p == 0:
+                n //= p
+        if n > 1:
+            primes.update(factorize(n)[1])
+    return primes
 
 
 def places(*values: Rat) -> list[Place]:
     """OO, 2 and the odd primes of every numerator and denominator, sorted.
 
-    Each prime comes from `factorize`, so it is certified once here and the
-    per-place code need not prove it again.  Every other place is an odd
-    prime at which all the values are units, so Hilbert symbols and the
-    isotropy of diagonal forms built from them are trivial there.
+    The integers are factored in turn, each only as far as the primes found
+    before it leave it (`_finite_places`), so a product of earlier values
+    costs no factoring; the errors are `factorize`'s, on each integer as
+    given.  Each prime is certified here once, so the per-place code need
+    not prove it again.  Every other place is an odd prime at which all the
+    values are units, so Hilbert symbols and the isotropy of diagonal forms
+    built from them are trivial there.
     """
-    primes = {2}
-    for x in values:
-        for n in (x.numerator, x.denominator):
-            primes.update(factorize(n)[1])
+    primes = _finite_places(n for x in values for n in (x.numerator, x.denominator))
     return [OO, *sorted(primes)]
 
 

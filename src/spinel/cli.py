@@ -117,18 +117,23 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_spin(args) -> int:
-    p, n = args.p, args.n
+def _structure(p: int, n: int) -> spinstruct.SpinStructure:
+    """The canonical arithmetic spin structure for (p, n) in the search box."""
     bound = search_bound()
     if n % 2 == 1:
-        s = spinstruct.construct_arithmetic_spin(p, n, bound=bound)
-    else:
-        s = spinstruct.construct_arithmetic_spin_even(p, n, bound=bound)
-        if s is None:
-            raise NoSpinStructure(
-                f"no arithmetic spin structure for p = {p}, n = {n}: "
-                "B_{p,oo} has no pure quaternion of norm 1"
-            )
+        return spinstruct.construct_arithmetic_spin(p, n, bound=bound)
+    s = spinstruct.construct_arithmetic_spin_even(p, n, bound=bound)
+    if s is None:
+        raise NoSpinStructure(
+            f"no arithmetic spin structure for p = {p}, n = {n}: "
+            "B_{p,oo} has no pure quaternion of norm 1"
+        )
+    return s
+
+
+def _cmd_spin(args) -> int:
+    p, n = args.p, args.n
+    s = _structure(p, n)
     if args.tau_sign == "plus":
         # same involution, but Frobenius from the +2p^n class; the lift must fail
         s = spinstruct.SpinStructure(
@@ -230,13 +235,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
-    p, n = args.p, args.n
-    if n % 2 == 1:
-        s = spinstruct.construct_arithmetic_spin(p, n, bound=search_bound())
-    else:
-        s = spinstruct.construct_arithmetic_spin_even(p, n, bound=search_bound())
-        if s is None:
-            raise NoSpinStructure(f"no arithmetic spin structure for p = {p}, n = {n}")
+    s = _structure(args.p, args.n)
     lift = spinstruct.spin_lift(spinstruct.similitude_rep(s))
     assert lift is not None  # tau = -p^n always lifts here
     data = spinstruct.realizations(lift, ell=args.ell)

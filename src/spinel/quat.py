@@ -223,11 +223,12 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset[Place]:
     """Places where B is division: finitely many, even in number.
 
     Only OO, 2 and the primes in the supports of a and b can ramify; at any
-    other odd prime both entries are units and the symbol is +1.
+    other odd prime both entries are units and the symbol is +1.  Each
+    symbol is read off the square-class integers num * den of a and b at a
+    place that `places` has already certified.
     """
-    return frozenset(
-        v for v in arith.places(B.a, B.b) if arith.hilbert_symbol(B.a, B.b, v) == -1
-    )
+    m, n = (c.numerator * c.denominator for c in (B.a, B.b))
+    return frozenset(v for v in arith.places(B.a, B.b) if arith.integer_symbol(m, n, v) == -1)
 
 
 @lru_cache(maxsize=MEMO_PRIMES)

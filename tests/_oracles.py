@@ -7,6 +7,8 @@ census oracle sweeps whole Weierstrass families with the per-curve
 count_points instead of the census scan, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
+the factor-each places oracle factors every integer whole instead of
+stripping the primes already found,
 the isotropy oracle is the Hasse-invariant formula evaluated through
 the public Hilbert symbol and a local-square test by listing squares instead
 of the per-place kernel, the Frobenius oracle is double and add to [p+1]P
@@ -28,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from spinel.arith import OO, hilbert_symbol
+from spinel.arith import OO, factorize, hilbert_symbol
 from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
 
@@ -216,6 +218,16 @@ def places_oracle(*values: Fraction) -> list:
             if n > 1:
                 primes.add(n)
     return ["oo", *sorted(primes)]
+
+
+def places_factor_each_oracle(*values: Fraction) -> list:
+    """The places as `arith.places` found them before it stripped known primes:
+    `factorize` on every numerator and denominator whole."""
+    primes = {2}
+    for x in values:
+        for n in (x.numerator, x.denominator):
+            primes.update(factorize(n)[1])
+    return [OO, *sorted(primes)]
 
 
 def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:

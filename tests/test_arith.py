@@ -12,10 +12,12 @@ from _oracles import (
     is_prime_oracle,
     isotropic_at_oracle,
     legendre_oracle,
+    places_factor_each_oracle,
     places_oracle,
     random_fraction,
     ternary_search,
 )
+from spinel import arith
 from spinel.arith import (
     MAX_POWER_BITS,
     OO,
@@ -31,6 +33,7 @@ from spinel.arith import (
     valuation,
 )
 from spinel.errors import BoundExceeded, NotPrime, ZeroInput
+from spinel.quat import QuaternionAlgebra, ramified_places
 
 
 def _obstructions(coeffs, t):
@@ -265,6 +268,95 @@ def test_places_errors():
         places(3, 0)
     with pytest.raises(BoundExceeded):
         places(Fraction(1, 2**61 - 1))
+
+
+def _signed(rng, n):
+    return rng.choice((-1, 1)) * rng.randint(1, n)
+
+
+def _prime_from(rng, lo, hi):
+    n = rng.randrange(lo, hi)
+    while not is_prime_oracle(n):
+        n += 1
+    return n
+
+
+#: local-symbols size classes of the prime P in a, b = +-u P / v
+_SIZE_CLASSES = ((100, 1000), (1000, 10**4), (5 * 10**4, 10**5))
+
+
+def _local_symbols_triple(rng, k):
+    """(a, b, m) shaped like local-symbols: a, b = +-u P / v with u, v <= 16.
+
+    One triple in three gives b a's prime in its denominator and a's
+    denominator in its numerator, so ab cancels; half the m are pure norms
+    -a w1^2, -b w2^2 or ab w3^2 with w in the search box, the rest fresh.
+    """
+    pa = _prime_from(rng, *_SIZE_CLASSES[k % 3])
+    a = Fraction(_signed(rng, 16) * pa, rng.randint(1, 16))
+    pb = _prime_from(rng, *rng.choice(_SIZE_CLASSES))
+    if k % 3 == 0:
+        b = Fraction(_signed(rng, 16) * pb * a.denominator, rng.randint(1, 16) * pa)
+    else:
+        b = Fraction(_signed(rng, 16) * pb, rng.randint(1, 16))
+    if k % 2:
+        w = Fraction(_signed(rng, 4), rng.randint(1, 4))
+        m = rng.choice((-a, -b, a * b)) * w * w
+    else:
+        m = Fraction(_signed(rng, 16) * _prime_from(rng, 1000, 10**4), rng.randint(1, 16))
+    return a, b, m
+
+
+def test_places_symbols_and_ternary_match_oracles_on_local_symbols_inputs():
+    rng = random.Random(89)
+    cancelled = represented = 0
+    for k in range(150):
+        a, b, m = _local_symbols_triple(rng, k)
+        ab = a * b
+        assert places(a, b) == places_oracle(a, b) == places_factor_each_oracle(a, b), (a, b)
+        symbols = {v for v in places_oracle(a, b) if hilbert_symbol(a, b, v) == -1}
+        assert ramified_places(QuaternionAlgebra(a, b)) == symbols, (a, b)
+        quad = (-m, -a, -b, ab)
+        assert places(*quad) == places_oracle(*quad) == places_factor_each_oracle(*quad), quad
+        got = ternary_represents((-a, -b, ab), m)
+        assert got == all(isotropic_at_oracle(quad, v) for v in places_oracle(*quad)), quad
+        ints = tuple(c.numerator * c.denominator for c in quad)
+        assert got == all(_quaternary_isotropic_at(ints, v) for v in places_factor_each_oracle(*quad))
+        cancelled += math.gcd(a.numerator, b.denominator) > 1 or math.gcd(b.numerator, a.denominator) > 1
+        represented += got
+    assert cancelled >= 40 and 0 < represented < 150
+
+
+def test_factor_bound_applies_to_each_integer_as_given():
+    # 3 * 2^48 strips to 1 after 3 and 2, and ab = 15 * 2^50 to 1 after a and b,
+    # but each integer is above the bound as given
+    with pytest.raises(BoundExceeded, match=f"{3 * 2**48}"):
+        places(3, 3 * 2**48)
+    a, b = Fraction(-3 * 2**25), Fraction(-5 * 2**25)
+    assert places(a, b) == [OO, 2, 3, 5]
+    with pytest.raises(BoundExceeded):
+        ternary_represents((-a, -b, a * b), 1)
+    with pytest.raises(BoundExceeded):
+        places(Fraction(7, 2**40), Fraction(7**2 * 2**45, 3))
+    assert places(2**48, Fraction(3, 2**48)) == [OO, 2, 3]
+
+
+def test_ternary_represents_factors_each_prime_once(monkeypatch):
+    # ab's primes all come from a and b, so its numerator and denominator
+    # are stripped to 1 and never factored whole
+    rng = random.Random(97)
+    handed = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: handed.append(n) or real(n))
+    for k in range(200):
+        a, b, m = _local_symbols_triple(rng, k)
+        handed.clear()
+        ternary_represents((-a, -b, a * b), m)
+        assert len(handed) <= 6, (a, b, m, handed)
+        found = {2}
+        for n in handed:
+            assert all(n % p for p in found), (a, b, m, n, found)
+            found.update(real(n)[1])
 
 
 def test_ternary_represents_iff_no_local_obstruction():

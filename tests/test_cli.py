@@ -132,6 +132,20 @@ def test_domain_errors_exit_1(capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "not-prime"
 
 
+def test_spin_and_crystal_report_one_missing_structure(capsys):
+    # p = 5 = 1 mod 4: B_{5,oo} has no pure quaternion of norm 1, so no even n has a structure
+    docs = []
+    for cmd in ("spin", "crystal"):
+        assert main([cmd, "--p", "5", "--n", "2", "--json"]) == 1
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0]) == {
+        "error": "no-spin-structure",
+        "detail": "no arithmetic spin structure for p = 5, n = 2: "
+        "B_{p,oo} has no pure quaternion of norm 1",
+    }
+
+
 def test_human_readable_error_goes_to_stderr(capsys):
     rc = main(["classify", "--p", "6", "--a", "1"])
     out = capsys.readouterr()

@@ -184,10 +184,11 @@ def test_find_pure_of_norm_fractional_target():
 
 
 def test_find_pure_of_norm_matches_fraction_shell_limits():
-    # the shell limits set the plan's length, so a seeded shuffle pins them too
+    # the shell limits set the plan's length, so a seeded shuffle pins them
+    # too; every box 1-9 is run definite and indefinite, on both routes
     rng = random.Random(43)
     outcomes = set()
-    for k in range(160):
+    for k in range(324):
         a = random_fraction(rng, 6, nonzero=True)
         b = random_fraction(rng, 6, nonzero=True)
         m = random_fraction(rng, 9, nonzero=True)
@@ -198,15 +199,22 @@ def test_find_pure_of_norm_matches_fraction_shell_limits():
         elif a < 0 and b < 0:
             a = -a
         B = QuaternionAlgebra(a, b)
-        bound = rng.randint(1, 9)
+        bound = 1 + k // 2 % 9
         got = find_pure_of_norm(B, m, bound)
         assert got == find_pure_of_norm_oracle(B, m, bound), (a, b, m, bound)
         seed = rng.randrange(2**32)
-        assert find_pure_of_norm(B, m, bound, random.Random(seed)) == find_pure_of_norm_oracle(
-            B, m, bound, random.Random(seed)
-        ), (a, b, m, bound, seed)
-        outcomes.add((definite, got is None))
-    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+        shuffled = find_pure_of_norm(B, m, bound, random.Random(seed))
+        assert shuffled == find_pure_of_norm_oracle(B, m, bound, random.Random(seed)), (
+            a, b, m, bound, seed
+        )
+        outcomes.add(("ordered", definite, got is None))
+        outcomes.add(("shuffled", definite, shuffled is None))
+    assert outcomes == {
+        (route, definite, miss)
+        for route in ("ordered", "shuffled")
+        for definite in (True, False)
+        for miss in (True, False)
+    }
 
 
 def test_find_pure_of_norm_large_bound_is_fast():
