@@ -40,15 +40,9 @@ def search_bound() -> int:
     return _env_int(SEARCH_BOUND_VAR, quat.DEFAULT_SEARCH_BOUND)
 
 
-def _rat(x) -> str:
-    """Rational as a stable string: 'num/den' or bare 'num'."""
-    f = Fraction(x)
-    return str(f)
-
-
 def _real(x) -> str:
     if isinstance(x, Fraction):
-        return _rat(x)
+        return str(x)
     import mpmath
 
     with mpmath.workdps(20):
@@ -93,7 +87,7 @@ def _cmd_hilbert(args) -> int:
     places = [args.place] if args.place is not None else arith.places(a, b)
     symbols = {str(v): arith.hilbert_symbol(a, b, v) for v in places}
     product = math.prod(symbols.values())
-    doc = {"a": _rat(a), "b": _rat(b), "symbols": symbols, "product": product}
+    doc = {"a": str(a), "b": str(b), "symbols": symbols, "product": product}
     lines = [f"({a},{b})_{v} = {s:+d}" for v, s in symbols.items()]
     if args.place is None:
         lines.append(f"product over listed places: {product:+d}")
@@ -152,8 +146,8 @@ def _cmd_spin(args) -> int:
     if lift is not None:
         data = spinstruct.realizations(lift)
         doc["lift"] = str(lift.z)
-        doc["eigen_abs_sq"] = _rat(data.eigen_abs_sq)
-        doc["slope"] = _rat(data.normalized_slope)
+        doc["eigen_abs_sq"] = str(data.eigen_abs_sq)
+        doc["slope"] = str(data.normalized_slope)
         lines += [
             f"lift: z = {lift.z}, eigenvalues +-z",
             f"|eigenvalue|^2 = {data.eigen_abs_sq}, slope = {data.normalized_slope}",
@@ -183,7 +177,7 @@ def _cmd_lfunc(args) -> int:
     if args.s is not None:
         vals = lfunc.l_values(p, n, args.s)
         doc["numeric"] = {
-            "s": _rat(vals.s),
+            "s": str(vals.s),
             "l_curve": _real(vals.l_curve),
             "l_spin": _real(vals.l_spin),
             "l_spin_half": _real(vals.l_spin_half),
@@ -241,13 +235,13 @@ def _cmd_crystal(args) -> int:
     data = spinstruct.realizations(lift, ell=args.ell)
     doc = {
         "ell": data.ell,
-        "eigen_abs_sq": _rat(data.eigen_abs_sq),
-        "weight": _rat(data.weight),
+        "eigen_abs_sq": str(data.eigen_abs_sq),
+        "weight": str(data.weight),
         "frobenius": data.crystal_frobenius,
         "phi": data.phi_description,
         "v_p_phi_sq": data.v_p_phi_squared,
         "v_p_q": data.v_p_q,
-        "slope": _rat(data.normalized_slope),
+        "slope": str(data.normalized_slope),
     }
     human = (
         f"ell-adic (ell = {data.ell}): eigenvalues +-{lift.z}, "
@@ -388,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("crystal", help="weight-1/2 realization data")
     sp.add_argument("--p", type=_positive_int, required=True)
     sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--ell", type=_positive_int, help="ell-adic label, must differ from p")
+    sp.add_argument("--ell", type=_positive_int, help="ell-adic label, a prime other than p")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_crystal)
 

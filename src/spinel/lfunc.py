@@ -14,7 +14,8 @@ and the half-substitution gives the exact identity
 
     L(E, s) = L(rho_spin, s/2)^2.
 
-Everything here is exact rational-function arithmetic in Z[T]; numeric
+Everything here is exact rational-function arithmetic over Z[T], with
+equality in Q(T) by cross-multiplication and no reduction; numeric
 L-values are a secondary check done in high-precision floating point,
 NUMERIC_DPS digits from q^e to the last square, with mpmath imported only
 when an exponent makes q^e irrational.
@@ -25,7 +26,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import TYPE_CHECKING, Union
 
 from . import spinstruct
@@ -60,39 +60,6 @@ def poly_eval(f: IntPoly, t: Fraction) -> Fraction:
     return out
 
 
-def _content(f: IntPoly) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _primitive(f: IntPoly) -> IntPoly:
-    c = _content(f)
-    return tuple(x // c for x in f)
-
-
-def _prem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Pseudo-remainder of f by g in Z[T]: scale by g's lead, never divide."""
-    a, lead = list(f), g[-1]
-    while len(a) >= len(g):
-        top, shift = a.pop(), len(a) - len(g) + 1
-        if top:
-            a = [x * lead for x in a]
-            for i, c in enumerate(g[:-1]):
-                a[shift + i] -= top * c
-    return _trim(tuple(a)) if a else (0,)
-
-
-def _poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[T] with positive lead, by the primitive remainder
-    sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
-    a, b = _primitive(f), _primitive(g)
-    while any(b):
-        a, b = b, _primitive(_prem(a, b))
-    return a if a[-1] > 0 else tuple(-c for c in a)
-
-
 def poly_str(f: IntPoly, var: str = "T") -> str:
     if all(c == 0 for c in f):
         return "0"
@@ -112,39 +79,29 @@ def poly_str(f: IntPoly, var: str = "T") -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalFunction:
-    """num/den in lowest terms over Z[T].
+    """num/den over Z[T], kept as built: construction only trims zero
+    leading coefficients and refuses a zero denominator.
 
-    Normalization: gcd(num, den) = 1, both primitive up to a single rational
-    unit carried on the numerator content, and den has positive leading
-    coefficient.  Construction from any integer-coefficient pair reduces to
-    this form, so equality is plain field equality in Q(T).
+    Equality is field equality in Q(T), by cross-multiplication, so one
+    function has many equal presentations; the class has no hash.  Every
+    function the package builds is already in lowest terms.
     """
 
     num: IntPoly
     den: IntPoly
 
     def __post_init__(self):
-        num, den = _trim(tuple(self.num)), _trim(tuple(self.den))
-        if all(c == 0 for c in den):
+        object.__setattr__(self, "num", _trim(tuple(self.num)))
+        object.__setattr__(self, "den", _trim(tuple(self.den)))
+        if not any(self.den):
             raise ZeroInput("zero denominator")
-        if all(c == 0 for c in num):
-            object.__setattr__(self, "num", (0,))
-            object.__setattr__(self, "den", (1,))
-            return
-        g = _poly_gcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
-        c = gcd(_content(num), _content(den))
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
-        if den[-1] < 0:
-            num = tuple(-x for x in num)
-            den = tuple(-x for x in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
@@ -168,21 +125,6 @@ class RationalFunction:
         if len(self.num) > 1:
             ns = f"({ns})"
         return f"{ns}/({ds})"
-
-
-def _poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """f / g for a primitive g that divides f over Q; the quotient is in Z[T]
-    by Gauss's lemma, so every step divides exactly by g's lead."""
-    a = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coef, r = divmod(a[k + len(g) - 1], g[-1])
-        assert r == 0, "inexact polynomial division"
-        out[k] = coef
-        for i, c in enumerate(g):
-            a[k + i] -= coef * c
-    assert not any(a), "inexact polynomial division"
-    return _trim(tuple(out))
 
 
 def _check_pn(p: int, n: int) -> None:
@@ -229,7 +171,6 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     In U = q^-s: L(E, s) = 1/Z-numerator = 1/(1 + p^n U)^2 from zeta_h1,
     while L(rho_spin, s/2) = 1/(1 + q^(1/2) q^-s) = 1/(1 + p^n U), squared.
     """
-    _check_pn(p, n)
     lhs = zeta_h1(p, n).reciprocal()
     half = RationalFunction((1,), (1, p**n))
     rhs = half * half

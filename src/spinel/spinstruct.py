@@ -29,8 +29,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import quat
-from .arith import check_power, ternary_represents, valuation
-from .errors import NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
+from .arith import check_power, is_prime, ternary_represents, valuation
+from .errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from .isogeny import IsogenyClass, frobenius_scalar, isogeny_class
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
@@ -93,7 +93,7 @@ class RealizationData:
     """The realization package for a spin lift.
 
     ell-adic: eigenvalues +-z with |z|^2 = |tau| = p^n = q^(1/2), i.e. pure
-    of weight 1/2.  ell is only a label and must differ from p.
+    of weight 1/2.  ell is only a label: a prime other than p.
     crystalline: the Frobenius of the rank-2 crystal is -p^n * (Frobenius of
     the base), and the spin Frobenius is multiplication by x; its square has
     p-valuation n, so the normalized slope is n/(2*2n) = 1/4 exactly.
@@ -258,6 +258,8 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     p, n = s.curve_class.p, s.curve_class.a // 2
     if ell is None:
         ell = 2 if p != 2 else 3
+    if not is_prime(ell):
+        raise NotPrime(f"ell = {ell} is not prime")
     if ell == p:
         raise PrecheckFailed(
             f"ell = {ell} equals p = {p}: the ell-adic label must differ from p"

@@ -423,11 +423,11 @@ def point_add_oracle(E, P, Q):
 
 
 def poly_gcd_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Euclid over Q, then primitive integer scaling: the lfunc._poly_gcd
-    that the primitive remainder sequence in Z[T] replaced, except that each
-    remainder drops its zero leading coefficients.  The replaced code kept
-    them and divided by the zero lead on the next step, so it raised
-    ZeroDivisionError on inputs such as (-1 + T + T^2, -2 - 2T - 2T^2)."""
+    """Primitive gcd in Z[T] with positive lead, by Euclid over Q and then
+    integer scaling; each remainder drops its zero leading coefficients, so
+    inputs such as (-1 + T + T^2, -2 - 2T - 2T^2) do not divide by a zero
+    lead.  Part of the reference for equality in Q(T): see
+    rational_function_oracle."""
     a = [Fraction(c) for c in f]
     b = [Fraction(c) for c in g]
     while any(c != 0 for c in b):
@@ -458,8 +458,7 @@ def poly_gcd_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _poly_divexact_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """f // g over Q, scaled to Z: the lfunc._poly_divexact that exact
-    division in Z[T] replaced."""
+    """f // g over Q, scaled to Z, for a g that divides f."""
     a = [Fraction(c) for c in f]
     out = [Fraction(0)] * (len(f) - len(g) + 1)
     for k in range(len(out) - 1, -1, -1):
@@ -489,8 +488,11 @@ def _content_oracle(f: tuple[int, ...]) -> int:
 
 
 def rational_function_oracle(num: tuple[int, ...], den: tuple[int, ...]):
-    """(num, den) in RationalFunction's normal form, reduced through the
-    Fraction Euclid and Fraction division above; den must be nonzero."""
+    """(num, den) in lowest terms, reduced through the Fraction Euclid and
+    Fraction division above: gcd 1, both primitive up to a sign, den with
+    positive lead, and zero as 0/1; den must be nonzero.  Two integer pairs
+    are equal in Q(T) exactly when their images here agree, which makes this
+    the reference for lfunc.RationalFunction equality."""
     num, den = _trim_oracle(num), _trim_oracle(den)
     if not any(num):
         return (0,), (1,)

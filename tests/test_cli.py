@@ -128,6 +128,9 @@ def test_domain_errors_exit_1(capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "zero-input"
     assert main(["crystal", "--p", "3", "--n", "1", "--ell", "3", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "precheck-failed"
+    for ell in ("1", "4"):
+        assert main(["crystal", "--p", "3", "--n", "1", "--ell", ell, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "not-prime"
     assert main(["classify", "--p", "6", "--a", "1", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "not-prime"
 

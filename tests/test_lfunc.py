@@ -11,10 +11,9 @@ import pytest
 import spinel
 
 from _oracles import poly_gcd_oracle, rational_function_oracle
-from spinel.errors import NotPrime
+from spinel.errors import NotPrime, ZeroInput
 from spinel.lfunc import (
     RationalFunction,
-    _poly_gcd,
     factor_over_gaussians,
     l_values,
     poly_eval,
@@ -39,9 +38,14 @@ def test_poly_helpers():
 
 def test_rational_function_reduction():
     f = RationalFunction((2, 4), (2,))
-    assert f.num == (1, 2) and f.den == (1,)
+    assert f == RationalFunction((1, 2), (1,))
     g = RationalFunction(poly_mul((1, 1), (1, 1)), (1, 1))
-    assert g.num == (1, 1) and g.den == (1,)
+    assert g == RationalFunction((1, 1), (1,))
+    # construction trims zero leading coefficients and nothing else
+    trimmed = RationalFunction((1, 2, 0), (1, 0))
+    assert (trimmed.num, trimmed.den) == ((1, 2), (1,)) and str(trimmed) == "1+2T"
+    with pytest.raises(ZeroInput):
+        RationalFunction((1,), (0, 0))
     h = RationalFunction((1,), (1, 0, 3))
     assert h.evaluate(Fraction(1, 3)) == Fraction(3, 4)
     assert str(h) == "1/(1+3T^2)"
@@ -53,7 +57,12 @@ def test_rational_function_equality_across_presentations():
     b = RationalFunction(poly_mul((1, 1), (2, 2)), poly_mul((1, -1), (2, 2)))
     assert a == b
     c = RationalFunction((-1, -1), (-1, 1))
-    assert a == c  # sign normalized into the numerator
+    assert a == c  # a sign on both parts
+    assert a != RationalFunction((1, 1), (-1, 1))
+    assert a != RationalFunction((1, 1), (1, 1))
+    assert a != "(1+T)/(1-T)"
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_zeta_spin_shape():
@@ -84,7 +93,7 @@ def test_identity_squares_exactly():
             proof = verify_identity_exact(p, n)
             assert proof.holds, (p, n)
             lhs = proof.lhs
-            # lhs must equal (1/(1+p^n T))^2 as a reduced rational function
+            # lhs must equal (1/(1+p^n T))^2 in Q(T)
             expected = RationalFunction((1,), poly_mul((1, p**n), (1, p**n)))
             assert lhs == expected
             assert proof.rhs == expected
@@ -215,24 +224,45 @@ def _random_poly(rng, size):
     return (*(rng.randint(-size, size) for _ in range(rng.randint(0, 3))), lead)
 
 
-def test_normal_form_matches_fraction_euclid():
-    # num = c1 f h and den = c2 g h with a planted common factor h, integer
-    # contents c1, c2 and leads of either sign, reduced in Z[T] and by the
-    # Fraction Euclid and division that the Z[T] routines replaced
+def test_equality_matches_fraction_euclid():
+    # A = a1 f h1 / a1 g h1 against B = b1 f' h2 / b1 g' h2, with planted
+    # common factors h1, h2, integer contents a1, b1 (zero included) and
+    # leads of either sign; f'/g' is f/g about half the time.  The two are
+    # equal exactly when the Fraction Euclid reduces them to the same pair.
     rng = random.Random(20)
-    nontrivial = negative_den = 0
-    for k in range(600):
+    equal = unequal = planted = negative_den = 0
+    for k in range(2000):
         size = 10**4 if k % 5 == 0 else 6
-        h = _random_poly(rng, size)
-        c1, c2 = rng.randint(-12, 12), rng.choice([-1, 1]) * rng.randint(1, 12)
-        num = poly_mul((c1,), poly_mul(_random_poly(rng, size), h))
-        den = poly_mul((c2,), poly_mul(_random_poly(rng, size), h))
-        assert _poly_gcd(num, den) == poly_gcd_oracle(num, den), (num, den)
-        R = RationalFunction(num, den)
-        assert (R.num, R.den) == rational_function_oracle(num, den), (num, den)
-        nontrivial += len(_poly_gcd(num, den)) > 1
-        negative_den += den[-1] < 0
-    assert nontrivial > 300 and negative_den > 200
-    # the replaced Fraction Euclid raised ZeroDivisionError here
+        f, g = _random_poly(rng, size), _random_poly(rng, size)
+        same = rng.random() < 0.5
+        f2 = f if same else _random_poly(rng, size)
+        g2 = g if same or rng.random() < 0.5 else _random_poly(rng, size)
+        h1, h2 = _random_poly(rng, size), _random_poly(rng, size)
+        a1 = rng.randint(-12, 12)
+        b1 = a1 if a1 == 0 else rng.choice([-1, 1]) * rng.randint(1, 12)
+        A = (poly_mul((a1,), poly_mul(f, h1)), poly_mul((a1 or 1,), poly_mul(g, h1)))
+        B = (poly_mul((b1,), poly_mul(f2, h2)), poly_mul((b1 or 1,), poly_mul(g2, h2)))
+        expected = rational_function_oracle(*A) == rational_function_oracle(*B)
+        assert (RationalFunction(*A) == RationalFunction(*B)) == expected, (A, B)
+        assert (RationalFunction(*B) == RationalFunction(*A)) == expected, (A, B)
+        equal += expected
+        unequal += not expected
+        planted += len(poly_gcd_oracle(*A)) > 1
+        negative_den += A[1][-1] < 0
+    assert equal > 800 and unequal > 800 and planted > 1000 and negative_den > 600
+    # the first remainder of this pair, (-2, 0, 0), has zero leading terms
     R = RationalFunction((-1, 1, 1), (-2, -2, -2))
-    assert (R.num, R.den) == ((1, -1, -1), (2, 2, 2))
+    assert R == RationalFunction((1, -1, -1), (2, 2, 2))
+    assert R != RationalFunction((1, -1, -1), (-2, -2, -2))
+
+
+def test_built_functions_are_in_lowest_terms():
+    # nothing reduces at construction or in __str__, so every function the
+    # package builds must already be the oracle's normal form
+    for p in PRIMES_TO_50:
+        for n in range(1, 6):
+            proof = verify_identity_exact(p, n)
+            for R in (zeta_spin(p, n), zeta_h1(p, n), proof.lhs, proof.rhs):
+                assert (R.num, R.den) == rational_function_oracle(R.num, R.den), (p, n)
+            assert str(zeta_spin(p, n)) == f"1/(1+{p**n}T^2)"
+            assert str(zeta_h1(p, n)) == f"1+{2 * p**n}T+{p**(2 * n)}T^2"

@@ -227,6 +227,9 @@ def test_realizations_ell_label():
     assert realizations(lift, ell=5).ell == 5
     with pytest.raises(PrecheckFailed, match="ell = 3 equals p = 3"):
         realizations(lift, ell=3)
+    for ell in (1, 4, 9, 15):
+        with pytest.raises(NotPrime, match=f"ell = {ell} is not prime"):
+            realizations(lift, ell=ell)
     s2 = construct_arithmetic_spin(2, 1)
     lift2 = spin_lift(similitude_rep(s2))
     assert realizations(lift2).ell == 3
