@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
 from .errors import NoSpinStructure, SpinelError
+from .fields import MAX_FIELD_ORDER
 
 SEARCH_BOUND_VAR = "SPINEL_SEARCH_BOUND"
 
@@ -216,8 +217,9 @@ def _cmd_curves(args) -> int:
         }
         _emit(doc, args.json, f"{E}: {n} points, trace {trace}")
         return 0
-    F = curves.FiniteField(p, a)
-    traces = sorted(curves.trace_census(F))
+    if args.q <= MAX_FIELD_ORDER:  # a larger q is refused by the field limit first
+        curves.census_size(p, args.q)
+    traces = sorted(curves.trace_census(curves.FiniteField(p, a)))
     expected = sorted(c.beta for c in isogeny.enumerate_classes(p, a))
     doc = {"q": args.q, "traces": traces, "match": traces == expected}
     human = (

@@ -186,11 +186,20 @@ def _census_rows(F: FiniteField) -> list[tuple]:
     ]
 
 
-def _census_size(F: FiniteField) -> int:
-    """Point evaluations of the census scan: rows x constants x q."""
-    q = F.q
-    rows = q * q - 1 if F.p == 2 else 2 * (q - 1) if F.p == 3 else 1 + gcd(4, q - 1)
-    return rows * q * q
+def census_size(p: int, q: int) -> int:
+    """Point evaluations of the census scan over F_q, q a power of p: rows x
+    constants x q.  Raises FieldTooLarge above MAX_CENSUS_EVALUATIONS.
+
+    It reads only p and q, so a census is refused before F_q is built.
+    """
+    rows = q * q - 1 if p == 2 else 2 * (q - 1) if p == 3 else 1 + gcd(4, q - 1)
+    size = rows * q * q
+    if size > MAX_CENSUS_EVALUATIONS:
+        raise FieldTooLarge(
+            f"trace census over F_{q}: the normal-form scan needs {size} point "
+            f"evaluations, over the census limit {MAX_CENSUS_EVALUATIONS}"
+        )
+    return size
 
 
 def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int], int]]:
@@ -224,12 +233,7 @@ def trace_census(F: FiniteField) -> set[int]:
     before any scanning if the scan needs more than MAX_CENSUS_EVALUATIONS
     point evaluations.
     """
-    size = _census_size(F)
-    if size > MAX_CENSUS_EVALUATIONS:
-        raise FieldTooLarge(
-            f"trace census over F_{F.q}: the normal-form scan needs {size} point "
-            f"evaluations, over the census limit {MAX_CENSUS_EVALUATIONS}"
-        )
+    census_size(F.p, F.q)
     return {trace for _, trace in _census_scan(F)}
 
 

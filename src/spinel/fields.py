@@ -10,13 +10,22 @@ at construction by walking the powers of that element: u -> u g mod p for a
 prime field, and for a > 1 lookups in the multiplication table of g, which is
 built over all q elements from linearity on bytes columns of output digits.
 The same table walk decides whether a candidate g is primitive.
+
+A prime field is built on every call, in one doubling walk.  An extension
+field (a > 1) is built once per process: FiniteField(p, a) returns the
+instance already built for (p, a) while it is kept, and the kept fields'
+orders sum to at most MAX_FIELD_ORDER, the least recently used dropped
+first.  The argument checks run on every call before the lookup, so an
+error is raised each time and never kept.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from functools import cached_property
 from itertools import product
+from operator import index
 from typing import Iterator
 
 from .arith import factorize, is_prime
@@ -81,18 +90,17 @@ def _prime_field_powers(p: int) -> list[int]:
     return powers
 
 
-class FiniteField:
-    """F_{p^a} with int-encoded elements and exact log-table arithmetic.
+#: the extension fields built so far by (p, a), least recently used first;
+#: their orders sum to at most MAX_FIELD_ORDER
+_EXTENSIONS: OrderedDict[tuple[int, int], FiniteField] = OrderedDict()
 
-    A primitive element g is fixed at construction.  exp[k] = g^k and
-    log[g^k] = k turn products, inverses and powers into index arithmetic,
-    and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
-    g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
-    Zero gets the log 2(q - 1), which points into a run of zeros at the end
-    of exp, so a product or sum that is zero needs no branch.
-    """
 
-    def __init__(self, p: int, a: int = 1):
+class _OneExtensionEach(type):
+    """Checks (p, a) on every call, then builds a prime field afresh and an
+    extension field only when _EXTENSIONS does not hold it."""
+
+    def __call__(cls, p: int, a: int = 1) -> FiniteField:
+        p, a = index(p), index(a)  # a float is refused, not matched to an int key
         if a < 1:
             raise ValueError("a must be positive")
         # p^a >= 2^a, so a long exponent is over the limit without computing p^a
@@ -104,6 +112,33 @@ class FiniteField:
             )
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if a == 1:
+            return super().__call__(p, a)
+        F = _EXTENSIONS.get((p, a))
+        if F is None:
+            F = _EXTENSIONS[p, a] = super().__call__(p, a)
+            while sum(G.q for G in _EXTENSIONS.values()) > MAX_FIELD_ORDER:
+                _EXTENSIONS.popitem(last=False)
+        else:
+            _EXTENSIONS.move_to_end((p, a))
+        return F
+
+
+class FiniteField(metaclass=_OneExtensionEach):
+    """F_{p^a} with int-encoded elements and exact log-table arithmetic.
+
+    A primitive element g is fixed at construction.  exp[k] = g^k and
+    log[g^k] = k turn products, inverses and powers into index arithmetic,
+    and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
+    g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
+    Zero gets the log 2(q - 1), which points into a run of zeros at the end
+    of exp, so a product or sum that is zero needs no branch.  An extension
+    field is one instance shared by every caller (see the module docstring),
+    so nothing may change its tables.
+    """
+
+    def __init__(self, p: int, a: int = 1):
+        # the metaclass has checked p and a
         self.p = p
         self.a = a
         self.q = q = p**a

@@ -221,6 +221,23 @@ def test_census_over_scan_limit_fails_fast(q, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "q,size",
+    [("64", 16773120), ("9973", 497303645), ("15625", 1220703125), ("16384", 72057593769492480)],
+)
+def test_census_refused_before_the_field_is_built(q, size, capsys, monkeypatch):
+    def no_field(p, a):
+        raise AssertionError(f"F_{q} built for a census the limit refuses")
+
+    monkeypatch.setattr(curves, "FiniteField", no_field)
+    assert main(["curves", "--q", q, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": f"trace census over F_{q}: the normal-form scan needs {size} point "
+        "evaluations, over the census limit 10000000",
+        "error": "field-too-large",
+    }
+
+
 def test_hilbert_zero_input_detail(capsys):
     assert main(["hilbert", "--a", "0", "--b", "2", "--json"]) == 1
     out = capsys.readouterr().out

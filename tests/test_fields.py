@@ -1,8 +1,9 @@
-"""Field arithmetic against the schoolbook oracle, and the helpers read off logs."""
+"""Field arithmetic against the schoolbook oracle, the helpers read off logs, and the field memo."""
 
 import math
 import random
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -14,6 +15,7 @@ from _oracles import (
     matrix_walk_powers,
     naive_point_count,
 )
+from spinel import fields
 from spinel.curves import (
     FiniteField,
     WeierstrassCurve,
@@ -22,7 +24,7 @@ from spinel.curves import (
     curve_points,
     find_q14_curve,
 )
-from spinel.errors import FieldTooLarge
+from spinel.errors import FieldTooLarge, NotPrime
 from spinel.fields import MAX_FIELD_ORDER
 
 
@@ -172,16 +174,79 @@ def _seeded_primes(count, limit, seed):
 _DEGREE_TWO_G = {(3, 4), (2, 8), (2, 9), (5, 4), (2, 12), (2, 14)}
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty extension-field memo for the test; the module's own is restored after."""
+    monkeypatch.setattr(fields, "_EXTENSIONS", OrderedDict())
+    return fields._EXTENSIONS
+
+
+def _tables(F):
+    tables = (F.modulus, F._exp, F._log, F._zech)
+    return tables + (F.artin_schreier_counts,) if F.p == 2 else tables
+
+
 @pytest.mark.parametrize(
     "p,a",
     _extension_fields(MAX_FIELD_ORDER) + [(p, 1) for p in _seeded_primes(24, MAX_FIELD_ORDER, 29)],
     ids=lambda x: str(x),
 )
-def test_exp_table_matches_matrix_walk(p, a):
-    # differential check of the walks that build exp against the digit-matrix walk
+def test_exp_table_matches_matrix_walk(p, a, memo, monkeypatch):
+    # differential check of the walks that build exp against the digit-matrix
+    # walk, and of a memo hit against a fresh build of the same field
     F = FiniteField(p, a)
-    assert F._exp[: F.q - 1] == matrix_walk_powers(p, a, F.modulus)
+    walk = matrix_walk_powers(p, a, F.modulus)
+    assert F._exp[: F.q - 1] == walk
     assert (F._exp[1] >= p * p) == ((p, a) in _DEGREE_TWO_G)
+    _tables(F)  # the cached property is computed on the first instance
+    hit = FiniteField(p, a)
+    assert (hit is F) == (a > 1)  # prime fields are built on every call
+    monkeypatch.setattr(fields, "_EXTENSIONS", OrderedDict())
+    fresh = FiniteField(p, a)
+    assert fresh is not hit
+    assert _tables(hit) == _tables(fresh)
+    assert hit._exp[: F.q - 1] == fresh._exp[: F.q - 1] == walk
+
+
+def test_memo_keeps_no_errors_and_no_aliases(memo):
+    F = FiniteField(2, 2)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            FiniteField(2, 2.0)  # equal to (2, 2) as a dict key
+        with pytest.raises(TypeError):
+            FiniteField(2.0, 2)
+        with pytest.raises(NotPrime):
+            FiniteField(4, 2)
+        with pytest.raises(FieldTooLarge):
+            FiniteField(2, 15)
+        with pytest.raises(ValueError):
+            FiniteField(2, 0)
+        assert list(memo.items()) == [((2, 2), F)]
+    assert FiniteField(2, 2) is F
+
+
+def test_memo_bound_drops_least_recently_used_first(memo):
+    # 2^13 + 3^8 = 14753 fit; touching 2^13 leaves 3^8 least recently used,
+    # so 5^5 (sum 17878 > 2^14) drops 3^8 and keeps 2^13
+    F = FiniteField(2, 13)
+    FiniteField(3, 8)
+    assert FiniteField(2, 13) is F
+    FiniteField(5, 5)
+    assert list(memo) == [(2, 13), (5, 5)]
+    # a seeded sequence against a model of the same rule
+    pool = [(p, a) for p, a in _extension_fields(MAX_FIELD_ORDER) if p**a <= 2**12]
+    rng = random.Random(14)
+    model = list(memo)
+    for _ in range(300):
+        key = rng.choice(pool)
+        F = FiniteField(*key)
+        model = [k for k in model if k != key] + [key]
+        while sum(p**a for p, a in model) > MAX_FIELD_ORDER:
+            model.pop(0)
+        assert list(memo) == model and memo[key] is F
+        assert sum(G.q for G in memo.values()) <= MAX_FIELD_ORDER
+    FiniteField(2, 14)
+    assert list(memo) == [(2, 14)]
 
 
 @pytest.mark.parametrize("p,a", [(257, 1), (19, 2)])
