@@ -66,6 +66,8 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
     """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order."""
+    if a == 1:
+        return (0,)  # x: every monic linear polynomial is irreducible
     for tail in product(range(p), repeat=a):
         m = tail + (1,)
         if _is_irreducible(m, p):

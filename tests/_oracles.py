@@ -16,7 +16,8 @@ for every point on the method-call group law instead of one table walk per
 cyclic subgroup, the Z[T]
 oracles are Euclid and division over Fraction, and the pure-norm search
 oracle computes its shell limits as Fraction products.  They are slow and
-only run at desk scale.
+only run at desk scale.  frobenius_additions is no oracle but a meter: it
+counts the group-law additions of one Frobenius check.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from spinel import curves
 from spinel.arith import OO, factorize, hilbert_symbol
 from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
@@ -392,6 +394,27 @@ def frobenius_ladder_oracle(E, m: int | None = None) -> bool:
     if m is None:
         m = E.field.p + 1
     return all(multiple_oracle(E, m, P) is None for P in curve_points(E))
+
+
+def frobenius_additions(E) -> tuple[bool, int]:
+    """verify_frobenius_scalar(E) and the number of group-law additions it
+    made, counted by wrapping curves._group_law for the one call."""
+    group_law, made = curves._group_law, [0]
+
+    def counting(E):
+        add = group_law(E)
+
+        def counted(P, Q):
+            made[0] += 1
+            return add(P, Q)
+
+        return counted
+
+    curves._group_law = counting
+    try:
+        return curves.verify_frobenius_scalar(E), made[0]
+    finally:
+        curves._group_law = group_law
 
 
 def point_add_oracle(E, P, Q):

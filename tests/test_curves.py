@@ -4,6 +4,7 @@ import pytest
 
 from _oracles import (
     census_pairs_oracle,
+    frobenius_additions,
     frobenius_ladder_oracle,
     j_invariant,
     naive_point_count,
@@ -43,6 +44,7 @@ def test_field_moduli_are_deterministic():
     assert FiniteField(2, 3).modulus == (1, 0, 1)  # x^3 + x^2 + 1
     assert FiniteField(3, 3).modulus == (1, 0, 2)  # x^3 + 2x^2 + 1
     assert FiniteField(5, 1).modulus == (0,)  # prime field reduces by x
+    assert FiniteField(2053, 1).modulus == (0,)
     with pytest.raises(NotPrime):
         FiniteField(6, 1)
 
@@ -215,10 +217,20 @@ def test_frobenius_walk_matches_ladder(p):
     # walk's False branch with exponents that miss some order: p is prime to
     # every order above 1, and (p+1)/2 misses the points of order p + 1
     E = find_q14_curve(p)
+    points = curve_points(E)
     assert verify_frobenius_scalar(E) is frobenius_ladder_oracle(E) is True
     for m in (p, (p + 1) // 2, 2 * (p + 1), 1):
-        assert _exponent_divides(E, m) is frobenius_ladder_oracle(E, m), m
-    assert _exponent_divides(E, p) is _exponent_divides(E, (p + 1) // 2) is False
+        assert _exponent_divides(E, points, m) is frobenius_ladder_oracle(E, m), m
+    assert _exponent_divides(E, points, p) is _exponent_divides(E, points, (p + 1) // 2) is False
+
+
+def test_frobenius_check_cost():
+    # two walked subgroups that span E(F_{p^2}) end the check; walking every
+    # cyclic subgroup took 675 additions at p = 17 and 26,559 at p = 127
+    for p in _primes(5, 127):
+        holds, additions = frobenius_additions(find_q14_curve(p))
+        assert holds is True
+        assert additions <= 12 * (p + 1), (p, additions)
 
 
 def test_frobenius_walk_matches_ladder_on_other_curves():
@@ -243,10 +255,10 @@ def test_frobenius_walk_matches_ladder_on_other_curves():
             E = WeierstrassCurve(F, 0, 0, 0, a4, a6)
         except ValueError:
             continue
-        p, n = F.p, count_points(E)
+        p, n, points = F.p, count_points(E), curve_points(E)
         exponents = [n, p + 1, p, 2, 1] + [n // r for r in _primes(2, n) if n % r == 0]
         for m in exponents:
-            got = _exponent_divides(E, m)
+            got = _exponent_divides(E, points, m)
             assert got is frobenius_ladder_oracle(E, m), (E, m)
             outcomes.add(got)
     assert outcomes == {True, False}
