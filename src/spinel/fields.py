@@ -25,8 +25,7 @@ import sys
 from collections import OrderedDict
 from functools import cached_property
 from itertools import product
-from operator import index
-from typing import Iterator
+from operator import index, mul
 
 from .arith import factorize, is_prime
 from .errors import FieldTooLarge, NotPrime
@@ -35,42 +34,67 @@ from .errors import FieldTooLarge, NotPrime
 MAX_FIELD_ORDER = 2**14
 
 
-def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """Does monic d divide monic f in F_p[x]?  Coefficients ascending."""
-    rem = list(f)
-    while len(rem) >= len(d):
-        c = rem[-1] % p
-        if c:
-            shift = len(rem) - len(d)
-            for i, dc in enumerate(d):
-                rem[shift + i] = (rem[shift + i] - c * dc) % p
-        rem.pop()
-    return all(c % p == 0 for c in rem)
-
-
-def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
-    for coeffs in product(range(p), repeat=deg):
-        yield coeffs + (1,)
+def _coprime(f: list[int], g: list[int], p: int) -> bool:
+    """Whether f and g in F_p[x] (coefficients ascending, no leading zeros) share no factor."""
+    while g:
+        f, g = g, list(f)
+        inv = pow(f[-1], -1, p)
+        while len(g) >= len(f):  # g mod f, one leading coefficient at a time
+            c = g.pop() * inv % p
+            shift = len(g) - len(f) + 1
+            for i, fc in enumerate(f[:-1]):
+                g[shift + i] = (g[shift + i] - c * fc) % p
+        while g and g[-1] == 0:
+            g.pop()
+    return len(f) == 1
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    deg = len(m) - 1
-    if m[0] == 0:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if _poly_divides(cand, m, p):
+    """Rabin's test for a monic m of degree a > 1 with m(0) != 0, coefficients ascending.
+
+    m is irreducible iff x^(p^a) = x mod m and x^(p^(a/r)) - x is prime to m
+    for every prime r | a (Rabin, "Probabilistic algorithms in finite
+    fields", SIAM J. Comput. 1980).  h -> h^p is F_p-linear mod m, so each
+    power is one sum of the rows x^(pj) mod m, held as ints in slots wide
+    enough that no slot carries.
+    """
+    a = len(m) - 1
+    # slot j of an int holds the coefficient of x^j; the rows are left
+    # unreduced (each below a p^3), so a slot stays below a^2 p^4
+    width = (a * a * p**4).bit_length()
+    neg_m = sum((-c % p) << (width * i) for i, c in enumerate(m[:-1]))
+    low, mask = (1 << (width * a)) - 1, (1 << width) - 1
+    rows, h = [], 1
+    for k in range(p * (a - 1) + 1):
+        if k % p == 0:
+            rows.append(h)
+        h <<= width
+        h = (h & low) + (h >> (width * a)) % p * neg_m
+    x = [0, 1] + [0] * (a - 2)
+    checks = {a // r for r in factorize(a)[1]}
+    h = x
+    for i in range(1, a + 1):
+        total = sum(map(mul, h, rows))
+        h = [(total >> (width * j) & mask) % p for j in range(a)]
+        if i in checks:
+            diff = h[:1] + [(h[1] - 1) % p] + h[2:]
+            while diff and diff[-1] == 0:
+                diff.pop()
+            if not _coprime(list(m), diff, p):
                 return False
-    return True
+    return h == x
 
 
 def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
-    """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order."""
+    """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order.
+
+    For a > 1 every candidate with c0 = 0 is divisible by x, so the scan
+    starts at c0 = 1.
+    """
     if a == 1:
         return (0,)  # x: every monic linear polynomial is irreducible
-    for tail in product(range(p), repeat=a):
-        m = tail + (1,)
-        if _is_irreducible(m, p):
+    for tail in product(range(1, p), *[range(p)] * (a - 1)):
+        if _is_irreducible(tail + (1,), p):
             return tail
     raise AssertionError("irreducible polynomials of every degree exist")
 

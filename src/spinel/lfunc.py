@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from . import spinstruct
-from .arith import Rat, check_power, is_prime
+from .arith import Rat, _as_fraction, check_power, is_prime
 from .errors import NotPrime, ZeroInput
 
 #: working precision for numeric L-values; well beyond the 1e-12 tolerance
@@ -112,7 +112,7 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def evaluate(self, t: Rat) -> Fraction:
-        t = Fraction(t)
+        t = _as_fraction(t)
         den = poly_eval(self.den, t)
         if den == 0:
             raise ZeroDivisionError(f"pole at {t}")
@@ -191,7 +191,7 @@ def q_power(p: int, n: int, e: Fraction) -> Real:
     mpmath is imported on the first inexact exponent, so `import spinel`
     does not load it.
     """
-    e2 = Fraction(e) * 2 * n
+    e2 = _as_fraction(e) * 2 * n
     if e2.denominator == 1:
         check_power(p, abs(e2.numerator))
         return Fraction(p) ** e2.numerator
@@ -220,7 +220,7 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     rounded at NUMERIC_DPS digits.
     """
     _check_pn(p, n)
-    s = Fraction(s)
+    s = _as_fraction(s)
     half = q_power(p, n, Fraction(1, 2) - s)
     spin = q_power(p, n, Fraction(1, 2) - 2 * s)
     precision = nullcontext()

@@ -8,15 +8,20 @@ norm and trace are Nrd(x) = x*gamma(x) and Trd(x) = x + gamma(x), giving
 
 B is division iff its set of ramified places is nonempty, and that set is
 always finite of even cardinality by the product formula.
+
+An element is four int numerators over one positive int denominator, in
+lowest terms.  A product, norm or inverse is one int expression over the
+common denominator of a, b and its factors, reduced by one gcd.  The
+coordinates x0..x3, the text and the JSON are read off as Fractions.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
 from . import arith
@@ -42,38 +47,36 @@ MEMO_PRIMES = 128
 
 @dataclass(frozen=True)
 class QuaternionAlgebra:
-    """The quaternion algebra (a,b / Q)."""
+    """The quaternion algebra (a,b / Q).
+
+    With a = an/ad and b = bn/bd, `_ints` holds (ad bd, an bd, ad bn, an bn):
+    the integers ad bd times 1, a, b and ab that products and norms use.
+    """
 
     a: Fraction
     b: Fraction
+    _ints: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0 or self.b == 0:
+        a, b = arith._as_fraction(self.a), arith._as_fraction(self.b)
+        if a == 0 or b == 0:
             raise ZeroInput("structure constants must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        object.__setattr__(self, "_ints", (ad * bd, an * bd, ad * bn, an * bn))
 
     def element(self, x0: Rat, x1: Rat = 0, x2: Rat = 0, x3: Rat = 0) -> "Quaternion":
-        return Quaternion(self, Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
+        xs = [arith._as_fraction(x) for x in (x0, x1, x2, x3)]
+        den = lcm(*(x.denominator for x in xs))
+        return Quaternion(self, tuple(x.numerator * (den // x.denominator) for x in xs), den)
 
     def scalar(self, c: Rat) -> "Quaternion":
         return self.element(c)
 
     @property
-    def one(self) -> "Quaternion":
-        return self.element(1)
-
-    @property
-    def i(self) -> "Quaternion":
-        return self.element(0, 1)
-
-    @property
     def j(self) -> "Quaternion":
-        return self.element(0, 0, 1)
-
-    @property
-    def k(self) -> "Quaternion":
-        return self.element(0, 0, 0, 1)
+        return Quaternion(self, (0, 0, 1, 0))
 
     def pure_norm_coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         """Diagonal coefficients of Nrd restricted to pure quaternions."""
@@ -88,117 +91,88 @@ class QuaternionAlgebra:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """An element x0 + x1*i + x2*j + x3*k of a fixed QuaternionAlgebra."""
+    """(n0 + n1*i + n2*j + n3*k)/den in a fixed QuaternionAlgebra.
+
+    Stored in lowest terms with den > 0, so equal elements have equal
+    fields; x0..x3 are the rational coordinates.
+    """
 
     algebra: QuaternionAlgebra
-    x0: Fraction
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
+    nums: tuple[int, int, int, int]
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den == 0:
+            raise ZeroDivisionError("quaternion with denominator 0")
+        g = gcd(*self.nums, self.den)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(n // g for n in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    x0 = property(lambda self: Fraction(self.nums[0], self.den))
+    x1 = property(lambda self: Fraction(self.nums[1], self.den))
+    x2 = property(lambda self: Fraction(self.nums[2], self.den))
+    x3 = property(lambda self: Fraction(self.nums[3], self.den))
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x0, self.x1, self.x2, self.x3)
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def _same(self, other: "Quaternion") -> None:
         if self.algebra != other.algebra:
             raise AlgebraMismatch(f"{self.algebra} vs {other.algebra}")
 
-    def __add__(self, other):
-        if isinstance(other, Quaternion):
-            self._same(other)
-            return Quaternion(
-                self.algebra,
-                self.x0 + other.x0,
-                self.x1 + other.x1,
-                self.x2 + other.x2,
-                self.x3 + other.x3,
-            )
-        if isinstance(other, (int, Fraction)):
-            return self + self.algebra.scalar(other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quaternion(self.algebra, -self.x0, -self.x1, -self.x2, -self.x3)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Quaternion) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Quaternion(
-                self.algebra, c * self.x0, c * self.x1, c * self.x2, c * self.x3
-            )
+            nums = tuple(other.numerator * n for n in self.nums)
+            return Quaternion(self.algebra, nums, other.denominator * self.den)
         if not isinstance(other, Quaternion):
             return NotImplemented
         self._same(other)
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords()
-        y0, y1, y2, y3 = other.coords()
+        d, a, b, ab = self.algebra._ints
+        x0, x1, x2, x3 = self.nums
+        y0, y1, y2, y3 = other.nums
         return Quaternion(
             self.algebra,
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+            (
+                d * x0 * y0 + a * x1 * y1 + b * x2 * y2 - ab * x3 * y3,
+                d * (x0 * y1 + x1 * y0) + b * (x3 * y2 - x2 * y3),
+                d * (x0 * y2 + x2 * y0) + a * (x1 * y3 - x3 * y1),
+                d * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1),
+            ),
+            d * self.den * other.den,
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / c)
-        if isinstance(other, Quaternion):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.algebra.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self) -> "Quaternion":
         """Canonical symplectic involution gamma: negates the pure part."""
-        return Quaternion(self.algebra, self.x0, -self.x1, -self.x2, -self.x3)
+        x0, x1, x2, x3 = self.nums
+        return Quaternion(self.algebra, (x0, -x1, -x2, -x3), self.den)
+
+    def _norm_numerator(self) -> int:
+        """Nrd(x) times ad bd den^2, an int (see QuaternionAlgebra)."""
+        d, a, b, ab = self.algebra._ints
+        x0, x1, x2, x3 = self.nums
+        return d * x0 * x0 - a * x1 * x1 - b * x2 * x2 + ab * x3 * x3
 
     def reduced_norm(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords()
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return Fraction(self._norm_numerator(), self.algebra._ints[0] * self.den * self.den)
 
     def inverse(self) -> "Quaternion":
         """gamma(x)/Nrd(x); in a division algebra every nonzero x qualifies."""
-        n = self.reduced_norm()
+        n = self._norm_numerator()
         if n == 0:
             raise NotInvertible(f"{self} has reduced norm 0")
-        return self.conjugate() * (1 / n)
+        s = self.algebra._ints[0] * self.den
+        x0, x1, x2, x3 = self.nums
+        return Quaternion(self.algebra, (s * x0, -s * x1, -s * x2, -s * x3), n)
 
     def is_scalar(self) -> bool:
-        return self.x1 == 0 and self.x2 == 0 and self.x3 == 0
+        return self.nums[1] == self.nums[2] == self.nums[3] == 0
 
     def is_pure(self) -> bool:
         """Trd = 0, i.e. no scalar component."""
-        return self.x0 == 0
+        return self.nums[0] == 0
 
     def scalar_part(self) -> Fraction:
         return self.x0
@@ -245,9 +219,9 @@ def b_p_infty(p: int) -> QuaternionAlgebra:
     if not arith.is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
-        return QuaternionAlgebra(Fraction(-1), Fraction(-1))
+        return QuaternionAlgebra(-1, -1)
     for a in range(1, _BPINF_SCAN_LIMIT):
-        B = QuaternionAlgebra(Fraction(-a), Fraction(-p))
+        B = QuaternionAlgebra(-a, -p)
         if ramified_places(B) == frozenset({p, OO}):
             return B
     raise SearchExhausted(f"no (-a,-{p}) presentation with a < {_BPINF_SCAN_LIMIT}")
@@ -317,7 +291,7 @@ def find_pure_of_norm(
     None is advisory: it means no witness in the box, not nonexistence.
     Pair with `arith.ternary_represents` for an actual decision.
     """
-    m = Fraction(m)
+    m = arith._as_fraction(m)
     cf1, cf2, cf3 = B.pure_norm_coefficients()
     definite = cf1 > 0 and cf2 > 0 and cf3 > 0
     if definite and m < 0:
@@ -344,7 +318,7 @@ def find_pure_of_norm(
         rng.shuffle(order)
     for d, s in order:
         for w1, w2, w3 in _shell_candidates(c1, c2, c3, m_scaled * d * d, s):
-            u = B.element(0, Fraction(w1, d), Fraction(w2, d), Fraction(w3, d))
+            u = Quaternion(B, (0, w1, w2, w3), d)
             if u.reduced_norm() == m:
                 return u
     return None

@@ -27,10 +27,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
-from .arith import Rat, squarefree_part
+from .arith import Rat, _as_fraction, squarefree_part
 from .errors import (
     AlgebraMismatch,
     DeltaMismatch,
@@ -70,7 +70,7 @@ class QuadraticEtale:
             raise DeltaMismatch(f"{self.delta} is not squarefree")
 
     def element(self, c: Rat, d: Rat = 0) -> "EtaleElement":
-        return EtaleElement(self, Fraction(c), Fraction(d))
+        return EtaleElement(self, _as_fraction(c), _as_fraction(d))
 
     @property
     def one(self) -> "EtaleElement":
@@ -87,7 +87,7 @@ class QuadraticEtale:
         representative has positive leading coordinate (c > 0, or d > 0 for
         the purely x-proportional root); the other root is its negative.
         """
-        t = Fraction(t)
+        t = _as_fraction(t)
         if t == 0:
             raise ZeroInput("0 has the trivial root")
         c = _fraction_sqrt(t)
@@ -205,17 +205,11 @@ class EtaleElement:
 
 def _normalize_pure(u: Quaternion) -> Quaternion:
     """Scale u to primitive integer coordinates with positive first nonzero one."""
-    coords = (u.x1, u.x2, u.x3)
-    den = 1
-    for c in coords:
-        den = lcm(den, c.denominator)
-    nums = [int(c * den) for c in coords]
-    g = gcd(gcd(abs(nums[0]), abs(nums[1])), abs(nums[2]))
-    nums = [n // g for n in nums]
-    lead = next(n for n in nums if n != 0)
-    if lead < 0:
-        nums = [-n for n in nums]
-    return u.algebra.element(0, *nums)
+    nums = u.nums[1:]
+    g = gcd(*nums)
+    if next(n for n in nums if n != 0) < 0:
+        g = -g
+    return Quaternion(u.algebra, (0, *(n // g for n in nums)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ the public Hilbert symbol and a local-square test by listing squares instead
 of the per-place kernel, the Frobenius oracle is double and add to [p+1]P
 for every point on the method-call group law instead of one table walk per
 cyclic subgroup, the Z[T]
-oracles are Euclid and division over Fraction, and the pure-norm search
-oracle computes its shell limits as Fraction products.  They are slow and
+oracles are Euclid and division over Fraction, the pure-norm search
+oracle computes its shell limits as Fraction products, and the quaternion
+oracle keeps four Fraction coordinates instead of int numerators over one
+denominator, and the modulus oracle trial-divides where Rabin's test
+replaced it.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, product
 from typing import Iterator
@@ -578,3 +582,87 @@ def find_pure_of_norm_oracle(B, m, bound: int, rng=None):
             if u.reduced_norm() == m:
                 return u
     return None
+
+
+def quaternion_sum(x, y):
+    """x + y coordinatewise; quat.Quaternion itself has no addition."""
+    return x.algebra.element(*(s + t for s, t in zip(x.coords(), y.coords())))
+
+
+@dataclass(frozen=True)
+class FractionQuaternion:
+    """x0 + x1*i + x2*j + x3*k in (a,b / Q), each coordinate a Fraction: the
+    arithmetic quat.Quaternion kept before its int numerators."""
+
+    a: Fraction
+    b: Fraction
+    x: tuple[Fraction, Fraction, Fraction, Fraction]
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionQuaternion(self.a, self.b, tuple(other * c for c in self.x))
+        assert (self.a, self.b) == (other.a, other.b)
+        a, b = self.a, self.b
+        x0, x1, x2, x3 = self.x
+        y0, y1, y2, y3 = other.x
+        return FractionQuaternion(a, b, (
+            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+        ))
+
+    def conjugate(self):
+        x0, x1, x2, x3 = self.x
+        return FractionQuaternion(self.a, self.b, (x0, -x1, -x2, -x3))
+
+    def reduced_norm(self) -> Fraction:
+        x0, x1, x2, x3 = self.x
+        a, b = self.a, self.b
+        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+    def inverse(self):
+        return self.conjugate() * (1 / self.reduced_norm())
+
+    def apply(self, x):
+        """sigma(x) = u x^gamma u^-1 for the involution of u = self."""
+        return self * x.conjugate() * self.inverse()
+
+    def to_json(self) -> list[str]:
+        return [str(c) for c in self.x]
+
+    def __str__(self) -> str:
+        parts = []
+        for c, name in zip(self.x, ("", "i", "j", "k")):
+            if c == 0:
+                continue
+            if name and abs(c) == 1:
+                term = name if c > 0 else f"-{name}"
+            else:
+                term = f"{c}{'*' + name if name else ''}"
+            parts.append(term if not parts or term.startswith("-") else f"+{term}")
+        return "".join(parts) if parts else "0"
+
+
+def smallest_modulus_oracle(p: int, a: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree a > 1 in lex order (constant term
+    first), by trial division by every monic polynomial of degree <= a/2."""
+
+    def divides(d, f):
+        rem = list(f)
+        while len(rem) >= len(d):
+            c = rem[-1] % p
+            if c:
+                shift = len(rem) - len(d)
+                for i, dc in enumerate(d):
+                    rem[shift + i] = (rem[shift + i] - c * dc) % p
+            rem.pop()
+        return all(c % p == 0 for c in rem)
+
+    for tail in product(range(p), repeat=a):
+        m = tail + (1,)
+        if m[0] != 0 and not any(
+            divides(cand + (1,), m) for deg in range(1, a // 2 + 1) for cand in product(range(p), repeat=deg)
+        ):
+            return tail
+    raise AssertionError("irreducible polynomials of every degree exist")

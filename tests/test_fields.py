@@ -14,6 +14,7 @@ from _oracles import (
     field_pow_oracle,
     matrix_walk_powers,
     naive_point_count,
+    smallest_modulus_oracle,
 )
 from spinel import fields
 from spinel.curves import (
@@ -172,6 +173,13 @@ def _seeded_primes(count, limit, seed):
 #: the fields whose primitive element, the first in encoding order, has
 #: degree 2 in x; in every other extension field it is x + c
 _DEGREE_TWO_G = {(3, 4), (2, 8), (2, 9), (5, 4), (2, 12), (2, 14)}
+
+
+@pytest.mark.parametrize("p,a", _extension_fields(MAX_FIELD_ORDER), ids=lambda x: str(x))
+def test_rabin_modulus_matches_trial_division(p, a):
+    # Rabin's test picks the same lexicographically first modulus as trial
+    # division by every monic polynomial of degree <= a/2
+    assert fields._smallest_modulus(p, a) == smallest_modulus_oracle(p, a)
 
 
 @pytest.fixture

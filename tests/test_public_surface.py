@@ -6,8 +6,14 @@ to it: another line of the package (the re-exports in __init__.py do not
 count), the benchmark (perfbench/*.py) or the end-to-end criteria
 (tests/test_acceptance.py).  Unit tests do not count: a name only they
 reach is dead weight.  A reference is a name or an attribute in code or in
-a string annotation; an import alone is not one.  KEEP lists the
-exceptions, each with its reason.
+a string annotation; an import alone is not one.
+
+The same holds for the public methods and properties of public classes,
+reached only through an attribute (`x.reduced_norm()`, `u.x1`).  Operator
+methods are called by syntax (`x * y` calls `__mul__`), so OPERATORS lists
+the ones each class keeps, each with a chain expression that needs it, and
+any other method with a dunder name fails.  KEEP lists the exceptions, top
+level names and Class.method alike, each with its reason.
 """
 
 import ast
@@ -21,8 +27,43 @@ PACKAGE = ROOT / "src" / "spinel"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
-#: public names kept although nothing above reaches them: name -> reason
-KEEP: dict[str, str] = {}
+#: the operator methods each public class keeps: name -> a chain expression that needs it
+OPERATORS: dict[str, dict[str, str]] = {
+    "WeierstrassCurve": {"__str__": 'f"{E}: {n} points, trace {trace}" in cli._cmd_curves'},
+    "FiniteField": {"__str__": 'f" over {F}" in WeierstrassCurve.__str__'},
+    "IsogenyClass": {"__str__": "[str(c) for c in classes] in cli._cmd_classify"},
+    "RationalFunction": {
+        "__eq__": "lhs == rhs in lfunc.verify_identity_exact",
+        "__mul__": "half * half in lfunc.verify_identity_exact",
+        "__str__": "str(lfunc.zeta_spin(p, n)) in cli._cmd_lfunc",
+    },
+    "QuaternionAlgebra": {"__str__": 'f"algebra: {s.algebra}" in cli._cmd_spin'},
+    "Quaternion": {
+        "__mul__": "self.u * x.conjugate() * self.u.inverse() in OrthogonalInvolution.apply",
+        "__str__": 'f"disc -{p}^{n}: u = {u}" in spinstruct.has_arithmetic_spin',
+    },
+    "QuadraticEtale": {"__str__": 'f"clifford: {s.clifford}" in cli._cmd_spin'},
+    "EtaleElement": {
+        "__mul__": "self * self in EtaleElement.square",
+        "__neg__": "(z, -z) in spinstruct.realizations",
+        "__str__": "str(lift.z) in cli._cmd_spin",
+    },
+    "OrthogonalInvolution": {"__str__": 'f"involution: {s.sigma}" in cli._cmd_spin'},
+}
+
+#: construction hooks, called by the class itself
+_HOOKS = {"__init__", "__post_init__"}
+
+_UNTIL_K = "unreached; leaves with the int port of K (ROADMAP item 7)"
+_FIELD_EQ = "unreached, but WeierstrassCurve equality compares fields; decided on its own (ROADMAP item 2)"
+
+#: names kept although nothing above reaches them: name or Class.method -> reason
+KEEP: dict[str, str] = {
+    "FiniteField.__eq__": _FIELD_EQ,
+    "FiniteField.__hash__": _FIELD_EQ,
+    "QuadraticEtale.x": _UNTIL_K,
+    **{f"EtaleElement.{name}": _UNTIL_K for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__rmul__", "__pow__")},
+}
 
 
 def _definitions() -> dict[str, list[tuple[pathlib.Path, int, int]]]:
@@ -65,10 +106,37 @@ def _used_names(tree: ast.AST, line_offset: int = 0):
                 yield from _used_names(ast.parse(ann.value, mode="eval"), ann.lineno - 1)
 
 
-def _references() -> dict[str, set[tuple[pathlib.Path, int]]]:
+def _members() -> dict[str, dict[str, tuple[pathlib.Path, int, int]]]:
+    """class -> {method or property: (module, first line, last line)} of each public class.
+
+    A member is a def, or a class-level alias or property (`__radd__ = __add__`,
+    `x0 = property(...)`); plain class attributes such as `code` are not.
+    """
+    out = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            members = out[node.name] = {}
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    start = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    members[item.name] = (path, start, item.end_lineno)
+                elif isinstance(item, ast.Assign) and isinstance(item.value, (ast.Name, ast.Call)):
+                    for target in item.targets:
+                        members[target.id] = (path, item.lineno, item.end_lineno)
+    return out
+
+
+def _references(attributes_only: bool = False) -> dict[str, set[tuple[pathlib.Path, int]]]:
     refs = defaultdict(set)
     for path in READERS:
-        for name, line in _used_names(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        if attributes_only:
+            used = ((n.attr, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        else:
+            used = _used_names(tree)
+        for name, line in used:
             refs[name].add((path, line))
     return refs
 
@@ -94,6 +162,34 @@ def test_exported_names_are_reached():
     assert _unreached(spinel.__all__) == []
 
 
+def test_public_methods_are_reached():
+    refs = _references(attributes_only=True)
+    unreached = []
+    for cls, members in _members().items():
+        for name, (path, start, end) in members.items():
+            if name.startswith("_") or f"{cls}.{name}" in KEEP:
+                continue
+            if not any(where != path or not start <= line <= end for where, line in refs[name]):
+                unreached.append(f"{cls}.{name}")
+    assert unreached == []
+
+
+def test_operator_methods_are_listed():
+    # a deleted operator that comes back (Quaternion.__add__, say) is unlisted
+    found = {
+        f"{cls}.{name}"
+        for cls, members in _members().items()
+        for name in members
+        if name.startswith("__") and name.endswith("__") and name not in _HOOKS
+    }
+    listed = {f"{cls}.{name}" for cls, ops in OPERATORS.items() for name in ops}
+    kept = {name for name in KEEP if ".__" in name}
+    assert found == listed | kept
+    assert not listed & kept
+
+
 def test_keep_entries_give_reasons():
-    assert set(KEEP) <= set(_definitions())
+    members = {f"{cls}.{name}" for cls, names in _members().items() for name in names}
+    assert set(KEEP) <= set(_definitions()) | members
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
+    assert all(isinstance(why, str) and why.strip() for ops in OPERATORS.values() for why in ops.values())

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -5,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 import _oracles
-from _oracles import find_pure_of_norm_oracle, random_fraction
+from _oracles import FractionQuaternion, find_pure_of_norm_oracle, quaternion_sum, random_fraction
 from spinel import quat
-from spinel.arith import OO, is_prime, ternary_represents
+from spinel.arith import OO, is_prime, squarefree_part, ternary_represents
 from spinel.errors import AlgebraMismatch, NotInvertible, ZeroInput
 from spinel.quat import (
     DEFAULT_SEARCH_BOUND,
+    Quaternion,
     QuaternionAlgebra,
     b_p_infty,
     find_pure_of_norm,
     ramified_places,
 )
+from spinel.lfunc import l_values, q_power, zeta_h1
+from spinel.spinspace import OrthogonalInvolution, QuadraticEtale
 
 
 def _random_element(B, rng, size=9):
@@ -30,16 +34,16 @@ def _random_algebra(rng):
 
 def test_basis_multiplication_table():
     B = QuaternionAlgebra(-1, -3)
-    i, j, k = B.i, B.j, B.k
+    i, j, k = B.element(0, 1), B.j, B.element(0, 0, 0, 1)
     assert i * i == B.scalar(-1)
     assert j * j == B.scalar(-3)
     assert k * k == B.scalar(-3)  # -ab
     assert i * j == k
-    assert j * i == -k
-    assert j * k == 3 * i  # -b i
-    assert k * j == -3 * i
+    assert j * i == k * -1
+    assert j * k == i * 3  # -b i
+    assert k * j == i * -3
     assert k * i == j  # -a j
-    assert i * k == -j
+    assert i * k == j * -1
 
 
 def test_ring_axioms_sampled():
@@ -48,9 +52,9 @@ def test_ring_axioms_sampled():
         B = _random_algebra(rng)
         x, y, z = (_random_element(B, rng, 5) for _ in range(3))
         assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert (x + y) * z == x * z + y * z
-        assert x * B.one == x == B.one * x
+        assert x * quaternion_sum(y, z) == quaternion_sum(x * y, x * z)
+        assert quaternion_sum(x, y) * z == quaternion_sum(x * z, y * z)
+        assert x * B.scalar(1) == x == B.scalar(1) * x
 
 
 def test_conjugation_is_an_antiinvolution():
@@ -60,7 +64,7 @@ def test_conjugation_is_an_antiinvolution():
         x, y = _random_element(B, rng), _random_element(B, rng)
         assert x.conjugate().conjugate() == x
         assert (x * y).conjugate() == y.conjugate() * x.conjugate()
-        assert (x + x.conjugate()).is_scalar()
+        assert quaternion_sum(x, x.conjugate()).is_scalar()
 
 
 def test_norm_and_trace():
@@ -68,9 +72,9 @@ def test_norm_and_trace():
     j = B.j
     assert j.reduced_norm() == 3
     # Trd(x) = x + gamma(x) = 2 x0
-    assert j + j.conjugate() == B.scalar(0)
+    assert quaternion_sum(j, j.conjugate()) == B.scalar(0)
     x = B.element(2, 1, -1, Fraction(1, 2))
-    assert x + x.conjugate() == B.scalar(4)
+    assert quaternion_sum(x, x.conjugate()) == B.scalar(4)
     # Nrd = x0^2 - a x1^2 - b x2^2 + ab x3^2
     assert x.reduced_norm() == 4 + 1 + 3 + Fraction(3, 4)
     assert x * x.conjugate() == B.scalar(x.reduced_norm())
@@ -94,13 +98,13 @@ def test_inverse():
         x = _random_element(B, rng)
         if x.reduced_norm() == 0:
             continue
-        assert x * x.inverse() == B.one
-        assert x.inverse() == x.conjugate() / x.reduced_norm()
+        assert x * x.inverse() == B.scalar(1) == x.inverse() * x
+        assert x.inverse() == x.conjugate() * (1 / x.reduced_norm())
 
 
 def test_inverse_fails_on_norm_zero():
     M = QuaternionAlgebra(1, 1)  # split, has zero divisors
-    z = M.one + M.i
+    z = M.element(1, 1)
     assert z.reduced_norm() == 0
     with pytest.raises(NotInvertible):
         z.inverse()
@@ -112,8 +116,9 @@ def test_pure_and_scalar_parts():
     B = QuaternionAlgebra(-2, -5)
     x = B.element(3, 1, 0, 2)
     assert not x.is_pure()
-    assert (x - B.scalar(x.scalar_part())).is_pure()
-    assert B.i.is_pure() and B.j.is_pure() and B.k.is_pure()
+    assert quaternion_sum(x, B.scalar(-x.scalar_part())).is_pure()
+    assert all(B.element(0, *e).is_pure() for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert B.scalar(Fraction(7, 2)).is_scalar() and not B.j.is_scalar()
 
 
 def test_ramified_places_known():
@@ -148,9 +153,9 @@ def test_b_p_infty_presentations():
 def test_find_pure_of_norm_first_witnesses():
     B3 = b_p_infty(3)
     assert find_pure_of_norm(B3, 3) == B3.j
-    assert find_pure_of_norm(B3, 1) == B3.i
+    assert find_pure_of_norm(B3, 1) == B3.element(0, 1)
     B2 = b_p_infty(2)
-    assert find_pure_of_norm(B2, 2) == B2.i + B2.j
+    assert find_pure_of_norm(B2, 2) == B2.element(0, 1, 1)
 
 
 def test_find_pure_of_norm_empty_search():
@@ -222,7 +227,7 @@ def test_find_pure_of_norm_large_bound_is_fast():
     # same at any bound; an eager plan of about bound^2 / 2 entries cannot fit
     B = b_p_infty(3)
     t0 = time.perf_counter()
-    assert find_pure_of_norm(B, 1, bound=10**9) == B.i
+    assert find_pure_of_norm(B, 1, bound=10**9) == B.element(0, 1)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -276,19 +281,95 @@ def test_find_pure_of_norm_lazy_plan_matches_eager_on_spin_inputs(monkeypatch):
 
 
 def test_algebra_mismatch():
-    x = QuaternionAlgebra(-1, -1).i
-    y = QuaternionAlgebra(-1, -3).i
+    x = QuaternionAlgebra(-1, -1).j
+    y = QuaternionAlgebra(-1, -3).j
     with pytest.raises(AlgebraMismatch):
         x * y
     with pytest.raises(AlgebraMismatch):
-        x + y
+        y * x
 
 
 def test_str_and_json():
     B = QuaternionAlgebra(-1, -3)
     assert str(B) == "(-1,-3 | Q)"
-    assert str(B.i + B.j) == "i+j"
-    assert str(3 * B.i) == "3*i"
-    assert str(-B.j / 3) == "-1/3*j"
+    assert str(B.element(0, 1, 1)) == "i+j"
+    assert str(B.element(0, 3)) == "3*i"
+    assert str(B.j * Fraction(-1, 3)) == "-1/3*j"
+    assert str(B.element(Fraction(-5, 2), 0, -1, Fraction(3, 4))) == "-5/2-j+3/4*k"
+    assert str(B.scalar(0)) == "0"
     assert B.to_json() == {"a": "-1", "b": "-3"}
     assert B.j.to_json() == ["0", "0", "1", "0"]
+
+
+def _agrees(x, ox):
+    """x equals the oracle element ox, and x is stored in lowest terms."""
+    assert x.coords() == ox.x
+    assert x.den > 0 and math.gcd(*x.nums, x.den) == 1
+    assert x == x.algebra.element(*ox.x)
+    assert (x.to_json(), str(x)) == (ox.to_json(), str(ox))
+
+
+def test_int_arithmetic_matches_fraction_oracle():
+    # random rational algebras, definite and indefinite, with coordinates of
+    # small and of large height (zeros included)
+    rng = random.Random(71)
+    involutions = 0
+    for k in range(400):
+        size = 9 if k % 4 else 10**6
+        B = QuaternionAlgebra(random_fraction(rng, size, nonzero=True), random_fraction(rng, size, nonzero=True))
+        assert (B.to_json(), str(B)) == ({"a": str(B.a), "b": str(B.b)}, f"({B.a},{B.b} | Q)")
+        xs = [[random_fraction(rng, size) if rng.random() < 0.8 else Fraction(0) for _ in range(4)] for _ in range(2)]
+        (x, y), (ox, oy) = ([B.element(*c) for c in xs], [FractionQuaternion(B.a, B.b, tuple(c)) for c in xs])
+        _agrees(x, ox)
+        _agrees(x * y, ox * oy)
+        _agrees(x.conjugate(), ox.conjugate())
+        for c in (rng.randint(-size, size), random_fraction(rng, size)):
+            _agrees(x * c, ox * c)
+        assert x.reduced_norm() == ox.reduced_norm()
+        if ox.reduced_norm() != 0:
+            _agrees(x.inverse(), ox.inverse())
+        u = B.element(0, *xs[1][1:])
+        ou = FractionQuaternion(B.a, B.b, (Fraction(0), *xs[1][1:]))
+        # the discriminant factors Nrd(u), so only small heights stay in bound
+        if size < 10 and ou.reduced_norm() != 0:
+            sigma = OrthogonalInvolution(B, u)
+            _agrees(sigma.apply(x), ou.apply(ox))
+            assert sigma.discriminant() == squarefree_part(-ou.reduced_norm())
+            involutions += 1
+    assert involutions > 200
+
+
+def test_quaternion_is_built_in_lowest_terms():
+    B = QuaternionAlgebra(Fraction(-3, 2), 5)
+    x = Quaternion(B, (6, -4, 0, 2), -10)
+    assert (x.nums, x.den) == ((-3, 2, 0, -1), 5)
+    assert x == B.element(Fraction(-3, 5), Fraction(2, 5), 0, Fraction(-1, 5))
+    assert Quaternion(B, (0, 0, 0, 0), -7) == B.scalar(0)
+    assert (x.x0, x.x1, x.x2, x.x3) == x.coords()
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(B, (1, 0, 0, 0), 0)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "3/2"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x: QuaternionAlgebra(x, -3),
+        lambda x: QuaternionAlgebra(-1, x),
+        lambda x: b_p_infty(3).element(0, x),
+        lambda x: find_pure_of_norm(b_p_infty(3), x, 4),
+        lambda x: QuadraticEtale(-3).element(x),
+        lambda x: QuadraticEtale(-3).sqrt_rational(x),
+        lambda x: QuadraticEtale(x),
+        lambda x: l_values(3, 1, x),
+        lambda x: q_power(3, 1, x),
+        lambda x: zeta_h1(3, 1).evaluate(x),
+    ],
+    ids=[
+        "algebra-a", "algebra-b", "element", "norm-m", "etale-element", "sqrt-rational", "etale-delta",
+        "l-values-s", "q-power-e", "evaluate",
+    ],
+)
+def test_exact_entry_points_refuse_floats_and_strings(entry, bad):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        entry(bad)

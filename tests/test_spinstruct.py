@@ -48,7 +48,7 @@ def test_frozen_structure_p2():
     s = construct_arithmetic_spin(2, 1)
     B = s.algebra
     assert (B.a, B.b) == (-1, -1)
-    assert s.sigma.u == B.i + B.j
+    assert s.sigma.u == B.element(0, 1, 1)
     assert s.sigma.discriminant() == -2
     assert s.tau == -2
 
@@ -179,7 +179,7 @@ def test_spin_lift_absent_for_wrong_discriminant():
     for p in [3, 7, 11]:
         B = b_p_infty(p)
         s = construct_arithmetic_spin(p, 1)
-        sigma = OrthogonalInvolution(B, B.i)
+        sigma = OrthogonalInvolution(B, B.element(0, 1))
         if sigma.discriminant() != -1:
             continue
         other = SpinStructure(
