@@ -27,18 +27,14 @@ from .fields import MAX_FIELD_ORDER
 SEARCH_BOUND_VAR = "SPINEL_SEARCH_BOUND"
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def search_bound() -> int:
+    raw = os.environ.get(SEARCH_BOUND_VAR)
     if raw is None:
-        return default
+        return quat.DEFAULT_SEARCH_BOUND
     try:
         return int(raw)
     except ValueError:
-        raise SpinelError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def search_bound() -> int:
-    return _env_int(SEARCH_BOUND_VAR, quat.DEFAULT_SEARCH_BOUND)
+        raise SpinelError(f"{SEARCH_BOUND_VAR} must be an integer, got {raw!r}") from None
 
 
 def _real(x) -> str:
@@ -321,8 +317,8 @@ def _selftest_spin(p: int) -> bool:
     )
 
 
-def _add_common(sub, json_help="emit one JSON document"):
-    sub.add_argument("--json", action="store_true", help=json_help)
+def _add_common(sub):
+    sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,12 +398,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except SpinelError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True))
-        else:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
+        try:
+            code = args.fn(args)
+        except SpinelError as exc:
+            if getattr(args, "json", False):
+                print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True))
+            else:
+                print(f"error ({exc.code}): {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point fd 1 at devnull so that the
+        # interpreter's last flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -20,6 +20,11 @@ t/delta is a square in Q (QuadraticEtale.sqrt_rational).  The groups are
 not objects here: similitudes are tested through
 OrthogonalInvolution.multiplier and is_proper_similitude, and the cover
 is covering_map.
+
+K is only the target of the lift, so it carries no ring arithmetic.  The
+root of a rational t is z = c or z = d*x, and an EtaleElement c + d*x has
+just what the chain asks of z: its square (z^2 = tau, covering_map), its
+norm (|z|^2 = p^n) and its negation (the other lift -z).
 """
 
 from __future__ import annotations
@@ -72,14 +77,6 @@ class QuadraticEtale:
     def element(self, c: Rat, d: Rat = 0) -> "EtaleElement":
         return EtaleElement(self, _as_fraction(c), _as_fraction(d))
 
-    @property
-    def one(self) -> "EtaleElement":
-        return self.element(1)
-
-    @property
-    def x(self) -> "EtaleElement":
-        return self.element(0, 1)
-
     def sqrt_rational(self, t: Rat) -> Optional["EtaleElement"]:
         """A square root in K of a nonzero rational t, or None.
 
@@ -110,66 +107,8 @@ class EtaleElement:
     c: Fraction
     d: Fraction
 
-    def _same(self, other: "EtaleElement") -> None:
-        if self.ring != other.ring:
-            raise DeltaMismatch(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element(other)
-        if not isinstance(other, EtaleElement):
-            return NotImplemented
-        self._same(other)
-        return EtaleElement(self.ring, self.c + other.c, self.d + other.d)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return EtaleElement(self.ring, -self.c, -self.d)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element(other)
-        if not isinstance(other, EtaleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return EtaleElement(self.ring, c * self.c, c * self.d)
-        if not isinstance(other, EtaleElement):
-            return NotImplemented
-        self._same(other)
-        delta = self.ring.delta
-        return EtaleElement(
-            self.ring,
-            self.c * other.c + delta * self.d * other.d,
-            self.c * other.d + self.d * other.c,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "EtaleElement":
-        """The nontrivial K/Q automorphism x -> -x."""
-        return EtaleElement(self.ring, self.c, -self.d)
 
     def norm(self) -> Fraction:
         """N_{K/Q}(z) = c^2 - delta*d^2."""
@@ -178,17 +117,13 @@ class EtaleElement:
     def is_unit(self) -> bool:
         return self.norm() != 0
 
-    def inverse(self) -> "EtaleElement":
-        n = self.norm()
-        if n == 0:
-            raise NotUnit(f"{self} has norm 0")
-        return self.conjugate() * (1 / n)
-
     def is_rational(self) -> bool:
         return self.d == 0
 
     def square(self) -> "EtaleElement":
-        return self * self
+        """(c + d*x)^2 = (c^2 + delta*d^2) + 2cd*x."""
+        c, d = self.c, self.d
+        return EtaleElement(self.ring, c * c + self.ring.delta * d * d, 2 * c * d)
 
     def __str__(self) -> str:
         if self.d == 0:

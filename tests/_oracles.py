@@ -17,8 +17,9 @@ cyclic subgroup, the Z[T]
 oracles are Euclid and division over Fraction, the pure-norm search
 oracle computes its shell limits as Fraction products, and the quaternion
 oracle keeps four Fraction coordinates instead of int numerators over one
-denominator, and the modulus oracle trial-divides where Rabin's test
-replaced it.  They are slow and
+denominator, the etale product is the general multiplication of K that
+EtaleElement kept before only its square was left, and the modulus oracle
+trial-divides where Rabin's test replaced it.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check.
 """
@@ -642,6 +643,14 @@ class FractionQuaternion:
                 term = f"{c}{'*' + name if name else ''}"
             parts.append(term if not parts or term.startswith("-") else f"+{term}")
         return "".join(parts) if parts else "0"
+
+
+def etale_product(z, w):
+    """(c + d x)(c' + d' x) in K = Q[x]/(x^2 - delta): the general product
+    spinspace.EtaleElement had before K was cut down to square and norm."""
+    assert z.ring == w.ring
+    delta = z.ring.delta
+    return z.ring.element(z.c * w.c + delta * z.d * w.d, z.c * w.d + z.d * w.c)
 
 
 def smallest_modulus_oracle(p: int, a: int) -> tuple[int, ...]:

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -104,6 +107,19 @@ def test_bad_env_var_is_reported(monkeypatch, capsys):
     out = capsys.readouterr()
     assert rc == 1
     assert "SPINEL_SEARCH_BOUND" in json.loads(out.out)["detail"]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the JSON of every class over F_{2^28} is far beyond a pipe buffer
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "spinel", "classify", "--p", "2", "--a", "28", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -12,7 +12,10 @@ The same holds for the public methods and properties of public classes,
 reached only through an attribute (`x.reduced_norm()`, `u.x1`).  Operator
 methods are called by syntax (`x * y` calls `__mul__`), so OPERATORS lists
 the ones each class keeps, each with a chain expression that needs it, and
-any other method with a dunder name fails.  KEEP lists the exceptions, top
+any other method with a dunder name fails.  A name that two public classes
+define is reached for both as soon as one is called, so SHARED lists each
+class's method of such a name with a chain expression that needs it, and a
+shared name not listed for a class fails.  KEEP lists the exceptions, top
 level names and Class.method alike, each with its reason.
 """
 
@@ -44,25 +47,40 @@ OPERATORS: dict[str, dict[str, str]] = {
     },
     "QuadraticEtale": {"__str__": 'f"clifford: {s.clifford}" in cli._cmd_spin'},
     "EtaleElement": {
-        "__mul__": "self * self in EtaleElement.square",
         "__neg__": "(z, -z) in spinstruct.realizations",
         "__str__": "str(lift.z) in cli._cmd_spin",
     },
     "OrthogonalInvolution": {"__str__": 'f"involution: {s.sigma}" in cli._cmd_spin'},
 }
 
+#: the methods whose name another public class also defines: name -> a chain expression that needs it
+SHARED: dict[str, dict[str, str]] = {
+    "WeierstrassCurve": {
+        "discriminant": "self.discriminant() == 0 in WeierstrassCurve.__post_init__",
+        "to_json": '"coeffs": E.to_json() in cli._cmd_curves',
+    },
+    "IsogenyClass": {"to_json": "[c.to_json() for c in classes] in cli._cmd_classify"},
+    "QuaternionAlgebra": {
+        "element": "self.element(c) in QuaternionAlgebra.scalar",
+        "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
+    },
+    "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
+    "QuadraticEtale": {"element": "z.square() == K.element(r.tau) in spinstruct.spin_lift"},
+    "OrthogonalInvolution": {
+        "discriminant": "QuadraticEtale(self.discriminant()) in OrthogonalInvolution.clifford_algebra",
+    },
+    "SpinStructure": {"to_json": "s.to_json() in cli._cmd_spin"},
+}
+
 #: construction hooks, called by the class itself
 _HOOKS = {"__init__", "__post_init__"}
 
-_UNTIL_K = "unreached; leaves with the int port of K (ROADMAP item 7)"
 _FIELD_EQ = "unreached, but WeierstrassCurve equality compares fields; decided on its own (ROADMAP item 2)"
 
 #: names kept although nothing above reaches them: name or Class.method -> reason
 KEEP: dict[str, str] = {
     "FiniteField.__eq__": _FIELD_EQ,
     "FiniteField.__hash__": _FIELD_EQ,
-    "QuadraticEtale.x": _UNTIL_K,
-    **{f"EtaleElement.{name}": _UNTIL_K for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__rmul__", "__pow__")},
 }
 
 
@@ -188,8 +206,21 @@ def test_operator_methods_are_listed():
     assert not listed & kept
 
 
+def test_shared_method_names_are_listed():
+    # EtaleElement.conjugate would otherwise pass as reached through Quaternion.conjugate
+    owners = defaultdict(set)
+    for cls, members in _members().items():
+        for name in members:
+            if not name.startswith("_"):
+                owners[name].add(cls)
+    shared = {f"{cls}.{name}" for name, classes in owners.items() if len(classes) > 1 for cls in classes}
+    listed = {f"{cls}.{name}" for cls, names in SHARED.items() for name in names}
+    assert shared == listed
+
+
 def test_keep_entries_give_reasons():
     members = {f"{cls}.{name}" for cls, names in _members().items() for name in names}
     assert set(KEEP) <= set(_definitions()) | members
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
-    assert all(isinstance(why, str) and why.strip() for ops in OPERATORS.values() for why in ops.values())
+    for table in (OPERATORS, SHARED):
+        assert all(isinstance(why, str) and why.strip() for ops in table.values() for why in ops.values())

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import quaternion_sum, random_fraction
+from _oracles import etale_product, quaternion_sum, random_fraction
 from spinel.errors import (
     AlgebraMismatch,
     DeltaMismatch,
@@ -126,15 +126,14 @@ def test_clifford_algebra_delta():
 
 def test_etale_arithmetic():
     K = QuadraticEtale(-1)
-    x = K.x
-    assert (K.one + x) * (K.one - x) == K.element(2, 0)
-    assert x * x == K.element(-1, 0)
+    x = K.element(0, 1)
+    assert x.square() == K.element(-1, 0)
+    assert (-x).square() == K.element(-1, 0)
     z = K.element(3, 2)
+    assert z.square() == K.element(5, 12)  # 9 - 4 + 12x
     assert z.norm() == 9 + 4
-    assert z + z.conjugate() == K.element(6)  # trace 2c
-    assert z * z.inverse() == K.one
-    assert z.conjugate() == K.element(3, -2)
-    assert (z * z.conjugate()).is_rational()
+    assert -z == K.element(-3, -2)
+    assert not z.is_rational() and K.element(3).is_rational()
 
 
 def test_etale_norm_multiplicativity():
@@ -144,16 +143,17 @@ def test_etale_norm_multiplicativity():
         for _ in range(60):
             z = K.element(random_fraction(rng), random_fraction(rng))
             w = K.element(random_fraction(rng), random_fraction(rng))
-            assert (z * w).norm() == z.norm() * w.norm()
+            assert etale_product(z, w).norm() == z.norm() * w.norm()
 
 
 def test_split_etale_has_nonunits():
     K = QuadraticEtale(1)  # split: Q x Q
-    z = K.one + K.x  # norm 0 zero divisor
+    z = K.element(1, 1)  # norm 0 zero divisor
     assert z.norm() == 0
     assert not z.is_unit()
+    assert etale_product(z, K.element(1, -1)) == K.element(0)
     with pytest.raises(NotUnit):
-        z.inverse()
+        covering_map(z)
     with pytest.raises(DeltaMismatch):
         QuadraticEtale(12)  # not squarefree
 
@@ -161,8 +161,8 @@ def test_split_etale_has_nonunits():
 def test_sqrt_rational_cases():
     K = QuadraticEtale(-3)
     r = K.sqrt_rational(-3)
-    assert r == K.x
-    assert r * r == K.element(-3, 0)
+    assert r == K.element(0, 1)
+    assert r.square() == K.element(-3, 0)
     assert K.sqrt_rational(4) == K.element(2, 0)
     assert K.sqrt_rational(-1) is None
     assert K.sqrt_rational(3) is None  # 3 and 3/-3 both non-squares
@@ -177,7 +177,7 @@ def test_is_square_spot_values():
     assert K.sqrt_rational(-3) is not None
     assert K.sqrt_rational(-1) is None
     Ki = QuadraticEtale(-1)
-    assert Ki.sqrt_rational(-1) == Ki.x
+    assert Ki.sqrt_rational(-1) == Ki.element(0, 1)
     assert Ki.sqrt_rational(2) is None  # sqrt(2) not in Q(i)
 
 
@@ -213,17 +213,37 @@ def test_multiplier_is_multiplicative():
         if not (z1.is_unit() and z2.is_unit()):
             continue
         g1, g2 = _embed(B, z1), _embed(B, z2)
+        # x -> j embeds K in B: the product of K goes to the product of B
+        assert _embed(B, etale_product(z1, z2)) == g1 * g2
         assert sigma.multiplier(g1 * g2) == sigma.multiplier(g1) * sigma.multiplier(g2)
 
 
 def test_covering_map_squares_and_kernel():
     K = QuadraticEtale(-3)
     z = K.element(1, 1)
-    assert covering_map(z) == z * z
-    assert covering_map(K.one) == K.one
-    assert covering_map(-K.one) == K.one  # kernel {1, -1}
+    assert covering_map(z) == etale_product(z, z)
+    assert covering_map(K.element(1)) == K.element(1)
+    assert covering_map(-K.element(1)) == K.element(1)  # kernel {1, -1}
     with pytest.raises(NotUnit):
         covering_map(QuadraticEtale(1).element(1, 1))
+
+
+def test_square_norm_and_cover_match_the_product():
+    # differential: square, norm and covering_map against the general product
+    rng = random.Random(17)
+    for delta in [-1, -2, -3, -7, 1, 5]:
+        K = QuadraticEtale(delta)
+        samples = [K.element(random_fraction(rng), random_fraction(rng)) for _ in range(80)]
+        samples += [K.element(c, d) for c in (0, 1, -2) for d in (0, 1, -2)]
+        for z in samples:
+            sq = etale_product(z, z)
+            assert z.square() == sq
+            assert etale_product(z, K.element(z.c, -z.d)) == K.element(z.norm())
+            if z.is_unit():
+                assert covering_map(z) == sq
+            else:
+                with pytest.raises(NotUnit):
+                    covering_map(z)
 
 
 def test_spin_maps_onto_rotations():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import etale_product
 from spinel import quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
@@ -160,7 +161,7 @@ def test_spin_lift_frozen_values():
     s3 = construct_arithmetic_spin(3, 1)
     lift = spin_lift(similitude_rep(s3))
     K = s3.clifford
-    assert lift.z == K.x  # sqrt(-3) = x when delta = -3
+    assert lift.z == K.element(0, 1)  # sqrt(-3) = x when delta = -3
     s27 = construct_arithmetic_spin(3, 3)
     lift27 = spin_lift(similitude_rep(s27))
     assert lift27.z == K.element(0, 3)  # sqrt(-27) = 3x
@@ -198,9 +199,33 @@ def test_evaluate_spin_pairs():
     K = s.clifford
     # the eigenvalue pair (z^m, (-z)^m) on the m-th power of Frobenius
     a1, a2 = lift.z, -lift.z
-    assert a1 == K.x and a2 == -K.x
-    assert a1**2 == a2**2 == K.element(-3, 0)
-    assert a1**-1 == K.element(0, Fraction(-1, 3))
+    assert a1 == K.element(0, 1) and a2 == K.element(0, -1)
+    assert a1.square() == a2.square() == K.element(-3, 0)
+    assert etale_product(a1, K.element(0, Fraction(-1, 3))) == K.element(1)  # z^-1 = -x/3
+
+
+def test_lifts_are_rational_or_pure():
+    # the chain builds only z = c or z = d*x in K, which is why K keeps
+    # square, norm and negation and no ring arithmetic
+    for p in _primes_below(128):
+        for n in (1, 2, 3):
+            if n % 2:
+                s = construct_arithmetic_spin(p, n)
+            elif p == 2 or p % 4 == 3:
+                s = construct_arithmetic_spin_even(p, n)
+            else:
+                continue
+            for sign in (-1, 1):
+                tau = sign * p**n
+                lift = spin_lift(WeilRep(s, tau))
+                assert (lift is not None) == (sign < 0 or n % 2 == 0), (p, n, sign)
+                if lift is None:
+                    continue
+                z = lift.z
+                assert z.c == 0 or z.d == 0, (p, n, sign)
+                sq = z.square()
+                assert sq.is_rational() and sq.c == tau, (p, n, sign)
+                assert realizations(lift).eigenvalues == (z, -z), (p, n, sign)
 
 
 def test_realizations_slope_quarter():
@@ -216,8 +241,8 @@ def test_realizations_slope_quarter():
             assert real.v_p_q == 2 * n
             assert real.crystal_frobenius == -(p**n)
             e1, e2 = real.eigenvalues
-            assert e1 + e2 == s.clifford.element(0, 0)
-            assert (e1 * e2).c == p**n  # product = -tau
+            assert e2 == -e1  # sum 0
+            assert etale_product(e1, e2) == s.clifford.element(p**n)  # product = -tau
 
 
 def test_realizations_ell_label():
