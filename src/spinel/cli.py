@@ -6,8 +6,8 @@ as num/den strings, integers bare).  Exit codes: 0 success, 1 domain
 error (with a one-line {"error": code, "detail": ...} under --json),
 2 usage error.
 
-Environment: SPINEL_SEARCH_BOUND overrides the pure-quaternion search box
-(default 50).
+Environment: no variable is read.  The spin structures are read off
+B_{p,oo} with no search, so no search box applies.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
 from .errors import NoSpinStructure, SpinelError
 from .fields import MAX_FIELD_ORDER
-
-SEARCH_BOUND_VAR = "SPINEL_SEARCH_BOUND"
-
-
-def search_bound() -> int:
-    raw = os.environ.get(SEARCH_BOUND_VAR)
-    if raw is None:
-        return quat.DEFAULT_SEARCH_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpinelError(f"{SEARCH_BOUND_VAR} must be an integer, got {raw!r}") from None
-
 
 def _real(x) -> str:
     if isinstance(x, Fraction):
@@ -109,11 +96,10 @@ def _cmd_classify(args) -> int:
 
 
 def _structure(p: int, n: int) -> spinstruct.SpinStructure:
-    """The canonical arithmetic spin structure for (p, n) in the search box."""
-    bound = search_bound()
+    """The canonical arithmetic spin structure for (p, n), read off B_{p,oo}."""
     if n % 2 == 1:
-        return spinstruct.construct_arithmetic_spin(p, n, bound=bound)
-    s = spinstruct.construct_arithmetic_spin_even(p, n, bound=bound)
+        return spinstruct.construct_arithmetic_spin(p, n)
+    s = spinstruct.construct_arithmetic_spin_even(p, n)
     if s is None:
         raise NoSpinStructure(
             f"no arithmetic spin structure for p = {p}, n = {n}: "
@@ -305,7 +291,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _selftest_spin(p: int) -> bool:
-    s = spinstruct.construct_arithmetic_spin(p, 1, bound=search_bound())
+    s = spinstruct.construct_arithmetic_spin(p, 1)
     lift = spinstruct.spin_lift(spinstruct.similitude_rep(s))
     if lift is None:
         return False

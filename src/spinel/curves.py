@@ -34,6 +34,9 @@ class WeierstrassCurve:
 
     The coefficients are element codes of F (ints in [0, q)), not integers
     to be reduced: -1 over F_9 is refused, not read as some element.
+    Fields compare by identity, so two curves are equal only over the same
+    FiniteField instance: an extension field is one instance while it is
+    kept, but a prime field is built afresh on each FiniteField(p) call.
     """
 
     field: FiniteField

@@ -315,14 +315,5 @@ class FiniteField(metaclass=_OneExtensionEach):
             counts[exp[k + z]] = 2
         return counts
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.a, self.modulus) == (other.p, other.a, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.a, self.modulus))
-
     def __str__(self) -> str:
         return f"F_{self.q}"

@@ -128,26 +128,33 @@ def pure_unit_exists(p: int) -> bool:
     return ternary_represents(quat.b_p_infty(p).pure_norm_coefficients(), 1)
 
 
-@lru_cache(maxsize=quat.MEMO_PRIMES)
-def _unit_witness(p: int, bound: int) -> Quaternion:
-    """The first pure v with Nrd(v) = 1 in box `bound`, for p with a pure unit."""
-    v = quat.find_pure_of_norm(quat.b_p_infty(p), 1, bound)
-    if v is None:
-        # represented over Q but not in the search box: enlarge, do not guess
-        raise SearchExhausted(f"norm-1 witness exists but exceeds box {bound}")
-    return v
+def _canonical_u(B: QuaternionAlgebra, p: int, n: int) -> Optional[Quaternion]:
+    """The canonical u read off the presentation B = b_p_infty(p), or None.
+
+    Odd n: u = p^((n-1)/2) v with v^2 = -p, v = j in (-a,-p) for odd p and
+    v = i + j in (-1,-1) for p = 2.  Even n: u = p^(n/2) i, since i has norm
+    1 exactly when a pure unit exists (a = -1); None when none does.  The
+    norm of v is asserted, so a presentation that breaks these readings
+    fails loudly.
+    """
+    if n % 2 == 1:
+        v, norm = (B.j if p != 2 else Quaternion(B, (0, 1, 1, 0))), p
+    elif pure_unit_exists(p):
+        v, norm = Quaternion(B, (0, 1, 0, 0)), 1
+    else:
+        return None
+    assert v.reduced_norm() == norm, (B, v)
+    return v * p ** (n // 2)
 
 
-def has_arithmetic_spin(
-    c: IsogenyClass, bound: int = quat.DEFAULT_SEARCH_BOUND
-) -> SpinExistence:
+def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
     """Decide existence of an arithmetic spin structure for a spinorial class.
 
-    Returns a certificate: a witness u (pure, of the right norm) on success,
-    a reason string on failure.  Positive tau never admits one: sqrt(p^n)
-    is in no quadratic K = Q(sqrt(negative)), and involutions with positive
-    discriminant do not exist on B_{p,oo} because the pure norm form is
-    positive definite.
+    Returns a certificate: the canonical witness u (pure, of the right norm,
+    read off B_{p,oo} without a search) on success, a reason string on
+    failure.  Positive tau never admits one: sqrt(p^n) is in no quadratic
+    K = Q(sqrt(negative)), and involutions with positive discriminant do not
+    exist on B_{p,oo} because the pure norm form is positive definite.
     """
     if not c.is_spinorial():
         raise NotSpinorial(f"{c} is not spinorial")
@@ -157,33 +164,12 @@ def has_arithmetic_spin(
         return SpinExistence(
             False, None, f"tau = +{tau}: no square root in an imaginary quadratic K"
         )
-    if n % 2 == 1:
-        u = _odd_u(quat.b_p_infty(p), p, n, bound)
-        return SpinExistence(True, u, f"disc -{p}^{n}: u = {u}")
-    if not pure_unit_exists(p):
+    u = _canonical_u(quat.b_p_infty(p), p, n)
+    if u is None:
         return SpinExistence(
             False, None, "no pure quaternion of norm 1 in B_{p,oo} (local obstruction)"
         )
-    u = _unit_witness(p, bound) * p ** (n // 2)
-    return SpinExistence(True, u, f"disc -1: u = {u}")
-
-
-def _odd_u(
-    B: QuaternionAlgebra, p: int, n: int, bound: int, rng: random.Random | None = None
-) -> Quaternion:
-    """u = p^((n-1)/2) * v with v pure of norm p, for odd n.
-
-    Without an rng v is canonical: for odd p the presentation (-a,-p) makes
-    v = j immediate, and for p = 2 a short search finds i + j in (-1,-1).
-    An rng searches the box for v in a random order instead.
-    """
-    if rng is None and B.b == -p:
-        v = B.j
-    else:
-        v = quat.find_pure_of_norm(B, p, bound, rng)
-        if v is None:
-            raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")
-    return v * p ** ((n - 1) // 2)
+    return SpinExistence(True, u, f"disc -{p}^{n}: u = {u}" if n % 2 else f"disc -1: u = {u}")
 
 
 def construct_arithmetic_spin(
@@ -195,32 +181,38 @@ def construct_arithmetic_spin(
     """The arithmetic spin structure for the class tau = -p^n, n odd.
 
     The structure is u = p^((n-1)/2) * v with v pure and v^2 = -p.  By
-    default v is the canonical witness (j, or i + j for p = 2); passing an
-    rng instead searches for any pure v of norm p in a random order.  All
-    routes produce involutions of discriminant class squarefree_part(-p),
-    hence isomorphic structures.
+    default v is the canonical witness read off B_{p,oo} (j, or i + j for
+    p = 2), with no search.  Passing an rng instead searches the box
+    `bound` for any pure v of norm p in a random order; only this route
+    reads `bound`.  All routes produce involutions of discriminant class
+    squarefree_part(-p), hence isomorphic structures.
     """
     if n < 1 or n % 2 == 0:
         raise ZeroInput(f"n = {n}: this construction needs odd n >= 1")
     c = spinorial_class(p, n, -1)
     B = quat.b_p_infty(p)
-    sigma = OrthogonalInvolution(B, _odd_u(B, p, n, bound, rng))
+    if rng is None:
+        u = _canonical_u(B, p, n)
+    else:
+        v = quat.find_pure_of_norm(B, p, bound, rng)
+        if v is None:
+            raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")
+        u = v * p ** ((n - 1) // 2)
+    sigma = OrthogonalInvolution(B, u)
     return SpinStructure(c, B, sigma, sigma.clifford_algebra())
 
 
-def construct_arithmetic_spin_even(
-    p: int, n: int, bound: int = quat.DEFAULT_SEARCH_BOUND
-) -> Optional[SpinStructure]:
+def construct_arithmetic_spin_even(p: int, n: int) -> Optional[SpinStructure]:
     """The arithmetic spin structure for tau = -p^n with n even, if any.
 
-    Exists iff B_{p,oo} has a pure quaternion of norm 1; then
-    u = p^(n/2) * v gives disc class -1 and K = Q(i).  Returns None when the
+    Exists iff B_{p,oo} has a pure quaternion of norm 1; then the canonical
+    u = p^(n/2) * i gives disc class -1 and K = Q(i).  Returns None when the
     norm-1 condition fails (p = 1 mod 4).
     """
     if n < 2 or n % 2 == 1:
         raise ZeroInput(f"n = {n}: this construction needs even n >= 2")
     c = spinorial_class(p, n, -1)
-    cert = has_arithmetic_spin(c, bound)
+    cert = has_arithmetic_spin(c)
     if not cert.exists:
         return None
     sigma = OrthogonalInvolution(cert.witness.algebra, cert.witness)
@@ -233,7 +225,7 @@ def similitude_rep(s: SpinStructure) -> WeilRep:
     tau is a proper similitude: sigma(tau)tau = tau^2 = q = Nrd(tau).
     """
     tau = s.tau
-    g = s.algebra.scalar(tau)
+    g = s.algebra.element(tau)
     assert s.sigma.is_proper_similitude(g)
     return WeilRep(s, tau)
 

@@ -61,7 +61,7 @@ SHARED: dict[str, dict[str, str]] = {
     },
     "IsogenyClass": {"to_json": "[c.to_json() for c in classes] in cli._cmd_classify"},
     "QuaternionAlgebra": {
-        "element": "self.element(c) in QuaternionAlgebra.scalar",
+        "element": "s.algebra.element(tau) in spinstruct.similitude_rep",
         "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
     },
     "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
@@ -75,13 +75,8 @@ SHARED: dict[str, dict[str, str]] = {
 #: construction hooks, called by the class itself
 _HOOKS = {"__init__", "__post_init__"}
 
-_FIELD_EQ = "unreached, but WeierstrassCurve equality compares fields; decided on its own (ROADMAP item 2)"
-
 #: names kept although nothing above reaches them: name or Class.method -> reason
-KEEP: dict[str, str] = {
-    "FiniteField.__eq__": _FIELD_EQ,
-    "FiniteField.__hash__": _FIELD_EQ,
-}
+KEEP: dict[str, str] = {}
 
 
 def _definitions() -> dict[str, list[tuple[pathlib.Path, int, int]]]:

@@ -9,6 +9,7 @@ import pytest
 from _oracles import etale_product
 from spinel import quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents
+from spinel.cli import main
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from spinel.lfunc import verify_identity_exact
 from spinel.quat import b_p_infty, find_pure_of_norm, ramified_places
@@ -28,7 +29,7 @@ from spinel.spinstruct import (
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 #: the per-p memos of the spin chain
-MEMOS = (b_p_infty, spinstruct.pure_unit_exists, spinstruct._unit_witness)
+MEMOS = (b_p_infty, spinstruct.pure_unit_exists)
 
 
 def _primes_below(bound):
@@ -140,7 +141,7 @@ def test_weil_rep_evaluation():
     assert rep.structure is s
     assert rep.tau == -3
     # Frobenius acts by the scalar tau, a proper similitude of multiplier q
-    g = s.algebra.scalar(rep.tau)
+    g = s.algebra.element(rep.tau)
     assert s.sigma.is_proper_similitude(g)
     assert s.sigma.multiplier(g) == 9
 
@@ -288,22 +289,54 @@ def test_norm_one_bit_has_the_closed_form_below_10_4():
 
 
 def test_memos_match_fresh_computation_below_2000():
-    # every per-p memo against its function body, or the search it reads, run afresh
+    # every per-p memo against its function body run afresh
     for p in _primes_below(2000):
         B = b_p_infty(p)
         fresh = b_p_infty.__wrapped__(p)
         assert B == fresh and ramified_places(B) == {p, OO}, p
         unit = spinstruct.pure_unit_exists(p)
         assert unit == ternary_represents(fresh.pure_norm_coefficients(), 1), p
-        for bound in (1, 2, 50):
-            v = spinstruct._odd_u(B, p, 1, bound)
-            assert v == find_pure_of_norm(fresh, p, bound), (p, bound)
-            if unit:
-                v = spinstruct._unit_witness(p, bound)
-                assert v == find_pure_of_norm(fresh, 1, bound), (p, bound)
         for n in (2, 4):
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
             assert verify_identity_exact(p, n).vacuous == (not cert.exists), (p, n)
+
+
+def test_canonical_witnesses_match_the_search_below_10_4():
+    # the witnesses read off the presentation (j, i + j for p = 2, and i for
+    # even n) against the first hit of the box search, at boxes 1, 2 and 50
+    for p in _primes_below(10**4):
+        B = b_p_infty(p)
+        unit = spinstruct.pure_unit_exists(p)
+        assert unit == (B.a == -1), p
+        if not unit:
+            assert spinstruct._canonical_u(B, p, 2) is None, p
+        for box in (1, 2, 50):
+            assert spinstruct._canonical_u(B, p, 1) == find_pure_of_norm(B, p, box), (p, box)
+            if unit:
+                assert spinstruct._canonical_u(B, p, 2) == find_pure_of_norm(B, 1, box) * p, (p, box)
+
+
+def test_canonical_chain_runs_no_search(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"searched: find_pure_of_norm{args}")
+
+    monkeypatch.setattr(quat, "find_pure_of_norm", refuse)
+    for p in (2, 3, 5, 7, 11):
+        for n in (1, 2, 3, 4):
+            cert = has_arithmetic_spin(spinorial_class(p, n, -1))
+            if n % 2 == 1:
+                s = construct_arithmetic_spin(p, n)
+            else:
+                s = construct_arithmetic_spin_even(p, n)
+            assert cert.exists == (s is not None), (p, n)
+    for argv in (
+        ["spin", "--p", "2", "--n", "1"],
+        ["spin", "--p", "3", "--n", "2"],
+        ["crystal", "--p", "3", "--n", "1"],
+        ["selftest"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_memos_are_bounded():
@@ -324,23 +357,19 @@ def test_memos_keep_no_errors():
                 b_p_infty(bad)
             with pytest.raises(NotPrime):
                 spinstruct.pure_unit_exists(bad)
-    # the memoised norm-1 search for p = 3 (n even) and the per-call norm-2
-    # search for p = 2 (n odd): an empty box raises on every call and never
-    # hides the default box's witness
-    for p, n in ((3, 2), (2, 1)):
-        c = spinorial_class(p, n, -1)
-        for _ in range(2):
-            with pytest.raises(SearchExhausted):
-                has_arithmetic_spin(c, 0)
-            assert has_arithmetic_spin(c).exists
-    with pytest.raises(SearchExhausted):
-        construct_arithmetic_spin(2, 1, 0)
+    # an empty box fails the rng route on every call; the canonical route
+    # reads no box and answers all the same
+    for _ in range(2):
+        with pytest.raises(SearchExhausted):
+            construct_arithmetic_spin(2, 1, 0, random.Random(1))
+        assert construct_arithmetic_spin(2, 1, 0).sigma.u == construct_arithmetic_spin(2, 1).sigma.u
 
 
 def test_memoised_objects_reject_assignment():
     B = b_p_infty(7)
     with pytest.raises(dataclasses.FrozenInstanceError):
         B.a = Fraction(-3)
-    for v in (spinstruct._unit_witness(2, 50), spinstruct._unit_witness(7, 50)):
+    for p in (2, 7):
+        v = has_arithmetic_spin(spinorial_class(p, 2, -1)).witness
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.x1 = Fraction(0)
