@@ -73,18 +73,47 @@ def test_spin_even_n_structure_exists(capsys):
     assert doc["slope"] == "1/4"
 
 
-def test_search_bound_env_var_is_ignored(monkeypatch, capsys):
+IGNORED_BOUND_CASES = [
+    ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
+    ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
+]
+
+
+def _assert_goldens_with_bound(monkeypatch, capsys, value):
+    monkeypatch.setenv("SPINEL_SEARCH_BOUND", value)
+    for name, argv in IGNORED_BOUND_CASES:
+        assert main(argv) == 0, (value, argv)
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(), (value, argv)
+
+
+def test_search_bound_env_var(monkeypatch, capsys):
     # the witnesses are read off B_{p,oo} with no search, so no box applies:
-    # an empty, a negative or a malformed SPINEL_SEARCH_BOUND changes nothing
-    cases = [
-        ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
-        ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
-    ]
-    for value in ("0", "-1", "soon"):
-        monkeypatch.setenv("SPINEL_SEARCH_BOUND", value)
-        for name, argv in cases:
-            assert main(argv) == 0, (value, argv)
-            assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(), (value, argv)
+    # an empty or a negative SPINEL_SEARCH_BOUND changes nothing
+    for value in ("0", "-1", "50"):
+        _assert_goldens_with_bound(monkeypatch, capsys, value)
+
+
+def test_large_search_bound_answers_fast(monkeypatch, capsys):
+    # a huge box answers as fast as the default and with the same output
+    for argv in (["spin", "--p", "3", "--n", "2", "--json"], ["spin", "--p", "2", "--n", "1", "--json"]):
+        monkeypatch.delenv("SPINEL_SEARCH_BOUND", raising=False)
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("SPINEL_SEARCH_BOUND", "1000000000")
+        t0 = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - t0
+        assert rc == 0, argv
+        assert capsys.readouterr().out == default
+        assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_bad_env_var_is_reported(monkeypatch, capsys):
+    # the CLI no longer reads SPINEL_SEARCH_BOUND, so a malformed value is
+    # not an error: the answers are the goldens and no error line is printed
+    _assert_goldens_with_bound(monkeypatch, capsys, "soon")
+    assert main(["spin", "--p", "3", "--n", "1", "--json"]) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
 
 
 def test_closed_stdout_exits_1_without_traceback():
