@@ -13,6 +13,7 @@ B_{p,oo} with no search, so no search box applies.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -24,13 +25,20 @@ from .arith import OO
 from .errors import NoSpinStructure, SpinelError
 from .fields import MAX_FIELD_ORDER
 
-def _real(x) -> str:
+#: 17 significant digits, half up, as mpmath.nstr(x, 17) rounds
+_DIGITS = decimal.Context(prec=17, rounding=decimal.ROUND_HALF_UP)
+
+
+def _real(x: lfunc.Real) -> str:
+    """A Fraction as num/den; a Decimal to 17 digits in mpmath.nstr's layout:
+    fixed notation from 1e-4 up, d.ddde-N below, trailing zeros stripped."""
     if isinstance(x, Fraction):
         return str(x)
-    import mpmath
-
-    with mpmath.workdps(20):
-        return mpmath.nstr(x, 17)
+    x = _DIGITS.normalize(x)
+    mantissa, _, exponent = format(x, "f" if -5 < x.adjusted() < 17 else "e").partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return mantissa + ("e" + exponent if exponent else "")
 
 
 def _parse_fraction(text: str) -> Fraction:

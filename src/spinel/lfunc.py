@@ -15,24 +15,26 @@ and the half-substitution gives the exact identity
     L(E, s) = L(rho_spin, s/2)^2.
 
 Everything here is exact rational-function arithmetic over Z[T], with
-equality in Q(T) by cross-multiplication and no reduction; numeric
-L-values are a secondary check done in high-precision floating point,
-NUMERIC_DPS digits from q^e to the last square, with mpmath imported only
-when an exponent makes q^e irrational.
+equality in Q(T) by cross-multiplication and no reduction.  Numeric
+L-values are a secondary check in ints: an L-value whose power q^e is
+rational is an exact Fraction, and one whose power is irrational is a
+Decimal correctly rounded to NUMERIC_DPS digits from integer bounds on
+q^e, the integer d-th root of p^|k| 2^(md) for 2n e = k/d.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from math import gcd, isqrt
+from typing import Union
 
 from . import spinstruct
-from .arith import Rat, _as_fraction, check_power, is_prime
-from .errors import NotPrime, ZeroInput
+from .arith import MAX_POWER_BITS, Rat, _as_fraction, check_power, is_prime
+from .errors import BoundExceeded, NotPrime, ZeroInput
 
-#: working precision for numeric L-values; well beyond the 1e-12 tolerance
+#: digits of an inexact L-value, each correctly rounded
 NUMERIC_DPS = 40
 
 IntPoly = tuple[int, ...]
@@ -178,32 +180,67 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
 
 
-if TYPE_CHECKING:
-    import mpmath
+Real = Union[Fraction, Decimal]
 
-Real = Union[Fraction, "mpmath.mpf"]
+#: the context of every inexact L-value, whatever the caller's decimal context
+_CTX = Context(prec=NUMERIC_DPS)
+
+#: working bits m of the first root; about 27 bits beyond NUMERIC_DPS digits
+_ROOT_BITS = 4 * NUMERIC_DPS
 
 
-def q_power(p: int, n: int, e: Fraction) -> Real:
-    """q^e for q = p^(2n): exact Fraction when 2n*e is integral, else mpf.
+def _iroot(a: int, d: int) -> int:
+    """floor(a^(1/d)) for a >= 1 and d >= 2, by integer Newton from above."""
+    if d == 2:
+        return isqrt(a)
+    y = 1 << -(-a.bit_length() // d)
+    while True:
+        z = ((d - 1) * y + a // y ** (d - 1)) // d
+        if z >= y:
+            return y
+        y = z
 
-    An exact power p^(2ne) must lie below the limit of arith.check_power.
-    mpmath is imported on the first inexact exponent, so `import spinel`
-    does not load it.
+
+def _reciprocal_powers(p: int, k: int, d: int, powers: tuple[int, ...]) -> list[Real]:
+    """(1/(1 + x))^j for x = p^(k/d), d > 0, and each j in powers.
+
+    With k/d in lowest terms: for d = 1 these are Fractions built from
+    p^|k|.  Otherwise x is irrational, and r = floor(2^m p^(|k|/d)) bounds
+    it strictly: r < 2^m p^(|k|/d) < r + 1.  Each value then lies strictly
+    between two ratios of ints; both are divided at NUMERIC_DPS digits,
+    and m is doubled until they round alike, so the value returned is the
+    true one correctly rounded.  p^|k|, and 2^(md) for the first m, must
+    lie below the exact power limit of arith.check_power.
     """
-    e2 = _as_fraction(e) * 2 * n
-    if e2.denominator == 1:
-        check_power(p, abs(e2.numerator))
-        return Fraction(p) ** e2.numerator
-    import mpmath
-
-    with mpmath.workdps(NUMERIC_DPS):
-        return mpmath.power(p, mpmath.mpf(e2.numerator) / e2.denominator)
+    g = gcd(k, d)
+    k, d = k // g, d // g
+    check_power(p, abs(k))
+    pk = p ** abs(k)
+    if d == 1:
+        a, b = (1, 1 + pk) if k >= 0 else (pk, pk + 1)
+        return [Fraction(a**j, b**j) for j in powers]
+    if _ROOT_BITS * d >= MAX_POWER_BITS:
+        raise BoundExceeded(
+            f"{p}^({k}/{d}) needs 2^({_ROOT_BITS}*{d}), at or above 2^{MAX_POWER_BITS},"
+            " the exact power limit"
+        )
+    m = _ROOT_BITS
+    while True:
+        r, one = _iroot(pk << (m * d), d), 1 << m
+        # x = p^(k/d), and 1/(1 + x) lies strictly between a/b and c/f
+        if k > 0:
+            a, b, c, f = one, one + r + 1, one, one + r
+        else:
+            a, b, c, f = r, r + one, r + 1, r + 1 + one
+        lo = [_CTX.divide(a**j, b**j) for j in powers]
+        if lo == [_CTX.divide(c**j, f**j) for j in powers]:
+            return lo
+        m *= 2
 
 
 @dataclass(frozen=True)
 class LValues:
-    """Numeric (or exact, when possible) L-values at a rational s."""
+    """Exact L-values at a rational s, or correctly rounded 40-digit ones."""
 
     s: Fraction
     l_curve: Real          # L(E, s)
@@ -215,22 +252,17 @@ class LValues:
 def l_values(p: int, n: int, s: Rat) -> LValues:
     """Evaluate L(E, s), L(rho_spin, s) and L(rho_spin, s/2)^2.
 
-    Exact rational answers are returned whenever q^(1/2 - s) resp.
-    q^(1/2 - 2s) is rational; otherwise mpf, with every step from q^e on
-    rounded at NUMERIC_DPS digits.
+    L(rho_spin, s/2) = 1/(1 + q^(1/2 - s)) and L(rho_spin, s) =
+    1/(1 + q^(1/2 - 2s)).  Each value is an exact Fraction when its power
+    of q is rational, and otherwise a Decimal: the true value correctly
+    rounded to NUMERIC_DPS digits.
     """
     _check_pn(p, n)
     s = _as_fraction(s)
-    half = q_power(p, n, Fraction(1, 2) - s)
-    spin = q_power(p, n, Fraction(1, 2) - 2 * s)
-    precision = nullcontext()
-    if not (isinstance(half, Fraction) and isinstance(spin, Fraction)):
-        import mpmath
-
-        precision = mpmath.workdps(NUMERIC_DPS)
-    with precision:
-        lhalf, lspin = 1 / (1 + half), 1 / (1 + spin)
-        lsq = lhalf**2
+    a, b = s.numerator, s.denominator
+    # the exponents of p: 2n(1/2 - s) and 2n(1/2 - 2s), both over b
+    lhalf, lsq = _reciprocal_powers(p, n * (b - 2 * a), b, (1, 2))
+    (lspin,) = _reciprocal_powers(p, n * (b - 4 * a), b, (1,))
     return LValues(s, lsq, lspin, lhalf, lsq)
 
 

@@ -30,7 +30,7 @@ norm (|z|^2 = p^n) and its negation (the other lift -z).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -48,15 +48,10 @@ from .errors import (
 from .quat import Quaternion, QuaternionAlgebra, _exact_sqrt
 
 
-def _fraction_sqrt(r: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None."""
-    if r < 0:
-        return None
-    num = _exact_sqrt(r.numerator)
-    den = _exact_sqrt(r.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+def _rational_sqrt(r: Fraction) -> Optional[tuple[int, int]]:
+    """(a, b) with a/b the nonnegative square root of r in lowest terms, or None."""
+    a, b = _exact_sqrt(r.numerator), _exact_sqrt(r.denominator)
+    return None if a is None or b is None else (a, b)
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,9 @@ class QuadraticEtale:
             raise DeltaMismatch(f"{self.delta} is not squarefree")
 
     def element(self, c: Rat, d: Rat = 0) -> "EtaleElement":
-        return EtaleElement(self, _as_fraction(c), _as_fraction(d))
+        c, d = _as_fraction(c), _as_fraction(d)
+        cd, dd = c.denominator, d.denominator
+        return EtaleElement(self, c.numerator * dd, d.numerator * cd, cd * dd)
 
     def sqrt_rational(self, t: Rat) -> Optional["EtaleElement"]:
         """A square root in K of a nonzero rational t, or None.
@@ -87,12 +84,12 @@ class QuadraticEtale:
         t = _as_fraction(t)
         if t == 0:
             raise ZeroInput("0 has the trivial root")
-        c = _fraction_sqrt(t)
-        if c is not None:
-            return self.element(c)
-        d = _fraction_sqrt(t / self.delta)
-        if d is not None:
-            return self.element(0, d)
+        root = _rational_sqrt(t)
+        if root is not None:
+            return EtaleElement(self, root[0], 0, root[1])
+        root = _rational_sqrt(t / self.delta)
+        if root is not None:
+            return EtaleElement(self, 0, root[0], root[1])
         return None
 
     def __str__(self) -> str:
@@ -101,29 +98,49 @@ class QuadraticEtale:
 
 @dataclass(frozen=True)
 class EtaleElement:
-    """c + d*x in a fixed QuadraticEtale ring."""
+    """(cn + dn*x)/den in a fixed QuadraticEtale ring.
+
+    Stored in lowest terms with den > 0, so equal elements have equal
+    fields; c and d are the rational coordinates.
+    """
 
     ring: QuadraticEtale
-    c: Fraction
-    d: Fraction
+    cn: int
+    dn: int
+    den: int = 1
+
+    def __post_init__(self):
+        g = gcd(self.cn, self.dn, self.den)
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "cn", self.cn // g)
+            object.__setattr__(self, "dn", self.dn // g)
+            object.__setattr__(self, "den", self.den // g)
+
+    c = property(lambda self: Fraction(self.cn, self.den))
+    d = property(lambda self: Fraction(self.dn, self.den))
 
     def __neg__(self):
-        return EtaleElement(self.ring, -self.c, -self.d)
+        return EtaleElement(self.ring, -self.cn, -self.dn, self.den)
 
     def norm(self) -> Fraction:
         """N_{K/Q}(z) = c^2 - delta*d^2."""
-        return self.c * self.c - self.ring.delta * self.d * self.d
+        cn, dn = self.cn, self.dn
+        return Fraction(cn * cn - self.ring.delta * dn * dn, self.den * self.den)
 
     def is_unit(self) -> bool:
-        return self.norm() != 0
+        return self.cn * self.cn != self.ring.delta * self.dn * self.dn
 
     def is_rational(self) -> bool:
-        return self.d == 0
+        return self.dn == 0
 
     def square(self) -> "EtaleElement":
         """(c + d*x)^2 = (c^2 + delta*d^2) + 2cd*x."""
-        c, d = self.c, self.d
-        return EtaleElement(self.ring, c * c + self.ring.delta * d * d, 2 * c * d)
+        cn, dn = self.cn, self.dn
+        return EtaleElement(
+            self.ring, cn * cn + self.ring.delta * dn * dn, 2 * cn * dn, self.den * self.den
+        )
 
     def __str__(self) -> str:
         if self.d == 0:
@@ -158,6 +175,7 @@ class OrthogonalInvolution:
 
     algebra: QuaternionAlgebra
     u: Quaternion
+    _disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.algebra != self.algebra:
@@ -167,6 +185,7 @@ class OrthogonalInvolution:
         if self.u.reduced_norm() == 0:
             raise NotInvertible(f"u = {self.u} has reduced norm 0")
         object.__setattr__(self, "u", _normalize_pure(self.u))
+        object.__setattr__(self, "_disc", squarefree_part(-self.u.reduced_norm()))
 
     def apply(self, x: Quaternion) -> Quaternion:
         """sigma(x) = u * gamma(x) * u^-1."""
@@ -178,9 +197,9 @@ class OrthogonalInvolution:
         """disc(sigma) = -Nrd(u) as a canonical squarefree integer.
 
         Invariant under rescaling u since Nrd is multiplicative and scalars
-        have square norm.
+        have square norm; computed once, from the canonical u.
         """
-        return squarefree_part(-self.u.reduced_norm())
+        return self._disc
 
     def is_isomorphic_to(self, other: "OrthogonalInvolution") -> bool:
         """Isomorphism of involutions on the same algebra = equal discriminants."""

@@ -18,7 +18,9 @@ oracles are Euclid and division over Fraction, the pure-norm search
 oracle computes its shell limits as Fraction products, and the quaternion
 oracle keeps four Fraction coordinates instead of int numerators over one
 denominator, the etale product is the general multiplication of K that
-EtaleElement kept before only its square was left, and the modulus oracle
+EtaleElement kept before only its square was left, the etale text is its
+printing from Fraction coordinates before they became int numerators, and
+the modulus oracle
 trial-divides where Rabin's test replaced it.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check.
@@ -651,6 +653,16 @@ def etale_product(z, w):
     assert z.ring == w.ring
     delta = z.ring.delta
     return z.ring.element(z.c * w.c + delta * z.d * w.d, z.c * w.d + z.d * w.c)
+
+
+def etale_str(c: Fraction, d: Fraction) -> str:
+    """The text of c + d x that EtaleElement printed from Fraction coordinates."""
+    if d == 0:
+        return str(c)
+    xterm = ("x" if d > 0 else "-x") if abs(d) == 1 else f"{d}*x"
+    if c == 0:
+        return xterm
+    return f"{c}{'' if xterm.startswith('-') else '+'}{xterm}"
 
 
 def smallest_modulus_oracle(p: int, a: int) -> tuple[int, ...]:

@@ -125,7 +125,7 @@ def test_criterion_l_function_identity():
         def as_mpf(x):
             if isinstance(x, Fraction):
                 return mpmath.mpf(x.numerator) / x.denominator
-            return x
+            return mpmath.mpf(str(x))
 
         for (p, n) in [(3, 1), (5, 1), (7, 1), (3, 3)]:
             for s in [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)]:

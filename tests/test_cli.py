@@ -19,6 +19,7 @@ GOLDEN_CASES = [
     ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
     ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
     ("lfunc_p3_n1_s1", ["lfunc", "--p", "3", "--n", "1", "--s", "1", "--json"]),
+    ("lfunc_p3_n1_s1_3", ["lfunc", "--p", "3", "--n", "1", "--s", "1/3", "--json"]),
     ("classify_p5_a1", ["classify", "--p", "5", "--a", "1", "--json"]),
     ("crystal_p3_n1", ["crystal", "--p", "3", "--n", "1", "--json"]),
     ("bpinf_p5", ["bpinf", "--p", "5", "--json"]),
@@ -198,6 +199,35 @@ def test_lfunc_inexact_values_are_correctly_rounded(capsys):
     numeric = json.loads(capsys.readouterr().out)["numeric"]
     assert numeric["l_curve"] == numeric["l_spin_half_sq"] == "0.16765631496644505"
     assert numeric["l_spin"] == "0.59054143681387607"
+
+
+def test_lfunc_inexact_digits_are_pinned(capsys):
+    # the 17-digit strings of all four values at every benchmark s where
+    # q^(1/2 - s) or q^(1/2 - 2s) is irrational, for p in {2, 3, 7, 11, 65521}
+    # and n <= 6, as the 40-digit mpmath route printed them
+    pinned = json.loads((GOLDEN / "lfunc_inexact_digits.json").read_text())
+    assert len(pinned) == 105
+    for key, want in pinned.items():
+        p, n, s = key.split()
+        assert main(["lfunc", "--p", p, "--n", n, "--s", s, "--json"]) == 0
+        numeric = json.loads(capsys.readouterr().out)["numeric"]
+        got = [numeric[k] for k in ("l_curve", "l_spin", "l_spin_half", "l_spin_half_sq")]
+        assert got == want, key
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        "3/2305843009213693951",  # q^(1/2 - s) = 2^(k/d) with k = 2^61 - 7
+        "1/100",  # the root of degree d = 50 needs 2^(160 d) >= 2^4096
+    ],
+    ids=["large-k", "large-d"],
+)
+def test_lfunc_irrational_power_beyond_the_limit_fails_fast(s, capsys):
+    t0 = time.perf_counter()
+    assert main(["lfunc", "--p", "2", "--n", "1", "--s", s, "--json"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert json.loads(capsys.readouterr().out)["error"] == "bound-exceeded"
 
 
 def test_version(capsys):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import spinel
 
 from _oracles import poly_gcd_oracle, rational_function_oracle
-from spinel.errors import NotPrime, ZeroInput
+from spinel.errors import BoundExceeded, NotPrime, ZeroInput
 from spinel.lfunc import (
     RationalFunction,
     factor_over_gaussians,
@@ -19,7 +20,6 @@ from spinel.lfunc import (
     poly_eval,
     poly_mul,
     poly_str,
-    q_power,
     verify_identity_exact,
     zeta_h1,
     zeta_spin,
@@ -109,13 +109,15 @@ def test_identity_vacuous_flag():
 
 
 def test_import_spinel_does_not_load_mpmath():
-    # mpmath is imported only for an irrational L-value; the exact spin
-    # chain, memos included, runs without it
+    # the spin chain, memos included, and an irrational L-value through the
+    # library and the CLI all run in ints and Decimals
     code = (
-        "import sys, spinel; "
+        "import sys; from fractions import Fraction; import spinel; "
+        "from spinel.cli import main; "
         "spinel.construct_arithmetic_spin(2, 3); spinel.construct_arithmetic_spin_even(3, 2); "
-        "spinel.verify_identity_exact(5, 2); spinel.l_values(3, 1, 1); "
-        "print('mpmath' in sys.modules)"
+        "spinel.verify_identity_exact(5, 2); spinel.l_values(3, 1, Fraction(1, 3)); "
+        "assert main(['lfunc', '--p', '3', '--n', '1', '--s', '1/3']) == 0; "
+        "assert 'mpmath' not in sys.modules"
     )
     src = str(Path(spinel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -123,7 +125,7 @@ def test_import_spinel_does_not_load_mpmath():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert "L(E, 1/3) = 0.16765631496644505" in out.stdout
 
 
 def test_l_values_exact_point():
@@ -161,9 +163,15 @@ _BENCH_S = tuple(
 )
 
 
+def _as_mpf(x):
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(str(x))
+
+
 def test_l_values_match_80_digit_recomputation():
-    # every inexact step runs at 40 digits, so all four values agree with an
-    # 80-digit recomputation far below the 53-bit level
+    # every inexact value is the true one correctly rounded to 40 digits, so
+    # it lies within half a unit in the 40th digit of an 80-digit recomputation
     checked = 0
     for p in (2, 3, 7, 11):
         for n in (1, 2, 3):
@@ -180,21 +188,42 @@ def test_l_values_match_80_digit_recomputation():
                     want = (half**2, spin, half, half**2)
                     got = (vals.l_curve, vals.l_spin, vals.l_spin_half, vals.l_spin_half_sq)
                     for g, w in zip(got, want):
-                        if isinstance(g, Fraction):
-                            g = mpmath.mpf(g.numerator) / g.denominator
-                        assert abs(g - w) < mpmath.mpf("1e-35") * w, (p, n, s)
+                        assert abs(_as_mpf(g) - w) < mpmath.mpf("1e-39") * w, (p, n, s)
                 checked += 1
     assert checked == 48
 
 
-def test_q_power_exact_vs_numeric():
-    assert q_power(3, 1, Fraction(2)) == 81
-    assert q_power(3, 1, Fraction(1, 2)) == 3  # q = 9
-    assert q_power(2, 1, Fraction(-1)) == Fraction(1, 4)
-    x = q_power(3, 1, Fraction(1, 4))  # 9^{1/4} = sqrt(3), irrational
-    assert isinstance(x, mpmath.mpf)
+def test_l_values_exact_and_irrational_powers():
+    # L(rho_spin, s/2) = 1/(1 + q^(1/2 - s)) and L(rho_spin, s) = 1/(1 + q^(1/2 - 2s))
+    v = l_values(3, 1, Fraction(-3, 2))  # q^2 = 81 and q^(7/2) = 3^7
+    assert (v.l_spin_half, v.l_spin) == (Fraction(1, 82), Fraction(1, 2188))
+    v = l_values(3, 1, 0)  # q^(1/2) = 3
+    assert v.l_spin_half == v.l_spin == Fraction(1, 4)
+    v = l_values(2, 1, Fraction(3, 2))  # q^-1 = 1/4 and q^(-5/2) = 1/32
+    assert (v.l_spin_half, v.l_spin) == (Fraction(4, 5), Fraction(32, 33))
+    v = l_values(3, 1, Fraction(1, 4))  # q^(1/4) = sqrt(3), irrational; q^0 = 1
+    assert isinstance(v.l_spin_half, Decimal) and isinstance(v.l_curve, Decimal)
+    assert v.l_spin == Fraction(1, 2)
     with mpmath.workdps(40):
-        assert abs(x - mpmath.sqrt(3)) < mpmath.mpf("1e-30")
+        assert abs(_as_mpf(v.l_spin_half) - 1 / (1 + mpmath.sqrt(3))) < mpmath.mpf("1e-30")
+    # root degree 25, the largest with 2^(160 d) below the exact power limit
+    v = l_values(2, 1, Fraction(12, 25))  # q^(1/50) = 2^(1/25) and q^(-23/50)
+    with mpmath.workdps(80):
+        for got, e in ((v.l_spin_half, mpmath.mpf(1) / 25), (v.l_spin, mpmath.mpf(-23) / 25)):
+            want = 1 / (1 + mpmath.power(2, e))
+            assert abs(_as_mpf(got) - want) < mpmath.mpf("1e-39") * want
+    with pytest.raises(BoundExceeded):
+        l_values(2, 1, Fraction(25, 52))  # q^(1/52) = 2^(1/26)
+
+
+def test_l_values_ignore_the_callers_decimal_context():
+    points = [(3, 1, Fraction(1, 3)), (2, 5, Fraction(1, 6)), (11, 3, Fraction(5, 4))]
+    want = [l_values(*x) for x in points]
+    with localcontext():
+        getcontext().prec = 5
+        got = [l_values(*x) for x in points]
+    assert got == want
+    assert all(len(v.l_curve.as_tuple().digits) == 40 for v in got)
 
 
 def test_gaussian_factorization():

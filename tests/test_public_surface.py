@@ -123,7 +123,8 @@ def _members() -> dict[str, dict[str, tuple[pathlib.Path, int, int]]]:
     """class -> {method or property: (module, first line, last line)} of each public class.
 
     A member is a def, or a class-level alias or property (`__radd__ = __add__`,
-    `x0 = property(...)`); plain class attributes such as `code` are not.
+    `x0 = property(...)`, `c = property(...)`); plain class attributes such
+    as `code` and dataclass fields such as `cn` or `_disc` are not.
     """
     out = {}
     for path in MODULES:
@@ -185,6 +186,17 @@ def test_public_methods_are_reached():
             if not any(where != path or not start <= line <= end for where, line in refs[name]):
                 unreached.append(f"{cls}.{name}")
     assert unreached == []
+
+
+def test_coordinate_properties_are_members():
+    # Quaternion and EtaleElement keep int numerators over one denominator as
+    # dataclass fields, which are not members; the Fraction coordinates read
+    # off them are, so the reach check covers them
+    members = _members()
+    assert {"x0", "x1", "x2", "x3"} <= set(members["Quaternion"])
+    assert {"c", "d"} <= set(members["EtaleElement"])
+    fields = {"nums", "den", "cn", "dn"}
+    assert not fields & (set(members["Quaternion"]) | set(members["EtaleElement"]))
 
 
 def test_operator_methods_are_listed():

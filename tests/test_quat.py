@@ -18,7 +18,7 @@ from spinel.quat import (
     find_pure_of_norm,
     ramified_places,
 )
-from spinel.lfunc import l_values, q_power, zeta_h1
+from spinel.lfunc import l_values, zeta_h1
 from spinel.spinspace import OrthogonalInvolution, QuadraticEtale
 
 
@@ -362,12 +362,11 @@ def test_quaternion_is_built_in_lowest_terms():
         lambda x: QuadraticEtale(-3).sqrt_rational(x),
         lambda x: QuadraticEtale(x),
         lambda x: l_values(3, 1, x),
-        lambda x: q_power(3, 1, x),
         lambda x: zeta_h1(3, 1).evaluate(x),
     ],
     ids=[
         "algebra-a", "algebra-b", "element", "norm-m", "etale-element", "sqrt-rational", "etale-delta",
-        "l-values-s", "q-power-e", "evaluate",
+        "l-values-s", "evaluate",
     ],
 )
 def test_exact_entry_points_refuse_floats_and_strings(entry, bad):

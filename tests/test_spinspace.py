@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import etale_product, quaternion_sum, random_fraction
+from _oracles import etale_product, etale_str, quaternion_sum, random_fraction
+from spinel.arith import squarefree_part
 from spinel.errors import (
     AlgebraMismatch,
     DeltaMismatch,
@@ -13,6 +15,7 @@ from spinel.errors import (
     NotUnit,
 )
 from spinel.quat import QuaternionAlgebra, b_p_infty
+from spinel.spinstruct import construct_arithmetic_spin, construct_arithmetic_spin_even
 from spinel.spinspace import (
     OrthogonalInvolution,
     QuadraticEtale,
@@ -88,9 +91,24 @@ def test_discriminant_is_negative_for_definite_algebras():
         d = sigma.discriminant()
         assert isinstance(d, int)
         assert d < 0
-        from spinel.arith import squarefree_part
-
         assert squarefree_part(d) == d
+
+
+def test_stored_discriminant_is_the_square_class_of_minus_nrd():
+    rng = random.Random(23)
+    algebras = [_random_definite_algebra(rng) for _ in range(10)]
+    algebras += [b_p_infty(p) for p in (2, 3, 5, 7, 13)]
+    for k in range(200):
+        sigma = random_involution(algebras[k % len(algebras)], rng)
+        assert sigma.discriminant() == squarefree_part(-sigma.u.reduced_norm())
+    canonical = 0
+    for p in [p for p in range(2, 128) if all(p % q for q in range(2, p))]:
+        for n in (1, 2, 3):
+            s = construct_arithmetic_spin(p, n) if n % 2 else construct_arithmetic_spin_even(p, n)
+            if s is not None:
+                assert s.sigma.discriminant() == squarefree_part(-s.sigma.u.reduced_norm()), (p, n)
+                canonical += 1
+    assert canonical == 31 * 2 + 17  # n = 1, 3 for all 31 primes; n = 2 for p = 2 and p = 3 mod 4
 
 
 def test_isomorphism_classified_by_discriminant():
@@ -229,14 +247,20 @@ def test_covering_map_squares_and_kernel():
 
 
 def test_square_norm_and_cover_match_the_product():
-    # differential: square, norm and covering_map against the general product
+    # differential: square, norm and covering_map against the general product,
+    # and the coordinates and text against the Fractions the element was built from
     rng = random.Random(17)
     for delta in [-1, -2, -3, -7, 1, 5]:
         K = QuadraticEtale(delta)
-        samples = [K.element(random_fraction(rng), random_fraction(rng)) for _ in range(80)]
-        samples += [K.element(c, d) for c in (0, 1, -2) for d in (0, 1, -2)]
-        for z in samples:
+        coords = [(random_fraction(rng), random_fraction(rng)) for _ in range(80)]
+        coords += [(Fraction(c), Fraction(d)) for c in (0, 1, -2) for d in (0, 1, -2)]
+        for c, d in coords:
+            z = K.element(c, d)
+            assert (z.c, z.d, str(z)) == (c, d, etale_str(c, d))
+            assert z.den > 0 and math.gcd(z.cn, z.dn, z.den) == 1
+            assert str(-z) == etale_str(-c, -d)
             sq = etale_product(z, z)
+            assert str(z.square()) == etale_str(sq.c, sq.d)
             assert z.square() == sq
             assert etale_product(z, K.element(z.c, -z.d)) == K.element(z.norm())
             if z.is_unit():
