@@ -25,8 +25,11 @@ from .arith import OO
 from .errors import NoSpinStructure, SpinelError
 from .fields import MAX_FIELD_ORDER
 
-#: 17 significant digits, half up, as mpmath.nstr(x, 17) rounds
-_DIGITS = decimal.Context(prec=17, rounding=decimal.ROUND_HALF_UP)
+#: 17 significant digits, half up, as mpmath.nstr(x, 17) rounds; pinned in
+#: full, as lfunc's context is
+_DIGITS = decimal.Context(
+    prec=17, rounding=decimal.ROUND_HALF_UP, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, traps=[]
+)
 
 
 def _real(x: lfunc.Real) -> str:

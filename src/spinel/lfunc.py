@@ -25,14 +25,14 @@ q^e, the integer d-th root of p^|k| 2^(md) for 2n e = k/d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import log2
 from typing import Union
 
 from . import spinstruct
-from .arith import MAX_POWER_BITS, Rat, _as_fraction, check_power, is_prime
-from .errors import BoundExceeded, NotPrime, ZeroInput
+from .arith import Rat, _as_fraction, check_power, is_prime
+from .errors import NotPrime, ZeroInput
 
 #: digits of an inexact L-value, each correctly rounded
 NUMERIC_DPS = 40
@@ -182,52 +182,57 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
 
 Real = Union[Fraction, Decimal]
 
-#: the context of every inexact L-value, whatever the caller's decimal context
-_CTX = Context(prec=NUMERIC_DPS)
+#: the context of every inexact L-value, whatever the caller's decimal context;
+#: pinned in full, since a Context copies what it is not given from
+#: decimal.DefaultContext, which a caller may have changed
+_CTX = Context(
+    prec=NUMERIC_DPS, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[]
+)
 
 #: working bits m of the first root; about 27 bits beyond NUMERIC_DPS digits
 _ROOT_BITS = 4 * NUMERIC_DPS
 
 
 def _iroot(a: int, d: int) -> int:
-    """floor(a^(1/d)) for a >= 1 and d >= 2, by integer Newton from above."""
-    if d == 2:
-        return isqrt(a)
-    y = 1 << -(-a.bit_length() // d)
-    while True:
-        z = ((d - 1) * y + a // y ** (d - 1)) // d
-        if z >= y:
-            return y
-        y = z
+    """floor(a^(1/d)) for a >= 1 and d >= 2, by integer Newton.
 
-
-def _reciprocal_powers(p: int, k: int, d: int, powers: tuple[int, ...]) -> list[Real]:
-    """(1/(1 + x))^j for x = p^(k/d), d > 0, and each j in powers.
-
-    With k/d in lowest terms: for d = 1 these are Fractions built from
-    p^|k|.  Otherwise x is irrational, and r = floor(2^m p^(|k|/d)) bounds
-    it strictly: r < 2^m p^(|k|/d) < r + 1.  Each value then lies strictly
-    between two ratios of ints; both are divided at NUMERIC_DPS digits,
-    and m is doubled until they round alike, so the value returned is the
-    true one correctly rounded.  p^|k|, and 2^(md) for the first m, must
-    lie below the exact power limit of arith.check_power.
+    By AM-GM one step from any y > 0 lands on or above the floor root, and
+    from there the steps fall to it; a float guess makes them few.
     """
-    g = gcd(k, d)
-    k, d = k // g, d // g
-    check_power(p, abs(k))
+    shift = max(a.bit_length() - 53, 0)
+    e = (log2(a >> shift) + shift) / d  # log2 of the root, to float accuracy
+    t = max(int(e) - 52, 0)
+
+    def step(y: int) -> int:
+        return ((d - 1) * y + a // y ** (d - 1)) // d
+
+    y = step(max(int(2.0 ** (e - t)), 1) << t)
+    z = step(y)
+    while z < y:
+        y, z = z, step(z)
+    return y
+
+
+def _reciprocal_powers(p: int, e: Fraction, powers: tuple[int, ...]) -> list[Real]:
+    """(1/(1 + x))^j for x = p^e, e = k/d, and each j in powers.
+
+    p^|k| must lie below the exact power limit of arith.check_power.  For
+    d = 1 the values are Fractions built from p^|k|.  Otherwise x is
+    irrational, and r = floor(2^m p^(|k|/d)) bounds it strictly:
+    r < 2^m p^(|k|/d) < r + 1.  Each value then lies strictly between two
+    ratios of ints; both are divided at NUMERIC_DPS digits, and m is
+    doubled until they round alike, so the value returned is the true one
+    correctly rounded.
+    """
+    k, d = e.numerator, e.denominator
     pk = p ** abs(k)
     if d == 1:
         a, b = (1, 1 + pk) if k >= 0 else (pk, pk + 1)
         return [Fraction(a**j, b**j) for j in powers]
-    if _ROOT_BITS * d >= MAX_POWER_BITS:
-        raise BoundExceeded(
-            f"{p}^({k}/{d}) needs 2^({_ROOT_BITS}*{d}), at or above 2^{MAX_POWER_BITS},"
-            " the exact power limit"
-        )
     m = _ROOT_BITS
     while True:
         r, one = _iroot(pk << (m * d), d), 1 << m
-        # x = p^(k/d), and 1/(1 + x) lies strictly between a/b and c/f
+        # 1/(1 + x) lies strictly between a/b and c/f
         if k > 0:
             a, b, c, f = one, one + r + 1, one, one + r
         else:
@@ -259,10 +264,15 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     """
     _check_pn(p, n)
     s = _as_fraction(s)
-    a, b = s.numerator, s.denominator
-    # the exponents of p: 2n(1/2 - s) and 2n(1/2 - 2s), both over b
-    lhalf, lsq = _reciprocal_powers(p, n * (b - 2 * a), b, (1, 2))
-    (lspin,) = _reciprocal_powers(p, n * (b - 4 * a), b, (1,))
+    # the exponents of p, 2n(1/2 - s) and 2n(1/2 - 2s), in lowest terms
+    half, spin = (Fraction(n * (s.denominator - c * s.numerator), s.denominator) for c in (2, 4))
+    # both numerators are bounded before either root: 2 half - spin = n, so
+    # that bounds both denominators too (d <= 4 max |k|), and a small |k| alone
+    # may come with a huge d (half = 1/d at n = 1, s = (d - 1)/(2d))
+    for e in (half, spin):
+        check_power(p, abs(e.numerator))
+    lhalf, lsq = _reciprocal_powers(p, half, (1, 2))
+    (lspin,) = _reciprocal_powers(p, spin, (1,))
     return LValues(s, lsq, lspin, lhalf, lsq)
 
 

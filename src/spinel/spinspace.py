@@ -110,6 +110,8 @@ class EtaleElement:
     den: int = 1
 
     def __post_init__(self):
+        if self.den == 0:
+            raise ZeroDivisionError("etale element with denominator 0")
         g = gcd(self.cn, self.dn, self.den)
         if self.den < 0:
             g = -g

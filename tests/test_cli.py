@@ -219,7 +219,8 @@ def test_lfunc_inexact_digits_are_pinned(capsys):
     "s",
     [
         "3/2305843009213693951",  # q^(1/2 - s) = 2^(k/d) with k = 2^61 - 7
-        "1/100",  # the root of degree d = 50 needs 2^(160 d) >= 2^4096
+        # q^(1/2 - s) = 2^(1/d), d = 2^61 - 1, but q^(1/2 - 2s) = 2^((2 - d)/d)
+        "1152921504606846975/2305843009213693951",
     ],
     ids=["large-k", "large-d"],
 )
@@ -228,6 +229,24 @@ def test_lfunc_irrational_power_beyond_the_limit_fails_fast(s, capsys):
     assert main(["lfunc", "--p", "2", "--n", "1", "--s", s, "--json"]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert json.loads(capsys.readouterr().out)["error"] == "bound-exceeded"
+
+
+@pytest.mark.parametrize(
+    "s, want",
+    [
+        # roots of degree 50, and 12283, the largest any s allows at p = 2, n = 1
+        ("1/100", ["0.11317913782727735", "0.33952284673241901", "0.33642107221052214"]),
+        ("4094/12283", ["0.19579213735426475", "0.5574881042468069", "0.4424840532202994"]),
+    ],
+    ids=["d50", "d12283"],
+)
+def test_lfunc_roots_of_high_degree_print_the_mpmath_digits(s, want, capsys):
+    # the digits the 40-digit mpmath route printed, since p^|k| is far below
+    # the exact power limit however large the root degree d
+    assert main(["lfunc", "--p", "2", "--n", "1", "--s", s, "--json"]) == 0
+    numeric = json.loads(capsys.readouterr().out)["numeric"]
+    assert [numeric[k] for k in ("l_curve", "l_spin", "l_spin_half")] == want
+    assert numeric["l_spin_half_sq"] == want[0]
 
 
 def test_version(capsys):

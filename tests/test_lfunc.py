@@ -12,7 +12,7 @@ import pytest
 import spinel
 
 from _oracles import poly_gcd_oracle, rational_function_oracle
-from spinel.errors import BoundExceeded, NotPrime, ZeroInput
+from spinel.errors import NotPrime, ZeroInput
 from spinel.lfunc import (
     RationalFunction,
     factor_over_gaussians,
@@ -206,14 +206,14 @@ def test_l_values_exact_and_irrational_powers():
     assert v.l_spin == Fraction(1, 2)
     with mpmath.workdps(40):
         assert abs(_as_mpf(v.l_spin_half) - 1 / (1 + mpmath.sqrt(3))) < mpmath.mpf("1e-30")
-    # root degree 25, the largest with 2^(160 d) below the exact power limit
-    v = l_values(2, 1, Fraction(12, 25))  # q^(1/50) = 2^(1/25) and q^(-23/50)
-    with mpmath.workdps(80):
-        for got, e in ((v.l_spin_half, mpmath.mpf(1) / 25), (v.l_spin, mpmath.mpf(-23) / 25)):
-            want = 1 / (1 + mpmath.power(2, e))
-            assert abs(_as_mpf(got) - want) < mpmath.mpf("1e-39") * want
-    with pytest.raises(BoundExceeded):
-        l_values(2, 1, Fraction(25, 52))  # q^(1/52) = 2^(1/26)
+    # roots of degree 25, 26 and 50, against 80-digit mpmath
+    for s, e_half in ((Fraction(12, 25), Fraction(1, 25)), (Fraction(25, 52), Fraction(1, 26)),
+                      (Fraction(1, 100), Fraction(49, 50))):
+        v = l_values(2, 1, s)  # q^(1/2 - s) = 2^e_half and q^(1/2 - 2s) = 2^(2 e_half - 1)
+        with mpmath.workdps(80):
+            for got, e in ((v.l_spin_half, e_half), (v.l_spin, 2 * e_half - 1)):
+                want = 1 / (1 + mpmath.power(2, mpmath.mpf(e.numerator) / e.denominator))
+                assert abs(_as_mpf(got) - want) < mpmath.mpf("1e-39") * want, s
 
 
 def test_l_values_ignore_the_callers_decimal_context():
@@ -224,6 +224,30 @@ def test_l_values_ignore_the_callers_decimal_context():
         got = [l_values(*x) for x in points]
     assert got == want
     assert all(len(v.l_curve.as_tuple().digits) == 40 for v in got)
+
+
+def test_values_ignore_a_changed_default_context():
+    # a Context copies what it is not given from decimal.DefaultContext, so
+    # one changed before spinel is imported must not reach the values or the
+    # printed digits
+    points = [(3, 1, Fraction(1, 3)), (2, 5, Fraction(1, 6)), (2, 1, Fraction(1, 100))]
+    code = (
+        "import decimal; d = decimal.DefaultContext; "
+        "d.prec, d.rounding, d.Emin, d.Emax = 5, decimal.ROUND_FLOOR, -3, 3; "
+        "d.traps[decimal.Inexact] = True; decimal.setcontext(decimal.Context()); "
+        "from fractions import Fraction; import spinel; from spinel.cli import main; "
+        f"print([str(v) for x in {points!r} for v in vars(spinel.l_values(*x)).values()]); "
+        "main(['lfunc', '--p', '2', '--n', '1', '--s', '1/100'])"
+    )
+    src = str(Path(spinel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    first, *rest = out.stdout.splitlines()
+    assert first == str([str(v) for x in points for v in vars(l_values(*x)).values()])
+    assert "L(E, 1/100) = 0.11317913782727735" in rest
 
 
 def test_gaussian_factorization():

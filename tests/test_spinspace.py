@@ -17,6 +17,7 @@ from spinel.errors import (
 from spinel.quat import QuaternionAlgebra, b_p_infty
 from spinel.spinstruct import construct_arithmetic_spin, construct_arithmetic_spin_even
 from spinel.spinspace import (
+    EtaleElement,
     OrthogonalInvolution,
     QuadraticEtale,
     covering_map,
@@ -268,6 +269,16 @@ def test_square_norm_and_cover_match_the_product():
             else:
                 with pytest.raises(NotUnit):
                     covering_map(z)
+
+
+def test_etale_element_is_built_in_lowest_terms():
+    K = QuadraticEtale(-3)
+    z = EtaleElement(K, 6, -4, -10)
+    assert (z.cn, z.dn, z.den) == (-3, 2, 5)
+    assert z == K.element(Fraction(-3, 5), Fraction(2, 5))
+    assert EtaleElement(K, 0, 0, -7) == K.element(0)
+    with pytest.raises(ZeroDivisionError):
+        EtaleElement(K, 1, 0, 0)
 
 
 def test_spin_maps_onto_rotations():
