@@ -17,6 +17,7 @@ import decimal
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -108,9 +109,7 @@ def _cmd_classify(args) -> int:
 
 def _structure(p: int, n: int) -> spinstruct.SpinStructure:
     """The canonical arithmetic spin structure for (p, n), read off B_{p,oo}."""
-    if n % 2 == 1:
-        return spinstruct.construct_arithmetic_spin(p, n)
-    s = spinstruct.construct_arithmetic_spin_even(p, n)
+    s = spinstruct.construct_arithmetic_spin(p, n)
     if s is None:
         raise NoSpinStructure(
             f"no arithmetic spin structure for p = {p}, n = {n}: "
@@ -228,12 +227,13 @@ def _cmd_crystal(args) -> int:
     lift = spinstruct.spin_lift(spinstruct.similitude_rep(s))
     assert lift is not None  # tau = -p^n always lifts here
     data = spinstruct.realizations(lift, ell=args.ell)
+    phi = "multiplication by x"  # the spin Frobenius on the rank-2 crystal K
     doc = {
         "ell": data.ell,
         "eigen_abs_sq": str(data.eigen_abs_sq),
         "weight": str(data.weight),
         "frobenius": data.crystal_frobenius,
-        "phi": data.phi_description,
+        "phi": phi,
         "v_p_phi_sq": data.v_p_phi_squared,
         "v_p_q": data.v_p_q,
         "slope": str(data.normalized_slope),
@@ -241,7 +241,7 @@ def _cmd_crystal(args) -> int:
     human = (
         f"ell-adic (ell = {data.ell}): eigenvalues +-{lift.z}, "
         f"|eigenvalue|^2 = {data.eigen_abs_sq} (weight {data.weight})\n"
-        f"crystalline: phi = {data.phi_description}, phi^2 = {data.crystal_frobenius}, "
+        f"crystalline: phi = {phi}, phi^2 = {data.crystal_frobenius}, "
         f"slope {data.normalized_slope}"
     )
     _emit(doc, args.json, human)
@@ -314,12 +314,22 @@ def _selftest_spin(p: int) -> bool:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction such as -3/4 as a value, as argparse reads
+    -2 and -0.5, so `--s -3/4` means `--s=-3/4`; subparsers are built with
+    the parent's class, so every subcommand gets the same reading."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinel",
         description="Exact arithmetic for spin structures on supersingular "
         "elliptic curves and their weight-1/2 L-data.",

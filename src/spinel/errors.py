@@ -44,10 +44,6 @@ class NotPure(SpinelError):
     code = "not-pure"
 
 
-class NotSimilitude(SpinelError):
-    code = "not-similitude"
-
-
 class NoSpinStructure(SpinelError):
     code = "no-spin-structure"
 

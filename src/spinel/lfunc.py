@@ -300,7 +300,6 @@ class GaussianFactorization:
 
     p: int
     n: int
-    factors: tuple[GaussPoly, GaussPoly]
     product: IntPoly
 
 
@@ -313,4 +312,4 @@ def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
     assert all(im == 0 for _, im in prod)
     rational = _trim(tuple(re for re, _ in prod))
     assert rational == (1, 0, 1)  # 1 + V^2
-    return GaussianFactorization(p, n, (f1, f2), rational)
+    return GaussianFactorization(p, n, rational)

@@ -164,15 +164,9 @@ class Quaternion:
         x0, x1, x2, x3 = self.nums
         return Quaternion(self.algebra, (s * x0, -s * x1, -s * x2, -s * x3), n)
 
-    def is_scalar(self) -> bool:
-        return self.nums[1] == self.nums[2] == self.nums[3] == 0
-
     def is_pure(self) -> bool:
         """Trd = 0, i.e. no scalar component."""
         return self.nums[0] == 0
-
-    def scalar_part(self) -> Fraction:
-        return self.x0
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords()]

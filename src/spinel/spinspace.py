@@ -17,14 +17,14 @@ so an element t of GO+(Q) lifts to GSpin(Q) iff t is a square in K; the
 connecting map sends t to its class in K*/K*^2.  The spin chain lifts only
 the Frobenius scalar, a rational t, and t is a square in K iff t or
 t/delta is a square in Q (QuadraticEtale.sqrt_rational).  The groups are
-not objects here: similitudes are tested through
-OrthogonalInvolution.multiplier and is_proper_similitude, and the cover
-is covering_map.
+not objects here: the only similitude the chain meets is the rational
+scalar tau, proper for every sigma since sigma(tau)tau = tau^2 = Nrd(tau),
+and the cover is covering_map.
 
 K is only the target of the lift, so it carries no ring arithmetic.  The
 root of a rational t is z = c or z = d*x, and an EtaleElement c + d*x has
-just what the chain asks of z: its square (z^2 = tau, covering_map), its
-norm (|z|^2 = p^n) and its negation (the other lift -z).
+just what the chain asks of z: its square (z^2 = tau, covering_map) and
+its norm (|z|^2 = p^n).  The other lift is -z = -c - d*x.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import (
     DeltaMismatch,
     NotInvertible,
     NotPure,
-    NotSimilitude,
     NotUnit,
     ZeroInput,
 )
@@ -122,9 +121,6 @@ class EtaleElement:
 
     c = property(lambda self: Fraction(self.cn, self.den))
     d = property(lambda self: Fraction(self.dn, self.den))
-
-    def __neg__(self):
-        return EtaleElement(self.ring, -self.cn, -self.dn, self.den)
 
     def norm(self) -> Fraction:
         """N_{K/Q}(z) = c^2 - delta*d^2."""
@@ -212,26 +208,6 @@ class OrthogonalInvolution:
     def clifford_algebra(self) -> QuadraticEtale:
         """The even Clifford algebra K = Q[x]/(x^2 - disc(sigma))."""
         return QuadraticEtale(self.discriminant())
-
-    def multiplier(self, g: Quaternion) -> Fraction:
-        """mu(g) with sigma(g)*g = mu(g)*1; raises NotSimilitude otherwise."""
-        if g.algebra != self.algebra:
-            raise AlgebraMismatch("g lives in a different algebra")
-        prod = self.apply(g) * g
-        if not prod.is_scalar():
-            raise NotSimilitude(f"sigma(g)g is not scalar for g = {g}")
-        mu = prod.scalar_part()
-        if mu == 0:
-            raise NotInvertible(f"g = {g} is not invertible")
-        return mu
-
-    def is_proper_similitude(self, g: Quaternion) -> bool:
-        """Similitude with Nrd(g) = mu(g); these form GO+ = Q(u)*."""
-        try:
-            mu = self.multiplier(g)
-        except (NotSimilitude, NotInvertible):
-            return False
-        return g.reduced_norm() == mu
 
     def __str__(self) -> str:
         return f"int({self.u}) o gamma on {self.algebra}"

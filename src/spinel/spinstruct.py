@@ -15,9 +15,12 @@ Existence is sharp:
   quaternion of norm 1 (so disc = -1 and K = Q(i)); the norm condition
   holds iff p = 2 or p = 3 mod 4.
 
-The lifted Frobenius (sqrt(tau), -sqrt(tau)) is the weight-1/2 eigenvalue
-datum: |eigenvalue|^2 = p^n = sqrt(q) exactly, and the crystalline Frobenius
-x-multiplication has normalized slope 1/4.
+Both parities go through one constructor, construct_arithmetic_spin(p, n),
+which reads the certificate of has_arithmetic_spin and returns None when no
+structure exists.  The lifted Frobenius (sqrt(tau), -sqrt(tau)) is the
+weight-1/2 eigenvalue datum: the weight is read off the lift as
+v_p(N(z)) / v_p(q) = 1/2, and the crystalline Frobenius x-multiplication has
+normalized slope 1/4.
 """
 
 from __future__ import annotations
@@ -61,11 +64,13 @@ class SpinStructure:
 
 @dataclass(frozen=True)
 class SpinExistence:
-    """Certificate for has_arithmetic_spin: witness u or the failure reason."""
+    """Certificate for has_arithmetic_spin: the witness u, or None if none exists."""
 
-    exists: bool
     witness: Optional[Quaternion]
-    reason: str
+
+    @property
+    def exists(self) -> bool:
+        return self.witness is not None
 
 
 @dataclass(frozen=True)
@@ -92,19 +97,18 @@ class SpinLift:
 class RealizationData:
     """The realization package for a spin lift.
 
-    ell-adic: eigenvalues +-z with |z|^2 = |tau| = p^n = q^(1/2), i.e. pure
-    of weight 1/2.  ell is only a label: a prime other than p.
+    ell-adic: eigenvalues +-z with |z|^2 = |tau| = p^n = q^(1/2), so the
+    weight v_p(|z|^2) / v_p(q) is 1/2.  ell is only a label: a prime other
+    than p.
     crystalline: the Frobenius of the rank-2 crystal is -p^n * (Frobenius of
     the base), and the spin Frobenius is multiplication by x; its square has
     p-valuation n, so the normalized slope is n/(2*2n) = 1/4 exactly.
     """
 
     ell: int
-    eigenvalues: tuple[EtaleElement, EtaleElement]
     eigen_abs_sq: Fraction
     weight: Fraction
     crystal_frobenius: int
-    phi_description: str
     v_p_phi_squared: int
     v_p_q: int
     normalized_slope: Fraction
@@ -151,25 +155,17 @@ def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
     """Decide existence of an arithmetic spin structure for a spinorial class.
 
     Returns a certificate: the canonical witness u (pure, of the right norm,
-    read off B_{p,oo} without a search) on success, a reason string on
-    failure.  Positive tau never admits one: sqrt(p^n) is in no quadratic
-    K = Q(sqrt(negative)), and involutions with positive discriminant do not
-    exist on B_{p,oo} because the pure norm form is positive definite.
+    read off B_{p,oo} without a search), or None.  Positive tau never admits
+    one: sqrt(p^n) is in no quadratic K = Q(sqrt(negative)), and involutions
+    with positive discriminant do not exist on B_{p,oo} because the pure
+    norm form is positive definite.  For even n the witness is None when
+    B_{p,oo} has no pure quaternion of norm 1 (the local obstruction).
     """
     if not c.is_spinorial():
         raise NotSpinorial(f"{c} is not spinorial")
-    tau = frobenius_scalar(c)
-    p, n = c.p, c.a // 2
-    if tau > 0:
-        return SpinExistence(
-            False, None, f"tau = +{tau}: no square root in an imaginary quadratic K"
-        )
-    u = _canonical_u(quat.b_p_infty(p), p, n)
-    if u is None:
-        return SpinExistence(
-            False, None, "no pure quaternion of norm 1 in B_{p,oo} (local obstruction)"
-        )
-    return SpinExistence(True, u, f"disc -{p}^{n}: u = {u}" if n % 2 else f"disc -1: u = {u}")
+    if frobenius_scalar(c) > 0:
+        return SpinExistence(None)
+    return SpinExistence(_canonical_u(quat.b_p_infty(c.p), c.p, c.a // 2))
 
 
 def construct_arithmetic_spin(
@@ -177,57 +173,43 @@ def construct_arithmetic_spin(
     n: int,
     bound: int = quat.DEFAULT_SEARCH_BOUND,
     rng: random.Random | None = None,
-) -> SpinStructure:
-    """The arithmetic spin structure for the class tau = -p^n, n odd.
+) -> Optional[SpinStructure]:
+    """The arithmetic spin structure for the class tau = -p^n, or None.
 
-    The structure is u = p^((n-1)/2) * v with v pure and v^2 = -p.  By
-    default v is the canonical witness read off B_{p,oo} (j, or i + j for
-    p = 2), with no search.  Passing an rng instead searches the box
-    `bound` for any pure v of norm p in a random order; only this route
-    reads `bound`.  All routes produce involutions of discriminant class
-    squarefree_part(-p), hence isomorphic structures.
+    By default u is has_arithmetic_spin's witness, read off B_{p,oo} with no
+    search, and None is returned when there is none (n even, p = 1 mod 4).
+    Passing an rng instead searches the box `bound` for a pure v of norm p
+    in a random order and takes u = p^((n-1)/2) v; only this route reads
+    `bound`, and it needs odd n.  All routes for one n give involutions of
+    one discriminant class, hence isomorphic structures.
     """
-    if n < 1 or n % 2 == 0:
-        raise ZeroInput(f"n = {n}: this construction needs odd n >= 1")
+    if n < 1 or (rng is not None and n % 2 == 0):
+        raise ZeroInput(f"n = {n}: this construction needs n >= 1, and odd n with an rng")
     c = spinorial_class(p, n, -1)
-    B = quat.b_p_infty(p)
     if rng is None:
-        u = _canonical_u(B, p, n)
+        u = has_arithmetic_spin(c).witness
+        if u is None:
+            return None
     else:
-        v = quat.find_pure_of_norm(B, p, bound, rng)
+        v = quat.find_pure_of_norm(quat.b_p_infty(p), p, bound, rng)
         if v is None:
             raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")
         u = v * p ** ((n - 1) // 2)
-    sigma = OrthogonalInvolution(B, u)
-    return SpinStructure(c, B, sigma, sigma.clifford_algebra())
-
-
-def construct_arithmetic_spin_even(p: int, n: int) -> Optional[SpinStructure]:
-    """The arithmetic spin structure for tau = -p^n with n even, if any.
-
-    Exists iff B_{p,oo} has a pure quaternion of norm 1; then the canonical
-    u = p^(n/2) * i gives disc class -1 and K = Q(i).  Returns None when the
-    norm-1 condition fails (p = 1 mod 4).
-    """
-    if n < 2 or n % 2 == 1:
-        raise ZeroInput(f"n = {n}: this construction needs even n >= 2")
-    c = spinorial_class(p, n, -1)
-    cert = has_arithmetic_spin(c)
-    if not cert.exists:
-        return None
-    sigma = OrthogonalInvolution(cert.witness.algebra, cert.witness)
+    sigma = OrthogonalInvolution(u.algebra, u)
     return SpinStructure(c, sigma.algebra, sigma, sigma.clifford_algebra())
 
 
-def similitude_rep(s: SpinStructure) -> WeilRep:
-    """The (non-spin) Weil representation: Frobenius acts by the scalar tau.
+def construct_arithmetic_spin_even(p: int, n: int) -> Optional[SpinStructure]:
+    """construct_arithmetic_spin for even n only, as perfbench/workloads.py calls it."""
+    if n < 2 or n % 2 == 1:
+        raise ZeroInput(f"n = {n}: this construction needs even n >= 2")
+    return construct_arithmetic_spin(p, n)
 
-    tau is a proper similitude: sigma(tau)tau = tau^2 = q = Nrd(tau).
-    """
-    tau = s.tau
-    g = s.algebra.element(tau)
-    assert s.sigma.is_proper_similitude(g)
-    return WeilRep(s, tau)
+
+def similitude_rep(s: SpinStructure) -> WeilRep:
+    """The (non-spin) Weil representation: Frobenius acts by the scalar tau,
+    a proper similitude of B since sigma(tau)tau = tau^2 = q = Nrd(tau)."""
+    return WeilRep(s, s.tau)
 
 
 def spin_lift(r: WeilRep) -> Optional[SpinLift]:
@@ -257,19 +239,17 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
             f"ell = {ell} equals p = {p}: the ell-adic label must differ from p"
         )
     tau = lift.rep.tau
-    z = lift.z
-    eigen_abs_sq = z.norm() if z.ring.delta < 0 else Fraction(abs(tau))
+    # K is imaginary (delta < 0 on the definite B_{p,oo}), so |z|^2 = N(z)
+    eigen_abs_sq = lift.z.norm()
     # |z|^2 = |tau| = p^n = q^(1/2): weight 1/2 purity, exactly
     assert eigen_abs_sq == Fraction(abs(tau)) == Fraction(p) ** n
     v_phi_sq = valuation(Fraction(tau), p)
     v_q = 2 * n
     return RealizationData(
         ell=ell,
-        eigenvalues=(z, -z),
         eigen_abs_sq=eigen_abs_sq,
-        weight=Fraction(1, 2),
+        weight=Fraction(valuation(eigen_abs_sq, p), v_q),
         crystal_frobenius=tau,
-        phi_description="multiplication by x",
         v_p_phi_squared=v_phi_sq,
         v_p_q=v_q,
         normalized_slope=Fraction(v_phi_sq, 2 * v_q),

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,8 +21,11 @@ GOLDEN_CASES = [
     ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
     ("lfunc_p3_n1_s1", ["lfunc", "--p", "3", "--n", "1", "--s", "1", "--json"]),
     ("lfunc_p3_n1_s1_3", ["lfunc", "--p", "3", "--n", "1", "--s", "1/3", "--json"]),
+    # written from `--s=-3/4`: the spaced form reads the same value
+    ("lfunc_p3_n1_s_neg3_4", ["lfunc", "--p", "3", "--n", "1", "--s", "-3/4", "--json"]),
     ("classify_p5_a1", ["classify", "--p", "5", "--a", "1", "--json"]),
     ("crystal_p3_n1", ["crystal", "--p", "3", "--n", "1", "--json"]),
+    ("crystal_p3_n2", ["crystal", "--p", "3", "--n", "2", "--json"]),
     ("bpinf_p5", ["bpinf", "--p", "5", "--json"]),
     ("curves_q9_census", ["curves", "--q", "9", "--json"]),
     ("curves_q9_q14", ["curves", "--q", "9", "--find-q14", "--json"]),
@@ -171,6 +175,48 @@ def test_spin_and_crystal_report_one_missing_structure(capsys):
         "detail": "no arithmetic spin structure for p = 5, n = 2: "
         "B_{p,oo} has no pure quaternion of norm 1",
     }
+
+
+#: commands with a fraction option; VALUE marks where the fraction goes
+FRACTION_OPTIONS = {
+    "lfunc-s": ["lfunc", "--p", "3", "--n", "1", "--s", "VALUE"],
+    "hilbert-a": ["hilbert", "--a", "VALUE", "--b", "-3"],
+    "hilbert-b": ["hilbert", "--a", "2", "--b", "VALUE"],
+}
+
+
+@pytest.mark.parametrize("value", ["-3/4", "-1/3", "-7/2", "-2", "-0.5"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", FRACTION_OPTIONS)
+def test_negative_fraction_with_a_space_reads_like_equals(case, as_json, value, capsys):
+    argv = FRACTION_OPTIONS[case] + (["--json"] if as_json else [])
+    at = argv.index("VALUE")
+    spaced = argv[:at] + [value] + argv[at + 1:]
+    joined = argv[: at - 1] + [f"{argv[at - 1]}={value}"] + argv[at + 1:]
+    assert main(joined) == 0
+    want = capsys.readouterr()
+    assert main(spaced) == 0
+    assert capsys.readouterr() == want
+    if as_json and case == "lfunc-s":
+        assert json.loads(want.out)["numeric"]["s"] == str(Fraction(value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lfunc", "--p", "3", "--n", "1", "--s"],
+        ["lfunc", "--p", "3", "--n", "1", "--s", "--json"],
+        ["hilbert", "--a", "--b", "-3"],
+        ["hilbert", "--a", "2", "--b"],
+        ["lfunc", "--p", "3", "--n", "1", "--s", "-3/0"],
+        ["lfunc", "--p", "-3/4", "--n", "1"],
+    ],
+    ids=["s-last", "s-then-json", "a-then-b", "b-last", "zero-denominator", "negative-p"],
+)
+def test_missing_or_bad_fraction_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "usage:" in out.err
 
 
 def test_human_readable_error_goes_to_stderr(capsys):

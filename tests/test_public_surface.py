@@ -17,6 +17,10 @@ define is reached for both as soon as one is called, so SHARED lists each
 class's method of such a name with a chain expression that needs it, and a
 shared name not listed for a class fails.  KEEP lists the exceptions, top
 level names and Class.method alike, each with its reason.
+
+The annotated fields of a public dataclass follow the same rule: a field
+stays only if a reader above reads it as an attribute outside its own
+line, since a field that nothing reads is computed for nothing.
 """
 
 import ast
@@ -43,13 +47,10 @@ OPERATORS: dict[str, dict[str, str]] = {
     "QuaternionAlgebra": {"__str__": 'f"algebra: {s.algebra}" in cli._cmd_spin'},
     "Quaternion": {
         "__mul__": "self.u * x.conjugate() * self.u.inverse() in OrthogonalInvolution.apply",
-        "__str__": 'f"disc -{p}^{n}: u = {u}" in spinstruct.has_arithmetic_spin',
+        "__str__": 'f"int({self.u}) o gamma on {self.algebra}" in OrthogonalInvolution.__str__',
     },
     "QuadraticEtale": {"__str__": 'f"clifford: {s.clifford}" in cli._cmd_spin'},
-    "EtaleElement": {
-        "__neg__": "(z, -z) in spinstruct.realizations",
-        "__str__": "str(lift.z) in cli._cmd_spin",
-    },
+    "EtaleElement": {"__str__": "str(lift.z) in cli._cmd_spin"},
     "OrthogonalInvolution": {"__str__": 'f"involution: {s.sigma}" in cli._cmd_spin'},
 }
 
@@ -61,7 +62,7 @@ SHARED: dict[str, dict[str, str]] = {
     },
     "IsogenyClass": {"to_json": "[c.to_json() for c in classes] in cli._cmd_classify"},
     "QuaternionAlgebra": {
-        "element": "s.algebra.element(tau) in spinstruct.similitude_rep",
+        "element": "B.element(0, *coords) in spinspace.random_involution",
         "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
     },
     "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
@@ -142,6 +143,23 @@ def _members() -> dict[str, dict[str, tuple[pathlib.Path, int, int]]]:
     return out
 
 
+def _fields() -> dict[str, tuple[pathlib.Path, int, int]]:
+    """Class.field -> (module, first line, last line) of each public annotated
+    field of a public dataclass."""
+    out = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                    out[f"{node.name}.{item.target.id}"] = (path, item.lineno, item.end_lineno)
+    return out
+
+
 def _references(attributes_only: bool = False) -> dict[str, set[tuple[pathlib.Path, int]]]:
     refs = defaultdict(set)
     for path in READERS:
@@ -188,6 +206,26 @@ def test_public_methods_are_reached():
     assert unreached == []
 
 
+def test_public_fields_are_read():
+    refs = _references(attributes_only=True)
+    unread = []
+    for qualified, (path, start, end) in _fields().items():
+        name = qualified.split(".")[1]
+        if qualified in KEEP:
+            continue
+        if not any(where != path or not start <= line <= end for where, line in refs[name]):
+            unread.append(qualified)
+    assert unread == []
+
+
+def test_fields_cover_the_spin_data():
+    # the rule sees public dataclass fields, defaulted ones included, and no
+    # private field or plain class attribute
+    fields = _fields()
+    assert {"SpinExistence.witness", "RealizationData.weight", "EtaleElement.den"} <= set(fields)
+    assert "OrthogonalInvolution._disc" not in fields and "SpinelError.code" not in fields
+
+
 def test_coordinate_properties_are_members():
     # Quaternion and EtaleElement keep int numerators over one denominator as
     # dataclass fields, which are not members; the Fraction coordinates read
@@ -227,7 +265,7 @@ def test_shared_method_names_are_listed():
 
 def test_keep_entries_give_reasons():
     members = {f"{cls}.{name}" for cls, names in _members().items() for name in names}
-    assert set(KEEP) <= set(_definitions()) | members
+    assert set(KEEP) <= set(_definitions()) | members | set(_fields())
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
     for table in (OPERATORS, SHARED):
         assert all(isinstance(why, str) and why.strip() for ops in table.values() for why in ops.values())

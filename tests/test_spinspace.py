@@ -11,7 +11,6 @@ from spinel.errors import (
     DeltaMismatch,
     NotInvertible,
     NotPure,
-    NotSimilitude,
     NotUnit,
 )
 from spinel.quat import QuaternionAlgebra, b_p_infty
@@ -32,6 +31,12 @@ def _random_element(B, rng, size=6):
 def _embed(B, z):
     """c + d x -> c + d j, the embedding of K into (-1,-3 | Q) for u = j."""
     return B.element(z.c, 0, z.d)
+
+
+def _multiplier(sigma, g):
+    """mu(g) with sigma(g) g = mu(g), or None when sigma(g) g is not a scalar."""
+    prod = sigma.apply(g) * g
+    return prod.x0 if prod.nums[1:] == (0, 0, 0) else None
 
 
 def _random_definite_algebra(rng):
@@ -147,11 +152,10 @@ def test_etale_arithmetic():
     K = QuadraticEtale(-1)
     x = K.element(0, 1)
     assert x.square() == K.element(-1, 0)
-    assert (-x).square() == K.element(-1, 0)
+    assert K.element(0, -1).square() == K.element(-1, 0)
     z = K.element(3, 2)
     assert z.square() == K.element(5, 12)  # 9 - 4 + 12x
     assert z.norm() == 9 + 4
-    assert -z == K.element(-3, -2)
     assert not z.is_rational() and K.element(3).is_rational()
 
 
@@ -203,22 +207,19 @@ def test_is_square_spot_values():
 def test_multiplier_and_similitudes():
     B = QuaternionAlgebra(-1, -3)
     sigma = OrthogonalInvolution(B, B.j)
-    # scalars are proper similitudes with multiplier t^2
-    assert sigma.multiplier(B.element(-3)) == 9
-    assert sigma.is_proper_similitude(B.element(-3))
+    # scalars are proper similitudes with multiplier t^2 = Nrd(t)
+    t = B.element(-3)
+    assert _multiplier(sigma, t) == 9 == t.reduced_norm()
     # i anticommutes with j: improper similitude, multiplier -Nrd(i)
     i = B.element(0, 1)
-    assert sigma.multiplier(i) == -1
-    assert not sigma.is_proper_similitude(i)
+    assert _multiplier(sigma, i) == -1 == -i.reduced_norm()
     # K* elements, with x sent to j (j^2 = -3 = delta), are proper
     # similitudes with multiplier = norm
     K = sigma.clifford_algebra()
     z = K.element(2, Fraction(1, 3))
     g = _embed(B, z)
-    assert sigma.multiplier(g) == z.norm()
-    assert sigma.is_proper_similitude(g)
-    with pytest.raises(NotSimilitude):
-        sigma.multiplier(B.element(1, 1, 1))
+    assert _multiplier(sigma, g) == z.norm() == g.reduced_norm()
+    assert _multiplier(sigma, B.element(1, 1, 1)) is None
 
 
 def test_multiplier_is_multiplicative():
@@ -234,7 +235,7 @@ def test_multiplier_is_multiplicative():
         g1, g2 = _embed(B, z1), _embed(B, z2)
         # x -> j embeds K in B: the product of K goes to the product of B
         assert _embed(B, etale_product(z1, z2)) == g1 * g2
-        assert sigma.multiplier(g1 * g2) == sigma.multiplier(g1) * sigma.multiplier(g2)
+        assert _multiplier(sigma, g1 * g2) == _multiplier(sigma, g1) * _multiplier(sigma, g2)
 
 
 def test_covering_map_squares_and_kernel():
@@ -242,7 +243,7 @@ def test_covering_map_squares_and_kernel():
     z = K.element(1, 1)
     assert covering_map(z) == etale_product(z, z)
     assert covering_map(K.element(1)) == K.element(1)
-    assert covering_map(-K.element(1)) == K.element(1)  # kernel {1, -1}
+    assert covering_map(K.element(-1)) == K.element(1)  # kernel {1, -1}
     with pytest.raises(NotUnit):
         covering_map(QuadraticEtale(1).element(1, 1))
 
@@ -259,7 +260,6 @@ def test_square_norm_and_cover_match_the_product():
             z = K.element(c, d)
             assert (z.c, z.d, str(z)) == (c, d, etale_str(c, d))
             assert z.den > 0 and math.gcd(z.cn, z.dn, z.den) == 1
-            assert str(-z) == etale_str(-c, -d)
             sq = etale_product(z, z)
             assert str(z.square()) == etale_str(sq.c, sq.d)
             assert z.square() == sq
@@ -293,8 +293,7 @@ def test_spin_maps_onto_rotations():
             continue
         w = covering_map(z)
         g = _embed(B, w)
-        assert sigma.is_proper_similitude(g)
-        assert sigma.multiplier(g) == w.norm()
+        assert _multiplier(sigma, g) == w.norm() == g.reduced_norm()
 
 
 def test_involution_json():

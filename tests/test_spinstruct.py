@@ -8,11 +8,11 @@ import pytest
 
 from _oracles import etale_product
 from spinel import quat, spinstruct
-from spinel.arith import OO, squarefree_part, ternary_represents
+from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from spinel.lfunc import verify_identity_exact
-from spinel.quat import b_p_infty, find_pure_of_norm, ramified_places
+from spinel.quat import Quaternion, b_p_infty, find_pure_of_norm, ramified_places
 from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
     SpinStructure,
@@ -91,8 +91,38 @@ def test_even_n_requires_2_or_3_mod_4():
 
 
 def test_even_n_rejected_by_odd_constructor():
+    # one constructor answers both parities; only the rng route needs odd n
+    s = construct_arithmetic_spin(3, 2)
+    assert s == construct_arithmetic_spin_even(3, 2)
+    assert s.clifford.delta == -1 and s.tau == -9
+    assert construct_arithmetic_spin(5, 2) is None
+    for n in (2, 4):
+        with pytest.raises(ZeroInput):
+            construct_arithmetic_spin(3, n, rng=random.Random(1))
+    for n in (0, -1):
+        with pytest.raises(ZeroInput):
+            construct_arithmetic_spin(3, n)
     with pytest.raises(ZeroInput):
-        construct_arithmetic_spin(3, 2)
+        construct_arithmetic_spin_even(3, 3)
+
+
+def test_one_constructor_reads_the_certificate_below_128():
+    # a structure exists exactly unless n is even and p = 1 mod 4; its u is
+    # the certificate's witness in canonical scaling, and its weight, read
+    # off the lift, is v_p(N(z)) / v_p(q) = 1/2
+    for p in _primes_below(128):
+        for n in (1, 2, 3, 4):
+            s = construct_arithmetic_spin(p, n)
+            assert (s is None) == (n % 2 == 0 and p % 4 == 1), (p, n)
+            w = has_arithmetic_spin(spinorial_class(p, n)).witness
+            if s is None:
+                assert w is None, (p, n)
+                continue
+            g = math.gcd(*w.nums)
+            assert w.den == 1 and s.sigma.u == Quaternion(w.algebra, tuple(x // g for x in w.nums)), (p, n)
+            lift = spin_lift(similitude_rep(s))
+            weight = realizations(lift).weight
+            assert weight == Fraction(valuation(lift.z.norm(), p), 2 * n) == Fraction(1, 2), (p, n)
 
 
 def test_randomized_search_matches_canonical():
@@ -140,10 +170,11 @@ def test_weil_rep_evaluation():
     rep = similitude_rep(s)
     assert rep.structure is s
     assert rep.tau == -3
-    # Frobenius acts by the scalar tau, a proper similitude of multiplier q
+    # Frobenius acts by the scalar tau, a proper similitude of multiplier q:
+    # sigma(tau) tau = 9 = Nrd(tau)
     g = s.algebra.element(rep.tau)
-    assert s.sigma.is_proper_similitude(g)
-    assert s.sigma.multiplier(g) == 9
+    assert s.sigma.apply(g) * g == s.algebra.element(9)
+    assert g.reduced_norm() == 9
 
 
 def test_spin_lift_squares_to_tau():
@@ -199,7 +230,8 @@ def test_evaluate_spin_pairs():
     lift = spin_lift(similitude_rep(s))
     K = s.clifford
     # the eigenvalue pair (z^m, (-z)^m) on the m-th power of Frobenius
-    a1, a2 = lift.z, -lift.z
+    a1 = lift.z
+    a2 = K.element(-a1.c, -a1.d)
     assert a1 == K.element(0, 1) and a2 == K.element(0, -1)
     assert a1.square() == a2.square() == K.element(-3, 0)
     assert etale_product(a1, K.element(0, Fraction(-1, 3))) == K.element(1)  # z^-1 = -x/3
@@ -207,14 +239,11 @@ def test_evaluate_spin_pairs():
 
 def test_lifts_are_rational_or_pure():
     # the chain builds only z = c or z = d*x in K, which is why K keeps
-    # square, norm and negation and no ring arithmetic
+    # square and norm and no ring arithmetic
     for p in _primes_below(128):
         for n in (1, 2, 3):
-            if n % 2:
-                s = construct_arithmetic_spin(p, n)
-            elif p == 2 or p % 4 == 3:
-                s = construct_arithmetic_spin_even(p, n)
-            else:
+            s = construct_arithmetic_spin(p, n)
+            if s is None:
                 continue
             for sign in (-1, 1):
                 tau = sign * p**n
@@ -226,7 +255,9 @@ def test_lifts_are_rational_or_pure():
                 assert z.c == 0 or z.d == 0, (p, n, sign)
                 sq = z.square()
                 assert sq.is_rational() and sq.c == tau, (p, n, sign)
-                assert realizations(lift).eigenvalues == (z, -z), (p, n, sign)
+                real = realizations(lift)
+                assert real.eigen_abs_sq == z.norm() == p**n, (p, n, sign)
+                assert real.weight == Fraction(1, 2), (p, n, sign)
 
 
 def test_realizations_slope_quarter():
@@ -241,8 +272,8 @@ def test_realizations_slope_quarter():
             assert real.v_p_phi_squared == n
             assert real.v_p_q == 2 * n
             assert real.crystal_frobenius == -(p**n)
-            e1, e2 = real.eigenvalues
-            assert e2 == -e1  # sum 0
+            e1 = lift.z
+            e2 = s.clifford.element(-e1.c, -e1.d)  # the other lift: sum 0
             assert etale_product(e1, e2) == s.clifford.element(p**n)  # product = -tau
 
 
@@ -324,10 +355,7 @@ def test_canonical_chain_runs_no_search(monkeypatch, capsys):
     for p in (2, 3, 5, 7, 11):
         for n in (1, 2, 3, 4):
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
-            if n % 2 == 1:
-                s = construct_arithmetic_spin(p, n)
-            else:
-                s = construct_arithmetic_spin_even(p, n)
+            s = construct_arithmetic_spin(p, n)
             assert cert.exists == (s is not None), (p, n)
     for argv in (
         ["spin", "--p", "2", "--n", "1"],
