@@ -50,6 +50,8 @@ def check_power(p: int, k: int) -> None:
     p^k >= 2^(k (bitlen(p) - 1)), so a far larger power is refused without
     computing it, and one that is computed has under 2 MAX_POWER_BITS bits.
     """
+    if k < 0:
+        raise ValueError(f"exponent k = {k} of {p}^k must be >= 0")
     if k * (p.bit_length() - 1) >= MAX_POWER_BITS or (p**k).bit_length() > MAX_POWER_BITS:
         raise BoundExceeded(f"{p}^{k} is at or above 2^{MAX_POWER_BITS}, the exact power limit")
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
 from .errors import NoSpinStructure, SpinelError
-from .fields import MAX_FIELD_ORDER
 
 #: 17 significant digits, half up, as mpmath.nstr(x, 17) rounds; pinned in
 #: full, as lfunc's context is
@@ -126,11 +125,11 @@ def _cmd_spin(args) -> int:
         s = spinstruct.SpinStructure(
             spinstruct.spinorial_class(p, n, 1), s.algebra, s.sigma, s.clifford
         )
-    tau = s.tau
+    c, tau = s.curve_class, s.tau
     lift = spinstruct.spin_lift(spinstruct.WeilRep(s, tau))
     doc = s.to_json() | {"lift": None, "eigen_abs_sq": None, "slope": None}
     lines = [
-        f"class: beta = {2 * tau} over F_{p**(2 * n)}",
+        f"class: beta = {c.beta} over F_{c.q}",
         f"algebra: {s.algebra}",
         f"involution: {s.sigma}",
         f"clifford: {s.clifford}",
@@ -209,8 +208,6 @@ def _cmd_curves(args) -> int:
         }
         _emit(doc, args.json, f"{E}: {n} points, trace {trace}")
         return 0
-    if args.q <= MAX_FIELD_ORDER:  # a larger q is refused by the field limit first
-        curves.census_size(p, args.q)
     traces = sorted(curves.trace_census(curves.FiniteField(p, a)))
     expected = sorted(c.beta for c in isogeny.enumerate_classes(p, a))
     doc = {"q": args.q, "traces": traces, "match": traces == expected}

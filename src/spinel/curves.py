@@ -193,7 +193,7 @@ def census_size(p: int, q: int) -> int:
     """Point evaluations of the census scan over F_q, q a power of p: rows x
     constants x q.  Raises FieldTooLarge above MAX_CENSUS_EVALUATIONS.
 
-    It reads only p and q, so a census is refused before F_q is built.
+    It reads only p and q.
     """
     rows = q * q - 1 if p == 2 else 2 * (q - 1) if p == 3 else 1 + gcd(4, q - 1)
     size = rows * q * q

@@ -1,20 +1,19 @@
 """Zeta and L-data for the spinorial classes and the weight-1/2 identity.
 
-With q = p^(2n) and tau = -p^n, the spin representation has Frobenius
-eigenvalues +-sqrt(tau), so its zeta function in T = q^(-s) collects into
+Each function reads q = p^(2n), beta = -2p^n and tau = beta/2 = -p^n off
+spinstruct.spinorial_class(p, n).  H^1 of a curve in the class has both
+Frobenius eigenvalues tau and the spin representation has +-sqrt(tau), so
+in T = q^(-s)
 
-    Z(rho_spin, T) = 1/((1 - sqrt(-p^n) T)(1 + sqrt(-p^n) T)) = 1/(1 + p^n T^2),
+    Z(H^1, T) = 1 - beta T + q T^2,    Z(rho_spin, T) = 1/(1 - tau T^2).
 
-while H^1 of any curve in the class has both eigenvalues -p^n:
-
-    Z(H^1, T) = (1 + p^n T)^2.
-
-Hence L(E, s) = 1/(1 + q^(1/2 - s))^2 and L(rho_spin, s) = 1/(1 + q^(1/2 - 2s)),
-and the half-substitution gives the exact identity
+In U = q^-s, L(E, s) = 1/Z(H^1, U), and L(rho_spin, s/2) is the spin zeta
+with T^2 replaced by U; its square gives the exact identity
 
     L(E, s) = L(rho_spin, s/2)^2.
 
-Everything here is exact rational-function arithmetic over Z[T], with
+Hence L(E, s) = 1/(1 + q^(1/2 - s))^2 and L(rho_spin, s) = 1/(1 + q^(1/2 - 2s)).
+The zeta functions are exact rational-function arithmetic over Z[T], with
 equality in Q(T) by cross-multiplication and no reduction.  Numeric
 L-values are a secondary check in ints: an L-value whose power q^e is
 rational is an exact Fraction, and one whose power is irrational is a
@@ -31,8 +30,9 @@ from math import log2
 from typing import Union
 
 from . import spinstruct
-from .arith import Rat, _as_fraction, check_power, is_prime
-from .errors import NotPrime, ZeroInput
+from .arith import Rat, _as_fraction, check_power
+from .errors import ZeroInput
+from .isogeny import IsogenyClass, frobenius_scalar
 
 #: digits of an inexact L-value, each correctly rounded
 NUMERIC_DPS = 40
@@ -129,25 +129,22 @@ class RationalFunction:
         return f"{ns}/({ds})"
 
 
-def _check_pn(p: int, n: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_power(p, 2 * n)
+def _zeta_spin(c: IsogenyClass) -> RationalFunction:
+    return RationalFunction((1,), (1, 0, -frobenius_scalar(c)))
+
+
+def _zeta_h1(c: IsogenyClass) -> RationalFunction:
+    return RationalFunction((1, -c.beta, c.q), (1,))
 
 
 def zeta_spin(p: int, n: int) -> RationalFunction:
-    """Z(rho_spin, T) = 1/(1 + p^n T^2): reciprocal roots +-sqrt(-p^n)."""
-    _check_pn(p, n)
-    return RationalFunction((1,), (1, 0, p**n))
+    """Z(rho_spin, T) = 1/(1 - tau T^2): reciprocal roots +-sqrt(tau)."""
+    return _zeta_spin(spinstruct.spinorial_class(p, n))
 
 
 def zeta_h1(p: int, n: int) -> RationalFunction:
-    """Z(H^1 of the tau = -p^n class, T) = (1 + p^n T)^2."""
-    _check_pn(p, n)
-    lin = (1, p**n)
-    return RationalFunction(poly_mul(lin, lin), (1,))
+    """Z(H^1 of the tau = -p^n class, T) = 1 - beta T + q T^2."""
+    return _zeta_h1(spinstruct.spinorial_class(p, n))
 
 
 @dataclass(frozen=True)
@@ -168,13 +165,12 @@ class IdentityProof:
 
 
 def verify_identity_exact(p: int, n: int) -> IdentityProof:
-    """Build both sides of the identity independently and compare exactly.
-
-    In U = q^-s: L(E, s) = 1/Z-numerator = 1/(1 + p^n U)^2 from zeta_h1,
-    while L(rho_spin, s/2) = 1/(1 + q^(1/2) q^-s) = 1/(1 + p^n U), squared.
-    """
-    lhs = zeta_h1(p, n).reciprocal()
-    half = RationalFunction((1,), (1, p**n))
+    """Compare L(E, s) = 1/Z(H^1, U) with the square of the spin zeta at
+    T^2 = U exactly, both read off one class."""
+    c = spinstruct.spinorial_class(p, n)
+    lhs = _zeta_h1(c).reciprocal()
+    spin = _zeta_spin(c)  # even in T, so T^2 -> U keeps the even coefficients
+    half = RationalFunction(spin.num[::2], spin.den[::2])
     rhs = half * half
     vacuous = n % 2 == 0 and not spinstruct.pure_unit_exists(p)
     return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
@@ -262,7 +258,7 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     of q is rational, and otherwise a Decimal: the true value correctly
     rounded to NUMERIC_DPS digits.
     """
-    _check_pn(p, n)
+    spinstruct.spinorial_class(p, n)  # checks (p, n)
     s = _as_fraction(s)
     # the exponents of p, 2n(1/2 - s) and 2n(1/2 - 2s), in lowest terms
     half, spin = (Fraction(n * (s.denominator - c * s.numerator), s.denominator) for c in (2, 4))
@@ -305,7 +301,7 @@ class GaussianFactorization:
 
 def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
     """Split the spin zeta denominator into the two Gaussian linear factors."""
-    _check_pn(p, n)
+    spinstruct.spinorial_class(p, n)  # checks (p, n)
     f1: GaussPoly = ((1, 0), (0, 1))    # 1 + iV
     f2: GaussPoly = ((1, 0), (0, -1))   # 1 - iV
     prod = _gauss_mul_poly(f1, f2)

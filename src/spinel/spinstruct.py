@@ -33,8 +33,8 @@ from typing import Optional
 
 from . import quat
 from .arith import check_power, is_prime, ternary_represents, valuation
-from .errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
-from .isogeny import IsogenyClass, frobenius_scalar, isogeny_class
+from .errors import NotPrime, PrecheckFailed, SearchExhausted, ZeroInput
+from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
 
@@ -115,11 +115,18 @@ class RealizationData:
 
 
 def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
-    """The spinorial class over F_{p^(2n)} with tau = sign * p^n."""
+    """The spinorial class over F_{p^(2n)} with tau = sign * p^n, clause 2(a).
+
+    The one check of (p, n), in order: p prime, n >= 1, then q = p^(2n)
+    within the power limit, all before p^n is computed."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    check_power(p, 2 * n)  # before computing p^n
-    return isogeny_class(p, 2 * n, 2 * sign * p**n)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise ValueError(f"n = {n} must be positive")
+    check_power(p, 2 * n)
+    return IsogenyClass(p, 2 * n, 2 * sign * p**n, KIND_SUPERSINGULAR, ENDO_QUATERNION)
 
 
 @lru_cache(maxsize=quat.MEMO_PRIMES)
@@ -161,9 +168,7 @@ def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
     norm form is positive definite.  For even n the witness is None when
     B_{p,oo} has no pure quaternion of norm 1 (the local obstruction).
     """
-    if not c.is_spinorial():
-        raise NotSpinorial(f"{c} is not spinorial")
-    if frobenius_scalar(c) > 0:
+    if frobenius_scalar(c) > 0:  # raises NotSpinorial off clause 2(a)
         return SpinExistence(None)
     return SpinExistence(_canonical_u(quat.b_p_infty(c.p), c.p, c.a // 2))
 
@@ -228,8 +233,8 @@ def spin_lift(r: WeilRep) -> Optional[SpinLift]:
 
 def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     """Exact weight-1/2 realization data attached to a spin lift."""
-    s = lift.rep.structure
-    p, n = s.curve_class.p, s.curve_class.a // 2
+    c = lift.rep.structure.curve_class
+    p = c.p
     if ell is None:
         ell = 2 if p != 2 else 3
     if not is_prime(ell):
@@ -241,16 +246,15 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     tau = lift.rep.tau
     # K is imaginary (delta < 0 on the definite B_{p,oo}), so |z|^2 = N(z)
     eigen_abs_sq = lift.z.norm()
-    # |z|^2 = |tau| = p^n = q^(1/2): weight 1/2 purity, exactly
-    assert eigen_abs_sq == Fraction(abs(tau)) == Fraction(p) ** n
+    # |z|^2 = |tau| = q^(1/2): weight 1/2 purity, exactly
+    assert eigen_abs_sq == abs(tau) and eigen_abs_sq**2 == c.q
     v_phi_sq = valuation(Fraction(tau), p)
-    v_q = 2 * n
     return RealizationData(
         ell=ell,
         eigen_abs_sq=eigen_abs_sq,
-        weight=Fraction(valuation(eigen_abs_sq, p), v_q),
+        weight=Fraction(valuation(eigen_abs_sq, p), c.a),  # v_p(q) = a
         crystal_frobenius=tau,
         v_p_phi_squared=v_phi_sq,
-        v_p_q=v_q,
-        normalized_slope=Fraction(v_phi_sq, 2 * v_q),
+        v_p_q=c.a,
+        normalized_slope=Fraction(v_phi_sq, 2 * c.a),
     )

@@ -21,7 +21,9 @@ denominator, the etale product is the general multiplication of K that
 EtaleElement kept before only its square was left, the etale text is its
 printing from Fraction coordinates before they became int numerators, and
 the modulus oracle
-trial-divides where Rabin's test replaced it.  They are slow and
+trial-divides where Rabin's test replaced it, and the spin zeta oracle
+writes the zeta functions and both sides of the identity as closed forms in
+p^n where lfunc now reads them off the spinorial class.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check.
 """
@@ -687,3 +689,25 @@ def smallest_modulus_oracle(p: int, a: int) -> tuple[int, ...]:
         ):
             return tail
     raise AssertionError("irreducible polynomials of every degree exist")
+
+
+def spin_zeta_oracle(p: int, n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(num, den) of Z(H^1), Z(rho_spin) and both sides of the identity for
+    the tau = -p^n class, as closed forms in p^n:
+
+    Z(H^1) = (1 + p^n T)^2, Z(rho_spin) = 1/(1 + p^n T^2), and
+    L(E, s) = 1/(1 + p^n U)^2 = (1/(1 + p^n U))^2 = L(rho_spin, s/2)^2.
+    """
+    square = (1, 2 * p**n, p ** (2 * n))
+    return {
+        "zeta_h1": (square, (1,)),
+        "zeta_spin": ((1,), (1, 0, p**n)),
+        "lhs": ((1,), square),
+        "rhs": ((1,), square),
+    }
+
+
+def identity_vacuous_oracle(p: int, n: int) -> bool:
+    """No arithmetic spin structure: n even and B_{p,oo} without a pure unit,
+    which is p = 1 mod 4."""
+    return n % 2 == 0 and p % 4 == 1

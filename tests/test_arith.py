@@ -471,6 +471,13 @@ def test_worst_case_prime_is_fast(call):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_negative_exponent_is_refused():
+    # p^k is no int for k < 0; this was an AttributeError on a float power
+    for p in (2, 3, 2**61 - 1):
+        with pytest.raises(ValueError, match="k = -1"):
+            check_power(p, -1)
+
+
 def test_exact_power_limit():
     # p^k is refused exactly when p^k >= 2^MAX_POWER_BITS (13^1107 has one bit
     # too many), and a huge k is refused at once, without computing p^k

@@ -343,17 +343,36 @@ def test_census_over_scan_limit_fails_fast(q, capsys):
     "q,size",
     [("64", 16773120), ("9973", 497303645), ("15625", 1220703125), ("16384", 72057593769492480)],
 )
-def test_census_refused_before_the_field_is_built(q, size, capsys, monkeypatch):
-    def no_field(p, a):
-        raise AssertionError(f"F_{q} built for a census the limit refuses")
-
-    monkeypatch.setattr(curves, "FiniteField", no_field)
+def test_census_refused_with_the_scan_size(q, size, capsys):
+    # trace_census refuses the scan itself; building F_q first is cheap
+    # (F_{2^14}, the largest, in about 20 ms)
+    t0 = time.perf_counter()
     assert main(["curves", "--q", q, "--json"]) == 1
+    assert time.perf_counter() - t0 < 1.0
     assert json.loads(capsys.readouterr().out) == {
         "detail": f"trace census over F_{q}: the normal-form scan needs {size} point "
         "evaluations, over the census limit 10000000",
         "error": "field-too-large",
     }
+
+
+@pytest.mark.parametrize("command", ["spin", "crystal", "lfunc"])
+@pytest.mark.parametrize(
+    "p,n,doc",
+    [
+        ("4", "5000", {"detail": "4 is not prime", "error": "not-prime"}),
+        (
+            "3",
+            "2048",
+            {"detail": "3^4096 is at or above 2^4096, the exact power limit", "error": "bound-exceeded"},
+        ),
+    ],
+    ids=["composite-p", "power-limit"],
+)
+def test_one_error_per_p_and_n(command, p, n, doc, capsys):
+    # every command checks (p, n) in one order: p prime, then the power limit
+    assert main([command, "--p", p, "--n", n, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_hilbert_zero_input_detail(capsys):

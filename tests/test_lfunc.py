@@ -11,8 +11,14 @@ import pytest
 
 import spinel
 
-from _oracles import poly_gcd_oracle, rational_function_oracle
-from spinel.errors import NotPrime, ZeroInput
+from _oracles import (
+    identity_vacuous_oracle,
+    poly_gcd_oracle,
+    rational_function_oracle,
+    spin_zeta_oracle,
+)
+from spinel import arith, spinstruct
+from spinel.errors import BoundExceeded, NotPrime, ZeroInput
 from spinel.lfunc import (
     RationalFunction,
     _gauss_mul_poly,
@@ -261,6 +267,73 @@ def test_gaussian_factorization():
     V = mpmath.mpf("0.37")
     lhs = (1 + 1j * V) * (1 - 1j * V)
     assert abs(lhs - (1 + V * V)) < mpmath.mpf("1e-12")
+
+
+def test_zeta_functions_match_the_closed_forms_below_128():
+    # Z(H^1), Z(rho_spin) and both sides of the identity are read off the
+    # spinorial class; they must be the closed forms in p^n, term for term
+    primes = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for n in range(1, 7):
+            proof = verify_identity_exact(p, n)
+            got = {"zeta_h1": zeta_h1(p, n), "zeta_spin": zeta_spin(p, n)}
+            got |= {"lhs": proof.lhs, "rhs": proof.rhs}
+            assert {k: (R.num, R.den) for k, R in got.items()} == spin_zeta_oracle(p, n)
+            assert proof.holds, (p, n)
+            assert proof.vacuous == identity_vacuous_oracle(p, n), (p, n)
+
+
+def test_each_call_proves_p_prime_once(monkeypatch):
+    # spinorial_class is the one check of (p, n) and every public lfunc call
+    # builds one class, so each call proves p prime once; the per-p memos
+    # behind the even-n vacuity check are filled before counting
+    proofs = []
+    is_prime = arith.is_prime
+
+    def counting(m):
+        proofs.append(m)
+        return is_prime(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinel") and getattr(module, "is_prime", None) is is_prime:
+            monkeypatch.setattr(module, "is_prime", counting)
+    calls = [
+        zeta_h1,
+        zeta_spin,
+        verify_identity_exact,
+        factor_over_gaussians,
+        lambda p, n: l_values(p, n, 1),
+        lambda p, n: l_values(p, n, Fraction(1, 3)),
+        lambda p, n: spinstruct.spinorial_class(p, n, 1),
+        spinstruct.spinorial_class,
+    ]
+    for p in (2, 3, 5, 13, 127):
+        for n in (1, 2, 3):
+            verify_identity_exact(p, n)
+            for call in calls:
+                proofs.clear()
+                call(p, n)
+                assert proofs == [p], (call, p, n)
+
+
+@pytest.mark.parametrize(
+    "p,n,error",
+    [
+        (4, 5000, NotPrime),
+        (4, 0, NotPrime),
+        (3, 0, ValueError),
+        (3, -1, ValueError),
+        (3, 2048, BoundExceeded),
+        (2, 2048, BoundExceeded),
+    ],
+)
+def test_one_check_order_for_p_and_n(p, n, error):
+    # p prime, then n >= 1, then the power limit on q = p^(2n)
+    calls = [zeta_h1, zeta_spin, verify_identity_exact, factor_over_gaussians]
+    calls += [spinstruct.spinorial_class, lambda p, n: l_values(p, n, 1)]
+    for call in calls:
+        with pytest.raises(error, match=f"n = {n}" if error is ValueError else None):
+            call(p, n)
 
 
 def test_l_value_errors():

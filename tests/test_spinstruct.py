@@ -11,6 +11,7 @@ from spinel import quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
+from spinel.isogeny import isogeny_class
 from spinel.lfunc import verify_identity_exact
 from spinel.quat import Quaternion, b_p_infty, find_pure_of_norm, ramified_places
 from spinel.spinspace import OrthogonalInvolution, covering_map
@@ -34,6 +35,21 @@ MEMOS = (b_p_infty, spinstruct.pure_unit_exists)
 
 def _primes_below(bound):
     return [n for n in range(2, bound) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def test_spinorial_class_is_the_isogeny_record():
+    # the 2(a) record is built directly; it must be the one isogeny_class
+    # validates and classifies for the same trace
+    for p in _primes_below(128):
+        for n in range(1, 7):
+            for sign in (1, -1):
+                c = spinorial_class(p, n, sign)
+                assert c == isogeny_class(p, 2 * n, 2 * sign * p**n), (p, n, sign)
+                assert c.is_spinorial() and c.q == p ** (2 * n)
+    with pytest.raises(ValueError, match="n = -1"):
+        spinorial_class(3, -1)
+    with pytest.raises(ValueError, match="sign"):
+        spinorial_class(3, 1, 0)
 
 
 def test_frozen_structure_p3():
