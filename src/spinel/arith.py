@@ -8,8 +8,9 @@ only constructor and all discriminant comparisons go through it.
 Primality and factoring trial-divide by the primes below 1024 and hand
 what is left to deterministic Miller-Rabin (the first 13 prime bases, exact
 below PRIMALITY_BOUND) and Pollard-Brent rho (Brent 1980, "An improved Monte
-Carlo factorization algorithm").  Factoring keeps a hard input bound: a
-bound failure is a hard error rather than a silent partial answer.
+Carlo factorization algorithm").  Factoring bounds the one step whose cost
+grows with size, the composite cofactor that rho must split; a bound
+failure is a hard error rather than a silent partial answer.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ OO = "oo"
 Place = Union[int, str]
 Rat = Union[int, Fraction]
 
-#: factor bound on |n|
+#: bound on a composite cofactor that Pollard-Brent rho must split
 DEFAULT_FACTOR_BOUND = 2**48
 
 #: trial divisors; below _TRIAL_LIMIT a number with none of them as a factor is 1 or prime
@@ -65,7 +66,13 @@ def _as_fraction(x: Rat) -> Fraction:
 
 
 def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin to every base in _MR_BASES, for odd n >= _TRIAL_LIMIT."""
+    """Miller-Rabin to every base in _MR_BASES, for odd n >= _TRIAL_LIMIT.
+
+    Raises BoundExceeded at or above PRIMALITY_BOUND, where the fixed bases
+    stop being a proof.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise BoundExceeded(f"{n} exceeds primality bound {PRIMALITY_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -96,11 +103,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return n == p
-    if n < _TRIAL_LIMIT:
-        return True
-    if n >= PRIMALITY_BOUND:
-        raise BoundExceeded(f"{n} exceeds primality bound {PRIMALITY_BOUND}")
-    return _strong_probable_prime(n)
+    return n < _TRIAL_LIMIT or _strong_probable_prime(n)
 
 
 def _rho_divisor(n: int) -> int:
@@ -134,23 +137,27 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def _large_prime_factors(m: int) -> list[int]:
+def _large_prime_factors(m: int, n: int) -> list[int]:
     """Prime factors, with multiplicity, of m > 1 with no prime factor below 1024.
 
-    Below 1024^2 such an m is prime.
+    Below 1024^2 such an m is prime; above it m is certified prime by
+    Miller-Rabin, or split by rho when it is composite and at most
+    DEFAULT_FACTOR_BOUND.  n is the integer m was left of, for the errors.
     """
     if m < _TRIAL_LIMIT or _strong_probable_prime(m):
         return [m]
+    if m > DEFAULT_FACTOR_BOUND:
+        raise BoundExceeded(
+            f"{n} leaves the composite cofactor {m}, above factor bound {DEFAULT_FACTOR_BOUND}"
+        )
     d = _rho_divisor(m)
-    return _large_prime_factors(d) + _large_prime_factors(m // d)
+    return _large_prime_factors(d, n) + _large_prime_factors(m // d, n)
 
 
 def _factorable(n: int) -> int:
-    """|n|, after refusing 0 and |n| above DEFAULT_FACTOR_BOUND."""
+    """|n|, after refusing 0."""
     if n == 0:
         raise ZeroInput("cannot factor 0")
-    if abs(n) > DEFAULT_FACTOR_BOUND:
-        raise BoundExceeded(f"|{n}| exceeds factor bound {DEFAULT_FACTOR_BOUND}")
     return abs(n)
 
 
@@ -159,10 +166,11 @@ def factorize(n: int) -> tuple[int, dict[int, int]]:
 
     Trial division by the primes below 1024 stops once p^2 exceeds the
     cofactor, which is then 1 or prime.  A cofactor past them all is prime
-    below 1024^2, and is otherwise split by Miller-Rabin and Pollard-Brent
-    rho, so every listed p is certified prime (|n| <= DEFAULT_FACTOR_BOUND
-    is far below PRIMALITY_BOUND).  Raises ZeroInput on 0 and BoundExceeded
-    when |n| exceeds DEFAULT_FACTOR_BOUND.
+    below 1024^2, and is otherwise certified prime by Miller-Rabin or split
+    by Pollard-Brent rho, so every listed p is certified prime.  Raises
+    ZeroInput on 0, and BoundExceeded on a cofactor at or above
+    PRIMALITY_BOUND or on a composite cofactor above DEFAULT_FACTOR_BOUND,
+    the one that rho would have to split.
     """
     m = _factorable(n)
     sign = -1 if n < 0 else 1
@@ -174,7 +182,7 @@ def factorize(n: int) -> tuple[int, dict[int, int]]:
             m //= p
             factors[p] = factors.get(p, 0) + 1
     if m > 1:
-        for p in sorted(_large_prime_factors(m)):
+        for p in sorted(_large_prime_factors(m, n)):
             factors[p] = factors.get(p, 0) + 1
     return sign, factors
 
@@ -288,10 +296,9 @@ def hilbert_symbol(a: Rat, b: Rat, v: Place) -> int:
 def _finite_places(ints: Iterable[int]) -> set[int]:
     """2 and the primes dividing any of the integers, each found by `factorize` once.
 
-    Each integer is checked against 0 and DEFAULT_FACTOR_BOUND as given,
-    then stripped of the primes already in the set, 2 included, and only
-    what is left is factored: an integer whose odd primes all came earlier
-    costs no factoring.
+    Each integer is checked against 0 as given, then stripped of the primes
+    already in the set, 2 included, and only what is left is factored: an
+    integer whose odd primes all came earlier costs no factoring.
     """
     primes = {2}
     for n in ints:
@@ -309,11 +316,11 @@ def places(*values: Rat) -> list[Place]:
 
     The integers are factored in turn, each only as far as the primes found
     before it leave it (`_finite_places`), so a product of earlier values
-    costs no factoring; the errors are `factorize`'s, on each integer as
-    given.  Each prime is certified here once, so the per-place code need
-    not prove it again.  Every other place is an odd prime at which all the
-    values are units, so Hilbert symbols and the isotropy of diagonal forms
-    built from them are trivial there.
+    costs no factoring; the errors are `factorize`'s, on what is left of
+    each integer.  Each prime is certified here once, so the per-place code
+    need not prove it again.  Every other place is an odd prime at which all
+    the values are units, so Hilbert symbols and the isotropy of diagonal
+    forms built from them are trivial there.
     """
     primes = _finite_places(n for x in values for n in (x.numerator, x.denominator))
     return [OO, *sorted(primes)]

@@ -62,7 +62,7 @@ def poly_eval(f: IntPoly, t: Fraction) -> Fraction:
     return out
 
 
-def poly_str(f: IntPoly, var: str = "T") -> str:
+def poly_str(f: IntPoly) -> str:
     if all(c == 0 for c in f):
         return "0"
     parts = []
@@ -73,7 +73,7 @@ def poly_str(f: IntPoly, var: str = "T") -> str:
             term = str(c)
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            pow_ = var if e == 1 else f"{var}^{e}"
+            pow_ = "T" if e == 1 else f"T^{e}"
             term = ("-" if c < 0 else "") + mag + pow_
         if parts and not term.startswith("-"):
             term = "+" + term
@@ -151,9 +151,10 @@ def zeta_h1(p: int, n: int) -> RationalFunction:
 class IdentityProof:
     """Both sides of L(E, s) = L(rho_spin, s/2)^2 as elements of Q(U), U = q^-s.
 
-    `vacuous` records whether the spinorial class tau = -p^n actually admits
-    an arithmetic spin structure; the polynomial identity holds regardless,
-    but only carries spin content when it does.
+    `vacuous` records that the spinorial class tau = -p^n admits no
+    arithmetic spin structure, read off has_arithmetic_spin's certificate;
+    the polynomial identity holds regardless, but only carries spin content
+    when a structure exists.
     """
 
     p: int
@@ -172,7 +173,7 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     spin = _zeta_spin(c)  # even in T, so T^2 -> U keeps the even coefficients
     half = RationalFunction(spin.num[::2], spin.den[::2])
     rhs = half * half
-    vacuous = n % 2 == 0 and not spinstruct.pure_unit_exists(p)
+    vacuous = not spinstruct.has_arithmetic_spin(c).exists
     return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
 
 

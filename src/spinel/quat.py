@@ -40,8 +40,8 @@ DEFAULT_SEARCH_BOUND = 50
 #: how far b_p_infty will scan for the second symbol entry
 _BPINF_SCAN_LIMIT = 10_000
 
-#: primes kept by each per-p memo (b_p_infty and spinstruct's norm-1 bit);
-#: the least recently used prime is dropped first
+#: primes kept by the one per-p memo, b_p_infty; the least recently used
+#: prime is dropped first
 MEMO_PRIMES = 128
 
 
@@ -70,10 +70,6 @@ class QuaternionAlgebra:
         xs = [arith._as_fraction(x) for x in (x0, x1, x2, x3)]
         den = lcm(*(x.denominator for x in xs))
         return Quaternion(self, tuple(x.numerator * (den // x.denominator) for x in xs), den)
-
-    @property
-    def j(self) -> "Quaternion":
-        return Quaternion(self, (0, 0, 1, 0))
 
     def pure_norm_coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         """Diagonal coefficients of Nrd restricted to pure quaternions."""

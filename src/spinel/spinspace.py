@@ -224,12 +224,10 @@ def covering_map(z: EtaleElement) -> EtaleElement:
     return z.square()
 
 
-def random_involution(
-    B: QuaternionAlgebra, rng: random.Random, size: int = 9
-) -> OrthogonalInvolution:
+def random_involution(B: QuaternionAlgebra, rng: random.Random) -> OrthogonalInvolution:
     """A random orthogonal involution on B, for sampling-based tests."""
     while True:
-        coords = [Fraction(rng.randint(-size, size)) for _ in range(3)]
+        coords = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
         if all(c == 0 for c in coords):
             continue
         u = B.element(0, *coords)

@@ -13,14 +13,16 @@ Existence is sharp:
   any pure v with v^2 = -p.
 * n even: a structure exists iff tau = -p^n and B contains a pure
   quaternion of norm 1 (so disc = -1 and K = Q(i)); the norm condition
-  holds iff p = 2 or p = 3 mod 4.
+  holds iff p = 2 or p = 3 mod 4, exactly when quat.b_p_infty(p) is
+  presented with a = -1, so that i has norm 1.
 
-Both parities go through one constructor, construct_arithmetic_spin(p, n),
-which reads the certificate of has_arithmetic_spin and returns None when no
-structure exists.  The lifted Frobenius (sqrt(tau), -sqrt(tau)) is the
-weight-1/2 eigenvalue datum: the weight is read off the lift as
-v_p(N(z)) / v_p(q) = 1/2, and the crystalline Frobenius x-multiplication has
-normalized slope 1/4.
+The certificate of has_arithmetic_spin is the one place that decides
+existence: its witness u is read off that presentation, or is None.  The
+one constructor for both parities, construct_arithmetic_spin(p, n), takes
+u from it, and lfunc reads `vacuous` off it.  The lifted Frobenius
+(sqrt(tau), -sqrt(tau)) is the weight-1/2 eigenvalue datum: the weight is
+read off the lift as v_p(N(z)) / v_p(q) = 1/2, and the crystalline
+Frobenius x-multiplication has normalized slope 1/4.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from . import quat
-from .arith import check_power, is_prime, ternary_represents, valuation
+from .arith import check_power, is_prime, valuation
 from .errors import NotPrime, PrecheckFailed, SearchExhausted, ZeroInput
 from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
@@ -129,33 +130,26 @@ def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     return IsogenyClass(p, 2 * n, 2 * sign * p**n, KIND_SUPERSINGULAR, ENDO_QUATERNION)
 
 
-@lru_cache(maxsize=quat.MEMO_PRIMES)
-def pure_unit_exists(p: int) -> bool:
-    """Whether B_{p,oo} has a pure quaternion of norm 1, memoised per p.
-
-    Decided by local-global reduction of the pure norm form; it holds iff
-    p = 2 or p = 3 mod 4.  This is the existence condition for even n.
-    """
-    return ternary_represents(quat.b_p_infty(p).pure_norm_coefficients(), 1)
-
-
 def _canonical_u(B: QuaternionAlgebra, p: int, n: int) -> Optional[Quaternion]:
     """The canonical u read off the presentation B = b_p_infty(p), or None.
 
-    Odd n: u = p^((n-1)/2) v with v^2 = -p, v = j in (-a,-p) for odd p and
-    v = i + j in (-1,-1) for p = 2.  Even n: u = p^(n/2) i, since i has norm
-    1 exactly when a pure unit exists (a = -1); None when none does.  The
-    norm of v is asserted, so a presentation that breaks these readings
-    fails loudly.
+    With k = p^(n//2): odd n gives u = k v with v^2 = -p, v = j in (-a,-p)
+    for odd p and v = i + j in (-1,-1) for p = 2.  Even n gives u = k i when
+    a = -1, so that i has norm 1, and None otherwise: b_p_infty takes the
+    least a, and a = 1 works exactly when B has a pure quaternion of norm 1
+    (p = 2 or p = 3 mod 4).  Nrd(u) = p^n is asserted, so a presentation
+    that breaks these readings fails loudly.
     """
+    k = p ** (n // 2)
     if n % 2 == 1:
-        v, norm = (B.j if p != 2 else Quaternion(B, (0, 1, 1, 0))), p
-    elif pure_unit_exists(p):
-        v, norm = Quaternion(B, (0, 1, 0, 0)), 1
+        nums = (0, 0, k, 0) if p != 2 else (0, k, k, 0)
+    elif B.a == -1:
+        nums = (0, k, 0, 0)
     else:
         return None
-    assert v.reduced_norm() == norm, (B, v)
-    return v * p ** (n // 2)
+    u = Quaternion(B, nums)
+    assert u.reduced_norm() == p**n, (B, u)
+    return u
 
 
 def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
@@ -174,28 +168,27 @@ def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
 
 
 def construct_arithmetic_spin(
-    p: int,
-    n: int,
-    bound: int = quat.DEFAULT_SEARCH_BOUND,
-    rng: random.Random | None = None,
+    p: int, n: int, rng: random.Random | None = None
 ) -> Optional[SpinStructure]:
     """The arithmetic spin structure for the class tau = -p^n, or None.
 
-    By default u is has_arithmetic_spin's witness, read off B_{p,oo} with no
-    search, and None is returned when there is none (n even, p = 1 mod 4).
-    Passing an rng instead searches the box `bound` for a pure v of norm p
-    in a random order and takes u = p^((n-1)/2) v; only this route reads
-    `bound`, and it needs odd n.  All routes for one n give involutions of
-    one discriminant class, hence isomorphic structures.
+    (p, n) is checked by spinorial_class alone.  By default u is
+    has_arithmetic_spin's witness, read off B_{p,oo} with no search, and
+    None is returned when there is none (n even, p = 1 mod 4).  Passing an
+    rng instead searches the box quat.DEFAULT_SEARCH_BOUND, read at call
+    time, for a pure v of norm p in a random order and takes
+    u = p^((n-1)/2) v; this route needs odd n.  All routes for one n give
+    involutions of one discriminant class, hence isomorphic structures.
     """
-    if n < 1 or (rng is not None and n % 2 == 0):
-        raise ZeroInput(f"n = {n}: this construction needs n >= 1, and odd n with an rng")
     c = spinorial_class(p, n, -1)
     if rng is None:
         u = has_arithmetic_spin(c).witness
         if u is None:
             return None
+    elif n % 2 == 0:
+        raise ZeroInput(f"n = {n}: the rng route needs odd n")
     else:
+        bound = quat.DEFAULT_SEARCH_BOUND
         v = quat.find_pure_of_norm(quat.b_p_infty(p), p, bound, rng)
         if v is None:
             raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")

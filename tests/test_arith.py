@@ -266,8 +266,13 @@ def test_places_match_trial_division_oracle():
 def test_places_errors():
     with pytest.raises(ZeroInput, match="cannot factor 0"):
         places(3, 0)
-    with pytest.raises(BoundExceeded):
-        places(Fraction(1, 2**61 - 1))
+    # a certified prime past the factor bound answers; what rho would have to
+    # split past it, or what Miller-Rabin cannot certify, is refused
+    assert places(Fraction(1, 2**61 - 1)) == [OO, 2, 2**61 - 1]
+    with pytest.raises(BoundExceeded, match="composite cofactor"):
+        places(Fraction(1, (2**31 - 1) ** 2))
+    with pytest.raises(BoundExceeded, match="primality bound"):
+        places(2**89 - 1)
 
 
 def _signed(rng, n):
@@ -327,18 +332,25 @@ def test_places_symbols_and_ternary_match_oracles_on_local_symbols_inputs():
     assert cancelled >= 40 and 0 < represented < 150
 
 
-def test_factor_bound_applies_to_each_integer_as_given():
-    # 3 * 2^48 strips to 1 after 3 and 2, and ab = 15 * 2^50 to 1 after a and b,
-    # but each integer is above the bound as given
-    with pytest.raises(BoundExceeded, match=f"{3 * 2**48}"):
-        places(3, 3 * 2**48)
+def test_factor_bound_applies_to_the_cofactor_rho_splits():
+    # 3 * 2^48 strips to 1 after 3 and 2, and ab = 15 * 2^50 to 1 after a and
+    # b, so no cofactor is left for rho and the size of the integer is no cost
+    assert places(3, 3 * 2**48) == [OO, 2, 3]
     a, b = Fraction(-3 * 2**25), Fraction(-5 * 2**25)
     assert places(a, b) == [OO, 2, 3, 5]
-    with pytest.raises(BoundExceeded):
-        ternary_represents((-a, -b, a * b), 1)
-    with pytest.raises(BoundExceeded):
-        places(Fraction(7, 2**40), Fraction(7**2 * 2**45, 3))
+    assert ternary_represents((-a, -b, a * b), 1) == ternary_represents((6, 10, 15), 1)
+    assert places(Fraction(7, 2**40), Fraction(7**2 * 2**45, 3)) == [OO, 2, 3, 7]
     assert places(2**48, Fraction(3, 2**48)) == [OO, 2, 3]
+    # trial division leaves a prime cofactor, certified by Miller-Rabin
+    m61 = 2**61 - 1
+    assert factorize(-3 * 2**70 * m61) == (-1, {2: 70, 3: 1, m61: 1})
+    # a composite cofactor above the bound is refused before rho runs, and
+    # the detail names the integer given and the cofactor
+    n = 3 * (2**31 - 1) ** 2
+    with pytest.raises(BoundExceeded, match=f"^{n} leaves the composite cofactor {(2**31 - 1) ** 2}, "):
+        factorize(n)
+    with pytest.raises(BoundExceeded, match="composite cofactor"):
+        factorize((2**31 - 1) ** 2)
 
 
 def test_ternary_represents_factors_each_prime_once(monkeypatch):

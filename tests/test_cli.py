@@ -23,6 +23,8 @@ GOLDEN_CASES = [
     ("lfunc_p3_n1_s1_3", ["lfunc", "--p", "3", "--n", "1", "--s", "1/3", "--json"]),
     # written from `--s=-3/4`: the spaced form reads the same value
     ("lfunc_p3_n1_s_neg3_4", ["lfunc", "--p", "3", "--n", "1", "--s", "-3/4", "--json"]),
+    # p = 1 mod 4 and n even: no structure, so the identity is vacuous
+    ("lfunc_p5_n2", ["lfunc", "--p", "5", "--n", "2", "--json"]),
     ("classify_p5_a1", ["classify", "--p", "5", "--a", "1", "--json"]),
     ("crystal_p3_n1", ["crystal", "--p", "3", "--n", "1", "--json"]),
     ("crystal_p3_n2", ["crystal", "--p", "3", "--n", "2", "--json"]),
@@ -442,8 +444,22 @@ def test_find_q14_counts_the_curve_once(monkeypatch, capsys):
         # a prime just below the 2^48 factor bound
         (["bpinf", "--p", "281474976710597"], 0, None),
         (["spin", "--p", "281474976710597", "--n", "1"], 0, None),
+        # certified primes past the factor bound, which prices rho alone;
+        # p48 = 1 mod 4 has no structure at even n
+        (["spin", "--p", "281474976710597", "--n", "2"], 1, "no-spin-structure"),
+        (["lfunc", "--p", "281474976710597", "--n", "2"], 0, None),
+        (["bpinf", "--p", "2305843009213693951"], 0, None),
+        (["spin", "--p", "2305843009213693951", "--n", "1"], 0, None),
+        (["crystal", "--p", "2305843009213693951", "--n", "3"], 0, None),
+        (["lfunc", "--p", "2305843009213693951", "--n", "1", "--s", "1/3"], 0, None),
+        (["spin", "--p", "1000000000000037", "--n", "3"], 0, None),
+        (["curves", "--q", str(2**50)], 1, "field-too-large"),
     ],
-    ids=["classify-mersenne61", "bpinf-p48", "spin-p48"],
+    ids=[
+        "classify-mersenne61", "bpinf-p48", "spin-p48", "spin-p48-n2", "lfunc-p48-n2",
+        "bpinf-mersenne61", "spin-mersenne61", "crystal-mersenne61-n3", "lfunc-mersenne61-s1_3",
+        "spin-p10_15", "curves-q2_50",
+    ],
 )
 def test_large_prime_fails_or_answers_fast(argv, rc, error, capsys):
     t0 = time.perf_counter()

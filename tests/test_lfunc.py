@@ -285,8 +285,8 @@ def test_zeta_functions_match_the_closed_forms_below_128():
 
 def test_each_call_proves_p_prime_once(monkeypatch):
     # spinorial_class is the one check of (p, n) and every public lfunc call
-    # builds one class, so each call proves p prime once; the per-p memos
-    # behind the even-n vacuity check are filled before counting
+    # builds one class, so each call proves p prime once; the per-p memo
+    # behind the certificate that `vacuous` reads is filled before counting
     proofs = []
     is_prime = arith.is_prime
 

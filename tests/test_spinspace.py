@@ -47,10 +47,10 @@ def _random_definite_algebra(rng):
 
 def test_involution_fixes_frozen_example():
     B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
+    sigma = OrthogonalInvolution(B, B.element(0, 0, 1))
     one, i, k = B.element(1), B.element(0, 1), B.element(0, 0, 0, 1)
     assert sigma.apply(i) == i
-    assert sigma.apply(B.j) == B.j * -1
+    assert sigma.apply(B.element(0, 0, 1)) == B.element(0, 0, 1) * -1
     assert sigma.apply(k) == k
     assert sigma.apply(one) == one
 
@@ -71,9 +71,9 @@ def test_involution_axioms_sampled():
 
 def test_involution_rescaling_u_gives_same_involution():
     B = QuaternionAlgebra(-1, -3)
-    s1 = OrthogonalInvolution(B, B.j)
-    s2 = OrthogonalInvolution(B, B.j * 3)
-    s3 = OrthogonalInvolution(B, B.j * Fraction(-1, 7))
+    s1 = OrthogonalInvolution(B, B.element(0, 0, 1))
+    s2 = OrthogonalInvolution(B, B.element(0, 0, 1) * 3)
+    s3 = OrthogonalInvolution(B, B.element(0, 0, 1) * Fraction(-1, 7))
     assert s1 == s2 == s3
     rng = random.Random(5)
     x = _random_element(B, rng)
@@ -82,9 +82,9 @@ def test_involution_rescaling_u_gives_same_involution():
 
 def test_discriminant_known():
     B = QuaternionAlgebra(-1, -3)
-    assert OrthogonalInvolution(B, B.j).discriminant() == -3
+    assert OrthogonalInvolution(B, B.element(0, 0, 1)).discriminant() == -3
     assert OrthogonalInvolution(B, B.element(0, 1)).discriminant() == -1
-    assert OrthogonalInvolution(B, B.j * 3).discriminant() == -3
+    assert OrthogonalInvolution(B, B.element(0, 0, 1) * 3).discriminant() == -3
     B2 = b_p_infty(2)
     assert OrthogonalInvolution(B2, B2.element(0, 1, 1)).discriminant() == -2
 
@@ -119,9 +119,9 @@ def test_stored_discriminant_is_the_square_class_of_minus_nrd():
 
 def test_isomorphism_classified_by_discriminant():
     B = QuaternionAlgebra(-1, -3)
-    s_j = OrthogonalInvolution(B, B.j)
+    s_j = OrthogonalInvolution(B, B.element(0, 0, 1))
     s_i = OrthogonalInvolution(B, B.element(0, 1))
-    s_scaled = OrthogonalInvolution(B, B.j * Fraction(5, 2))
+    s_scaled = OrthogonalInvolution(B, B.element(0, 0, 1) * Fraction(5, 2))
     assert s_j.is_isomorphic_to(s_scaled)
     assert not s_j.is_isomorphic_to(s_i)
     # -Nrd(u) classes agree for u = j and u = 3k/2 + ... with same class
@@ -129,7 +129,7 @@ def test_isomorphism_classified_by_discriminant():
     assert s_j.is_isomorphic_to(s_k)
     other = QuaternionAlgebra(-1, -1)
     with pytest.raises(AlgebraMismatch):
-        s_j.is_isomorphic_to(OrthogonalInvolution(other, other.j))
+        s_j.is_isomorphic_to(OrthogonalInvolution(other, other.element(0, 0, 1)))
 
 
 def test_invalid_u_rejected():
@@ -142,7 +142,7 @@ def test_invalid_u_rejected():
 
 def test_clifford_algebra_delta():
     B = QuaternionAlgebra(-1, -3)
-    K = OrthogonalInvolution(B, B.j).clifford_algebra()
+    K = OrthogonalInvolution(B, B.element(0, 0, 1)).clifford_algebra()
     assert K.delta == -3
     K2 = OrthogonalInvolution(B, B.element(0, 1)).clifford_algebra()
     assert K2.delta == -1
@@ -206,7 +206,7 @@ def test_is_square_spot_values():
 
 def test_multiplier_and_similitudes():
     B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
+    sigma = OrthogonalInvolution(B, B.element(0, 0, 1))
     # scalars are proper similitudes with multiplier t^2 = Nrd(t)
     t = B.element(-3)
     assert _multiplier(sigma, t) == 9 == t.reduced_norm()
@@ -225,7 +225,7 @@ def test_multiplier_and_similitudes():
 def test_multiplier_is_multiplicative():
     rng = random.Random(31)
     B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
+    sigma = OrthogonalInvolution(B, B.element(0, 0, 1))
     K = sigma.clifford_algebra()
     for _ in range(60):
         z1 = K.element(random_fraction(rng, 4), random_fraction(rng, 4))
@@ -284,7 +284,7 @@ def test_etale_element_is_built_in_lowest_terms():
 def test_spin_maps_onto_rotations():
     # covering: z in GSpin maps to z^2 viewed inside GO+ via x -> j
     B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j)
+    sigma = OrthogonalInvolution(B, B.element(0, 0, 1))
     K = sigma.clifford_algebra()
     rng = random.Random(41)
     for _ in range(40):
@@ -298,6 +298,6 @@ def test_spin_maps_onto_rotations():
 
 def test_involution_json():
     B = QuaternionAlgebra(-1, -3)
-    sigma = OrthogonalInvolution(B, B.j * 2)
+    sigma = OrthogonalInvolution(B, B.element(0, 0, 1) * 2)
     assert sigma.discriminant() == -3
     assert sigma.u.to_json() == ["0", "0", "1", "0"]  # normalized to primitive

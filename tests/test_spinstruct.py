@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from _oracles import etale_product
-from spinel import quat, spinstruct
+from spinel import arith, quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, SearchExhausted, ZeroInput
 from spinel.isogeny import isogeny_class
-from spinel.lfunc import verify_identity_exact
+from spinel.lfunc import verify_identity_exact, zeta_h1
 from spinel.quat import Quaternion, b_p_infty, find_pure_of_norm, ramified_places
 from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
@@ -30,7 +30,7 @@ from spinel.spinstruct import (
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 #: the per-p memos of the spin chain
-MEMOS = (b_p_infty, spinstruct.pure_unit_exists)
+MEMOS = (b_p_infty,)
 
 
 def _primes_below(bound):
@@ -56,7 +56,7 @@ def test_frozen_structure_p3():
     s = construct_arithmetic_spin(3, 1)
     B = s.algebra
     assert (B.a, B.b) == (-1, -3)
-    assert s.sigma.u == B.j
+    assert s.sigma.u == B.element(0, 0, 1)
     assert s.sigma.discriminant() == -3
     assert s.clifford.delta == -3
     assert s.tau == -3
@@ -115,9 +115,20 @@ def test_even_n_rejected_by_odd_constructor():
     for n in (2, 4):
         with pytest.raises(ZeroInput):
             construct_arithmetic_spin(3, n, rng=random.Random(1))
+    # spinorial_class is the one check of (p, n): p prime, then n >= 1
     for n in (0, -1):
-        with pytest.raises(ZeroInput):
-            construct_arithmetic_spin(3, n)
+        with pytest.raises(ValueError) as class_error:
+            zeta_h1(3, n)
+        for rng in (None, random.Random(1)):
+            with pytest.raises(ValueError) as got:
+                construct_arithmetic_spin(3, n, rng=rng)
+            assert type(got.value) is type(class_error.value), n
+            assert str(got.value) == str(class_error.value) == f"n = {n} must be positive"
+    for rng in (None, random.Random(1)):
+        with pytest.raises(NotPrime):
+            construct_arithmetic_spin(4, 0, rng=rng)
+        with pytest.raises(NotPrime):
+            construct_arithmetic_spin(4, 2, rng=rng)
     with pytest.raises(ZeroInput):
         construct_arithmetic_spin_even(3, 3)
 
@@ -341,38 +352,43 @@ def test_memos_match_fresh_computation_below_2000():
         B = b_p_infty(p)
         fresh = b_p_infty.__wrapped__(p)
         assert B == fresh and ramified_places(B) == {p, OO}, p
-        unit = spinstruct.pure_unit_exists(p)
-        assert unit == ternary_represents(fresh.pure_norm_coefficients(), 1), p
-        for n in (2, 4):
+        unit = ternary_represents(fresh.pure_norm_coefficients(), 1)
+        for n in (1, 2, 3, 4):
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
+            assert cert.exists == (n % 2 == 1 or unit), (p, n)
             assert verify_identity_exact(p, n).vacuous == (not cert.exists), (p, n)
 
 
 def test_canonical_witnesses_match_the_search_below_10_4():
-    # the witnesses read off the presentation (j, i + j for p = 2, and i for
-    # even n) against the first hit of the box search, at boxes 1, 2 and 50
+    # the witnesses read off the presentation (p^((n-1)/2) j, or times i + j
+    # for p = 2, and p^(n/2) i for even n) against the first hit of the box
+    # search, at boxes 1, 2 and 50; a pure unit exists, by the local-global
+    # oracle, exactly when the presentation has a = -1
     for p in _primes_below(10**4):
         B = b_p_infty(p)
-        unit = spinstruct.pure_unit_exists(p)
+        unit = ternary_represents(B.pure_norm_coefficients(), 1)
         assert unit == (B.a == -1), p
-        if not unit:
-            assert spinstruct._canonical_u(B, p, 2) is None, p
         for box in (1, 2, 50):
-            assert spinstruct._canonical_u(B, p, 1) == find_pure_of_norm(B, p, box), (p, box)
-            if unit:
-                assert spinstruct._canonical_u(B, p, 2) == find_pure_of_norm(B, 1, box) * p, (p, box)
+            odd = find_pure_of_norm(B, p, box)
+            even = find_pure_of_norm(B, 1, box) if unit else None
+            for n in range(1, 7):
+                hit = odd if n % 2 else even
+                want = None if hit is None else hit * p ** (n // 2)
+                assert spinstruct._canonical_u(B, p, n) == want, (p, n, box)
 
 
 def test_canonical_chain_runs_no_search(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"searched: find_pure_of_norm{args}")
+        raise AssertionError(f"searched or decided by local-global: {args}")
 
     monkeypatch.setattr(quat, "find_pure_of_norm", refuse)
+    monkeypatch.setattr(arith, "ternary_represents", refuse)
     for p in (2, 3, 5, 7, 11):
         for n in (1, 2, 3, 4):
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
             s = construct_arithmetic_spin(p, n)
-            assert cert.exists == (s is not None), (p, n)
+            vacuous = verify_identity_exact(p, n).vacuous
+            assert cert.exists == (s is not None) == (not vacuous), (p, n)
     for argv in (
         ["spin", "--p", "2", "--n", "1"],
         ["spin", "--p", "3", "--n", "2"],
@@ -394,19 +410,19 @@ def test_memos_are_bounded():
     assert b_p_infty.cache_info().currsize == quat.MEMO_PRIMES
 
 
-def test_memos_keep_no_errors():
+def test_memos_keep_no_errors(monkeypatch):
     for bad in (1, 4):
         for _ in range(3):
             with pytest.raises(NotPrime):
                 b_p_infty(bad)
-            with pytest.raises(NotPrime):
-                spinstruct.pure_unit_exists(bad)
     # an empty box fails the rng route on every call; the canonical route
     # reads no box and answers all the same
+    canonical = construct_arithmetic_spin(2, 1).sigma.u
+    monkeypatch.setattr(quat, "DEFAULT_SEARCH_BOUND", 0)
     for _ in range(2):
         with pytest.raises(SearchExhausted):
-            construct_arithmetic_spin(2, 1, 0, random.Random(1))
-        assert construct_arithmetic_spin(2, 1, 0).sigma.u == construct_arithmetic_spin(2, 1).sigma.u
+            construct_arithmetic_spin(2, 1, rng=random.Random(1))
+        assert construct_arithmetic_spin(2, 1).sigma.u == canonical
 
 
 def test_memoised_objects_reject_assignment():
