@@ -172,8 +172,11 @@ def factorize(n: int) -> tuple[int, dict[int, int]]:
     PRIMALITY_BOUND or on a composite cofactor above DEFAULT_FACTOR_BOUND,
     the one that rho would have to split.
     """
-    m = _factorable(n)
-    sign = -1 if n < 0 else 1
+    return (-1 if n < 0 else 1), _prime_factors(_factorable(n), n)
+
+
+def _prime_factors(m: int, n: int) -> dict[int, int]:
+    """factorize's exponents of m >= 1, a divisor of n; the errors name n."""
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > m:
@@ -184,7 +187,7 @@ def factorize(n: int) -> tuple[int, dict[int, int]]:
     if m > 1:
         for p in sorted(_large_prime_factors(m, n)):
             factors[p] = factors.get(p, 0) + 1
-    return sign, factors
+    return factors
 
 
 def squarefree_part(r: Rat) -> int:
@@ -298,16 +301,17 @@ def _finite_places(ints: Iterable[int]) -> set[int]:
 
     Each integer is checked against 0 as given, then stripped of the primes
     already in the set, 2 included, and only what is left is factored: an
-    integer whose odd primes all came earlier costs no factoring.
+    integer whose odd primes all came earlier costs no factoring.  An error
+    names the integer as given, with what was left of it.
     """
     primes = {2}
     for n in ints:
-        n = _factorable(n)
+        m = _factorable(n)
         for p in primes:
-            while n % p == 0:
-                n //= p
-        if n > 1:
-            primes.update(factorize(n)[1])
+            while m % p == 0:
+                m //= p
+        if m > 1:
+            primes.update(_prime_factors(m, n))
     return primes
 
 
@@ -316,11 +320,11 @@ def places(*values: Rat) -> list[Place]:
 
     The integers are factored in turn, each only as far as the primes found
     before it leave it (`_finite_places`), so a product of earlier values
-    costs no factoring; the errors are `factorize`'s, on what is left of
-    each integer.  Each prime is certified here once, so the per-place code
-    need not prove it again.  Every other place is an odd prime at which all
-    the values are units, so Hilbert symbols and the isotropy of diagonal
-    forms built from them are trivial there.
+    costs no factoring; the errors are `factorize`'s, naming the integer
+    as given and the cofactor left of it.  Each prime is certified here
+    once, so the per-place code need not prove it again.  Every other place
+    is an odd prime at which all the values are units, so Hilbert symbols
+    and the isotropy of diagonal forms built from them are trivial there.
     """
     primes = _finite_places(n for x in values for n in (x.numerator, x.denominator))
     return [OO, *sorted(primes)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__, arith, curves, isogeny, lfunc, quat, spinstruct
 from .arith import OO
-from .errors import NoSpinStructure, SpinelError
+from .errors import NoSpinStructure, PrecheckFailed, SpinelError
 
 #: 17 significant digits, half up, as mpmath.nstr(x, 17) rounds; pinned in
 #: full, as lfunc's context is
@@ -187,7 +187,7 @@ def _cmd_lfunc(args) -> int:
 def _factor_prime_power(q: int) -> tuple[int, int]:
     sign, factors = arith.factorize(q)
     if sign < 0 or len(factors) != 1:
-        raise SpinelError(f"q = {q} is not a prime power")
+        raise PrecheckFailed(f"q = {q} is not a prime power")
     [(p, a)] = factors.items()
     return p, a
 
@@ -196,7 +196,7 @@ def _cmd_curves(args) -> int:
     p, a = _factor_prime_power(args.q)
     if args.find_q14:
         if a != 2:
-            raise SpinelError("--find-q14 needs q = p^2")
+            raise PrecheckFailed("--find-q14 needs q = p^2")
         E = curves.find_q14_curve(p)
         n = curves.count_points(E)
         trace = args.q + 1 - n

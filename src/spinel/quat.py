@@ -17,12 +17,11 @@ coordinates x0..x3, the text and the JSON are read off as Fractions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import arith
 from .arith import OO, Place, Rat
@@ -117,9 +116,6 @@ class Quaternion:
             raise AlgebraMismatch(f"{self.algebra} vs {other.algebra}")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            nums = tuple(other.numerator * n for n in self.nums)
-            return Quaternion(self.algebra, nums, other.denominator * self.den)
         if not isinstance(other, Quaternion):
             return NotImplemented
         self._same(other)
@@ -256,24 +252,17 @@ def _shell_candidates(
 
 
 def find_pure_of_norm(
-    B: QuaternionAlgebra,
-    m: Rat,
-    bound: int = DEFAULT_SEARCH_BOUND,
-    rng: random.Random | None = None,
+    B: QuaternionAlgebra, m: Rat, bound: int = DEFAULT_SEARCH_BOUND
 ) -> Optional[Quaternion]:
     """Search for a pure quaternion u with Nrd(u) = m, or None.
 
     Writes u = (w1*i + w2*j + w3*k)/d and scans denominators d <= bound and
-    integer boxes of growing sup norm.  The default order is deterministic
-    (d ascending, then sup norm, then component order), so witnesses are
-    reproducible.  That plan of (d, shell) pairs is scanned lazily: a
-    witness in the first shells costs the same at any bound, and only a
-    miss walks the whole box.  Passing an rng materialises and shuffles the
-    whole plan, O(bound^2) entries, before the scan, so rng callers should
-    keep the bound small; the shuffle can only change which witness is
-    returned, never whether one exists within the box.  When the
-    restriction of Nrd to pure quaternions is definite, shells beyond
-    sqrt(|m| d^2 / min coefficient) are skipped.
+    integer boxes of growing sup norm, in one fixed order (d ascending, then
+    sup norm, then component order), so witnesses are reproducible.  The
+    (d, shell) pairs are scanned as they come: a witness in the first
+    shells costs the same at any bound, and only a miss walks the whole
+    box.  When the restriction of Nrd to pure quaternions is definite,
+    shells beyond sqrt(|m| d^2 / min coefficient) are skipped.
 
     None is advisory: it means no witness in the box, not nonexistence.
     Pair with `arith.ternary_represents` for an actual decision.
@@ -292,20 +281,11 @@ def find_pure_of_norm(
     c1, c2, c3 = (int(c * scale) for c in (cf1, cf2, cf3))
     m_scaled = int(m * scale)
     cmin = min(c1, c2, c3)
-
-    def plan() -> Iterator[tuple[int, int]]:
-        for d in range(1, bound + 1):
-            smax = min(isqrt(m_scaled * d * d // cmin) + 1, bound) if definite else bound
-            for s in range(smax + 1):
-                yield d, s
-
-    order: Iterable[tuple[int, int]] = plan()
-    if rng is not None:
-        order = list(order)
-        rng.shuffle(order)
-    for d, s in order:
-        for w1, w2, w3 in _shell_candidates(c1, c2, c3, m_scaled * d * d, s):
-            u = Quaternion(B, (0, w1, w2, w3), d)
-            if u.reduced_norm() == m:
-                return u
+    for d in range(1, bound + 1):
+        smax = min(isqrt(m_scaled * d * d // cmin) + 1, bound) if definite else bound
+        for s in range(smax + 1):
+            for w1, w2, w3 in _shell_candidates(c1, c2, c3, m_scaled * d * d, s):
+                u = Quaternion(B, (0, w1, w2, w3), d)
+                if u.reduced_norm() == m:
+                    return u
     return None

@@ -29,7 +29,6 @@ its norm (|z|^2 = p^n).  The other lift is -z = -c - d*x.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -223,13 +222,3 @@ def covering_map(z: EtaleElement) -> EtaleElement:
         raise NotUnit(f"{z} is not a unit of {z.ring}")
     return z.square()
 
-
-def random_involution(B: QuaternionAlgebra, rng: random.Random) -> OrthogonalInvolution:
-    """A random orthogonal involution on B, for sampling-based tests."""
-    while True:
-        coords = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        if all(c == 0 for c in coords):
-            continue
-        u = B.element(0, *coords)
-        if u.reduced_norm() != 0:
-            return OrthogonalInvolution(B, u)

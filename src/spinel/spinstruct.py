@@ -27,14 +27,13 @@ Frobenius x-multiplication has normalized slope 1/4.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import quat
 from .arith import check_power, is_prime, valuation
-from .errors import NotPrime, PrecheckFailed, SearchExhausted, ZeroInput
+from .errors import NotPrime, PrecheckFailed, ZeroInput
 from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
@@ -167,32 +166,17 @@ def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
     return SpinExistence(_canonical_u(quat.b_p_infty(c.p), c.p, c.a // 2))
 
 
-def construct_arithmetic_spin(
-    p: int, n: int, rng: random.Random | None = None
-) -> Optional[SpinStructure]:
+def construct_arithmetic_spin(p: int, n: int) -> Optional[SpinStructure]:
     """The arithmetic spin structure for the class tau = -p^n, or None.
 
-    (p, n) is checked by spinorial_class alone.  By default u is
-    has_arithmetic_spin's witness, read off B_{p,oo} with no search, and
-    None is returned when there is none (n even, p = 1 mod 4).  Passing an
-    rng instead searches the box quat.DEFAULT_SEARCH_BOUND, read at call
-    time, for a pure v of norm p in a random order and takes
-    u = p^((n-1)/2) v; this route needs odd n.  All routes for one n give
-    involutions of one discriminant class, hence isomorphic structures.
+    (p, n) is checked by spinorial_class alone.  u is has_arithmetic_spin's
+    witness, read off B_{p,oo} with no search, and None is returned when
+    there is none (n even, p = 1 mod 4).
     """
     c = spinorial_class(p, n, -1)
-    if rng is None:
-        u = has_arithmetic_spin(c).witness
-        if u is None:
-            return None
-    elif n % 2 == 0:
-        raise ZeroInput(f"n = {n}: the rng route needs odd n")
-    else:
-        bound = quat.DEFAULT_SEARCH_BOUND
-        v = quat.find_pure_of_norm(quat.b_p_infty(p), p, bound, rng)
-        if v is None:
-            raise SearchExhausted(f"no pure quaternion of norm {p} in box {bound}")
-        u = v * p ** ((n - 1) // 2)
+    u = has_arithmetic_spin(c).witness
+    if u is None:
+        return None
     sigma = OrthogonalInvolution(u.algebra, u)
     return SpinStructure(c, sigma.algebra, sigma, sigma.clifford_algebra())
 

@@ -25,7 +25,9 @@ trial-divides where Rabin's test replaced it, and the spin zeta oracle
 writes the zeta functions and both sides of the identity as closed forms in
 p^n where lfunc now reads them off the spinorial class.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
-counts the group-law additions of one Frobenius check.
+counts the group-law additions of one Frobenius check, and
+random_involution is no oracle but a sampler of involutions for the
+property tests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from spinel import curves
 from spinel.arith import OO, factorize, hilbert_symbol
 from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
+from spinel.spinspace import OrthogonalInvolution
 
 _cache: dict = {}
 
@@ -246,6 +249,17 @@ def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:
         f = Fraction(rng.randint(-size, size), rng.randint(1, size))
         if f != 0 or not nonzero:
             return f
+
+
+def random_involution(B, rng) -> OrthogonalInvolution:
+    """A random orthogonal involution on B, for sampling-based tests."""
+    while True:
+        coords = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
+        if all(c == 0 for c in coords):
+            continue
+        u = B.element(0, *coords)
+        if u.reduced_norm() != 0:
+            return OrthogonalInvolution(B, u)
 
 
 #: factor bound of the trial-division oracle, equal to arith.DEFAULT_FACTOR_BOUND

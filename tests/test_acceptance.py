@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import mpmath
 
-from _oracles import hilbert_oracle, random_fraction
+from _oracles import find_pure_of_norm_oracle, hilbert_oracle, random_fraction, random_involution
 from spinel.arith import OO, factorize, hilbert_symbol, squarefree_part
 from spinel.curves import FiniteField, count_points, find_q14_curve, trace_census, verify_frobenius_scalar
 from spinel.isogeny import enumerate_classes
 from spinel.lfunc import l_values, verify_identity_exact
-from spinel.quat import QuaternionAlgebra, b_p_infty, find_pure_of_norm
-from spinel.spinspace import OrthogonalInvolution, covering_map, random_involution
+from spinel.quat import DEFAULT_SEARCH_BOUND, QuaternionAlgebra, b_p_infty, find_pure_of_norm
+from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
     SpinStructure,
     WeilRep,
@@ -68,9 +68,11 @@ def test_criterion_spin_structure_existence_and_disc():
             assert neg.exists and not pos.exists, p
             s = construct_arithmetic_spin(p, 1)
             assert s.sigma.discriminant() == squarefree_part(-p), p
-            searched = construct_arithmetic_spin(p, 1, rng=rng)
-            assert searched.sigma.is_isomorphic_to(s.sigma), p
-            assert searched.clifford.delta == s.clifford.delta == squarefree_part(-p)
+            # a pure v of norm p from a shuffled scan of the default box
+            v = find_pure_of_norm_oracle(b_p_infty(p), p, DEFAULT_SEARCH_BOUND, rng)
+            searched = OrthogonalInvolution(v.algebra, v)
+            assert searched.is_isomorphic_to(s.sigma), p
+            assert searched.clifford_algebra().delta == s.clifford.delta == squarefree_part(-p)
 
 
 def test_criterion_spin_lift_and_obstructions():

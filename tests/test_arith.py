@@ -353,6 +353,20 @@ def test_factor_bound_applies_to_the_cofactor_rho_splits():
         factorize((2**31 - 1) ** 2)
 
 
+def test_places_names_the_integer_given():
+    # places strips 3 from b before factoring what is left, and its detail
+    # names b as given, numerator or denominator, sign included
+    c = (2**31 - 1) ** 2
+    for values, given in (
+        ((3, 3 * c), 3 * c),
+        ((3, -3 * c), -3 * c),
+        ((3, Fraction(5, 9 * c)), 9 * c),
+        ((c,), c),
+    ):
+        with pytest.raises(BoundExceeded, match=f"^{given} leaves the composite cofactor {c}, "):
+            places(*values)
+
+
 def test_ternary_represents_factors_each_prime_once(monkeypatch):
     # ab's primes all come from a and b, so its numerator and denominator
     # are stripped to 1 and never factored whole

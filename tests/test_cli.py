@@ -43,6 +43,15 @@ def test_golden_output(name, argv, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_ci_diffs_every_golden():
+    # the workflow runs the installed script on each golden case, byte for byte
+    workflow = (pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    missing = [
+        name for name, argv in GOLDEN_CASES if f"{' '.join(argv)} | diff - tests/golden/{name}.json" not in workflow
+    ]
+    assert missing == []
+
+
 def test_json_output_is_stable_and_parseable(capsys):
     assert main(["spin", "--p", "2", "--n", "1", "--json"]) == 0
     first = capsys.readouterr().out
@@ -381,6 +390,31 @@ def test_hilbert_zero_input_detail(capsys):
     assert main(["hilbert", "--a", "0", "--b", "2", "--json"]) == 1
     out = capsys.readouterr().out
     assert out == '{"detail": "cannot factor 0", "error": "zero-input"}\n'
+
+
+def test_hilbert_bound_detail_names_the_value_given(capsys):
+    # b = 3 (2^31 - 1)^2 is stripped of a's 3 before the factoring refuses it
+    b = 3 * (2**31 - 1) ** 2
+    assert main(["hilbert", "--a", "3", "--b", str(b), "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "detail": f"{b} leaves the composite cofactor {(2**31 - 1) ** 2}, above factor bound {2**48}",
+        "error": "bound-exceeded",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (["curves", "--q", "1"], "q = 1 is not a prime power"),
+        (["curves", "--q", "6"], "q = 6 is not a prime power"),
+        (["curves", "--q", "8", "--find-q14"], "--find-q14 needs q = p^2"),
+    ],
+    ids=["q1", "q6", "q8-find-q14"],
+)
+def test_curves_refusals_have_a_stable_code(argv, detail, capsys):
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "error": "precheck-failed"}
 
 
 def test_classify_over_scan_limit_fails_fast(capsys):

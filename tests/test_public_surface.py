@@ -62,7 +62,7 @@ SHARED: dict[str, dict[str, str]] = {
     },
     "IsogenyClass": {"to_json": "[c.to_json() for c in classes] in cli._cmd_classify"},
     "QuaternionAlgebra": {
-        "element": "B.element(0, *coords) in spinspace.random_involution",
+        "element": "B.element(*(random_fraction(rng, size) for _ in range(4))) in test_acceptance rand_el",
         "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
     },
     "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
@@ -269,3 +269,21 @@ def test_keep_entries_give_reasons():
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
     for table in (OPERATORS, SHARED):
         assert all(isinstance(why, str) and why.strip() for ops in table.values() for why in ops.values())
+
+
+def test_no_randomized_route():
+    # the library has one deterministic code path: no module imports random
+    # and no function takes an rng to choose its own route
+    found = []
+    for path in MODULES + [PACKAGE / "__init__.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: import {a.name}" for a in node.names if a.name.split(".")[0] == "random"]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "random":
+                found.append(f"{path.name}: from {node.module} import")
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if "rng" in {a.arg for a in every if a is not None}:
+                    found.append(f"{path.name}: {node.name}(rng)")
+    assert found == []

@@ -39,11 +39,11 @@ def test_basis_multiplication_table():
     assert j * j == B.element(-3)
     assert k * k == B.element(-3)  # -ab
     assert i * j == k
-    assert j * i == k * -1
-    assert j * k == i * 3  # -b i
-    assert k * j == i * -3
+    assert j * i == B.element(0, 0, 0, -1)
+    assert j * k == B.element(0, 3)  # -b i
+    assert k * j == B.element(0, -3)
     assert k * i == j  # -a j
-    assert i * k == j * -1
+    assert i * k == B.element(0, 0, -1)
 
 
 def test_ring_axioms_sampled():
@@ -99,7 +99,7 @@ def test_inverse():
         if x.reduced_norm() == 0:
             continue
         assert x * x.inverse() == B.element(1) == x.inverse() * x
-        assert x.inverse() == x.conjugate() * (1 / x.reduced_norm())
+        assert x.inverse() == x.conjugate() * B.element(1 / x.reduced_norm())
 
 
 def test_inverse_fails_on_norm_zero():
@@ -167,7 +167,6 @@ def test_find_pure_of_norm_empty_search():
 
 
 def test_find_pure_of_norm_agrees_with_local_test():
-    rng = random.Random(61)
     for p in [2, 3, 5, 7, 11, 13]:
         B = b_p_infty(p)
         for m in range(1, 14):
@@ -176,10 +175,6 @@ def test_find_pure_of_norm_agrees_with_local_test():
                 assert u is not None, (p, m)
                 assert u.is_pure()
                 assert u.reduced_norm() == m
-                # randomized search order still lands on a valid witness
-                u2 = find_pure_of_norm(B, m, bound=60, rng=rng)
-                assert u2 is not None and u2.is_pure()
-                assert u2.reduced_norm() == m
 
 
 def test_find_pure_of_norm_fractional_target():
@@ -190,8 +185,7 @@ def test_find_pure_of_norm_fractional_target():
 
 
 def test_find_pure_of_norm_matches_fraction_shell_limits():
-    # the shell limits set the plan's length, so a seeded shuffle pins them
-    # too; every box 1-9 is run definite and indefinite, on both routes
+    # every box 1-9 is run definite and indefinite, to a hit and to a miss
     rng = random.Random(43)
     outcomes = set()
     for k in range(324):
@@ -208,19 +202,8 @@ def test_find_pure_of_norm_matches_fraction_shell_limits():
         bound = 1 + k // 2 % 9
         got = find_pure_of_norm(B, m, bound)
         assert got == find_pure_of_norm_oracle(B, m, bound), (a, b, m, bound)
-        seed = rng.randrange(2**32)
-        shuffled = find_pure_of_norm(B, m, bound, random.Random(seed))
-        assert shuffled == find_pure_of_norm_oracle(B, m, bound, random.Random(seed)), (
-            a, b, m, bound, seed
-        )
-        outcomes.add(("ordered", definite, got is None))
-        outcomes.add(("shuffled", definite, shuffled is None))
-    assert outcomes == {
-        (route, definite, miss)
-        for route in ("ordered", "shuffled")
-        for definite in (True, False)
-        for miss in (True, False)
-    }
+        outcomes.add((definite, got is None))
+    assert outcomes == {(definite, miss) for definite in (True, False) for miss in (True, False)}
 
 
 def test_find_pure_of_norm_large_bound_is_fast():
@@ -246,38 +229,30 @@ def _record_shells(monkeypatch, module, name):
 
 def test_find_pure_of_norm_lazy_plan_matches_eager_on_spin_inputs(monkeypatch):
     # B_{p,oo} with the norms the spin chain searches (1, p and p^n) at the
-    # default bound, against the eager plan of the oracle, with and without a
-    # seeded shuffle.  A miss scans the whole box (3-5 s for p^3 once p > 50),
-    # so every plan is first compared whole, with both shell scans stubbed to
-    # find nothing; then the real witnesses where the first shells hold one.
+    # default bound, against the eager plan of the oracle.  A miss scans the
+    # whole box (3-5 s for p^3 once p > 50), so every plan is first compared
+    # whole, with both shell scans stubbed to find nothing; then the real
+    # witnesses where the first shells hold one.
     cases = [(b_p_infty(p), p, m) for p in range(2, 300) if is_prime(p) for m in (1, p, p**3)]
-    seeds = (None, 0, 1, 2)
     with monkeypatch.context() as patch:
         lazy = _record_shells(patch, quat, "_shell_candidates")
         eager = _record_shells(patch, _oracles, "_shell_candidates_oracle")
         for B, p, m in cases:
-            for seed in seeds:
-                rngs = [None if seed is None else random.Random(seed) for _ in range(2)]
-                lazy.clear()
-                eager.clear()
-                assert find_pure_of_norm(B, m, rng=rngs[0]) is None
-                assert find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND, rngs[1]) is None
-                assert lazy == eager and lazy, (p, m, seed)
+            lazy.clear()
+            eager.clear()
+            assert find_pure_of_norm(B, m) is None
+            assert find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND) is None
+            assert lazy == eager and lazy, (p, m)
     hits = 0
     for B, p, m in cases:
         # the first shells hold i (norm 1 where it is represented), j or
         # i + j (norm p) and p j or 2(i + j) (norm p^3, inside the box for p <= 50)
         if (m == p**3 and p > DEFAULT_SEARCH_BOUND) or not ternary_represents(B.pure_norm_coefficients(), m):
             continue
-        # a shuffle can put the first witness far into the box, so only the
-        # small cases run the real shell scans shuffled
-        shuffled = m < p**3 and p < DEFAULT_SEARCH_BOUND
-        for seed in seeds if shuffled else (None,):
-            rngs = [None if seed is None else random.Random(seed) for _ in range(2)]
-            got = find_pure_of_norm(B, m, rng=rngs[0])
-            assert got is not None, (p, m, seed)
-            assert got == find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND, rngs[1]), (p, m, seed)
-            hits += 1
+        got = find_pure_of_norm(B, m)
+        assert got is not None, (p, m)
+        assert got == find_pure_of_norm_oracle(B, m, DEFAULT_SEARCH_BOUND), (p, m)
+        hits += 1
     assert hits > 100
 
 
@@ -295,7 +270,7 @@ def test_str_and_json():
     assert str(B) == "(-1,-3 | Q)"
     assert str(B.element(0, 1, 1)) == "i+j"
     assert str(B.element(0, 3)) == "3*i"
-    assert str(B.element(0, 0, 1) * Fraction(-1, 3)) == "-1/3*j"
+    assert str(B.element(0, 0, Fraction(-1, 3))) == "-1/3*j"
     assert str(B.element(Fraction(-5, 2), 0, -1, Fraction(3, 4))) == "-5/2-j+3/4*k"
     assert str(B.element(0)) == "0"
     assert B.to_json() == {"a": "-1", "b": "-3"}
@@ -324,8 +299,6 @@ def test_int_arithmetic_matches_fraction_oracle():
         _agrees(x, ox)
         _agrees(x * y, ox * oy)
         _agrees(x.conjugate(), ox.conjugate())
-        for c in (rng.randint(-size, size), random_fraction(rng, size)):
-            _agrees(x * c, ox * c)
         assert x.reduced_norm() == ox.reduced_norm()
         if ox.reduced_norm() != 0:
             _agrees(x.inverse(), ox.inverse())
