@@ -1,14 +1,16 @@
 """Finite fields F_{p^a} with exact log-table arithmetic.
 
 F_{p^a} is realized as F_p[x]/(m(x)) for the lexicographically smallest
-monic irreducible m (coefficients compared constant term first), so all
+monic irreducible m (coefficients compared constant term first), found by
+trial division by every monic polynomial of degree at most a/2, so all
 field data is deterministic and reproducible.  Elements are ints in
 [0, q), encoding coefficient vectors in base p, constant term last digit.
 Every field, whatever q, computes through one representation: exp/log
 tables of a fixed primitive element plus Zech logarithms, O(q) entries built
 at construction by walking the powers of that element: u -> u g mod p for a
 prime field, and for a > 1 lookups in the multiplication table of g, which is
-built over all q elements from linearity on bytes columns of output digits.
+built over all q elements from linearity on bytes columns of output digits,
+from the rows g x^i, each the one before times x.
 The same table walk decides whether a candidate g is primitive.
 
 A prime field is built on every call, in one doubling walk.  An extension
@@ -25,7 +27,7 @@ import sys
 from collections import OrderedDict
 from functools import cached_property
 from itertools import product
-from operator import index, mul
+from operator import index
 
 from .arith import factorize, is_prime
 from .errors import FieldTooLarge, NotPrime
@@ -34,62 +36,34 @@ from .errors import FieldTooLarge, NotPrime
 MAX_FIELD_ORDER = 2**14
 
 
-def _coprime(f: list[int], g: list[int], p: int) -> bool:
-    """Whether f and g in F_p[x] (coefficients ascending, no leading zeros) share no factor."""
-    while g:
-        f, g = g, list(f)
-        inv = pow(f[-1], -1, p)
-        while len(g) >= len(f):  # g mod f, one leading coefficient at a time
-            c = g.pop() * inv % p
-            shift = len(g) - len(f) + 1
-            for i, fc in enumerate(f[:-1]):
-                g[shift + i] = (g[shift + i] - c * fc) % p
-        while g and g[-1] == 0:
-            g.pop()
-    return len(f) == 1
+def _remainder(f: tuple[int, ...], d: tuple[int, ...], p: int) -> list[int]:
+    """f mod the monic d in F_p[x], coefficients ascending: the len(d) - 1 low ones."""
+    rem = list(f)
+    while len(rem) >= len(d):
+        c = rem.pop()  # cancel the top term with c x^shift d
+        if c:
+            shift = len(rem) - len(d) + 1
+            for i, dc in enumerate(d[:-1]):
+                rem[shift + i] = (rem[shift + i] - c * dc) % p
+    return rem
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Rabin's test for a monic m of degree a > 1 with m(0) != 0, coefficients ascending.
-
-    m is irreducible iff x^(p^a) = x mod m and x^(p^(a/r)) - x is prime to m
-    for every prime r | a (Rabin, "Probabilistic algorithms in finite
-    fields", SIAM J. Comput. 1980).  h -> h^p is F_p-linear mod m, so each
-    power is one sum of the rows x^(pj) mod m, held as ints in slots wide
-    enough that no slot carries.
-    """
+    """Whether the monic m of degree a > 1, coefficients ascending, has no
+    monic divisor of degree 1 to a/2: a reducible m has a factor that small."""
     a = len(m) - 1
-    # slot j of an int holds the coefficient of x^j; the rows are left
-    # unreduced (each below a p^3), so a slot stays below a^2 p^4
-    width = (a * a * p**4).bit_length()
-    neg_m = sum((-c % p) << (width * i) for i, c in enumerate(m[:-1]))
-    low, mask = (1 << (width * a)) - 1, (1 << width) - 1
-    rows, h = [], 1
-    for k in range(p * (a - 1) + 1):
-        if k % p == 0:
-            rows.append(h)
-        h <<= width
-        h = (h & low) + (h >> (width * a)) % p * neg_m
-    x = [0, 1] + [0] * (a - 2)
-    checks = {a // r for r in factorize(a)[1]}
-    h = x
-    for i in range(1, a + 1):
-        total = sum(map(mul, h, rows))
-        h = [(total >> (width * j) & mask) % p for j in range(a)]
-        if i in checks:
-            diff = h[:1] + [(h[1] - 1) % p] + h[2:]
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if not _coprime(list(m), diff, p):
-                return False
-    return h == x
+    return all(
+        any(_remainder(m, d + (1,), p))
+        for k in range(1, a // 2 + 1)
+        for d in product(range(p), repeat=k)
+    )
 
 
 def _smallest_modulus(p: int, a: int) -> tuple[int, ...]:
     """First irreducible monic of degree a, coefficients (c0,...,c_{a-1}) in lex order.
 
     For a > 1 every candidate with c0 = 0 is divisible by x, so the scan
-    starts at c0 = 1.
+    starts at c0 = 1, and each candidate is tried by trial division.
     """
     if a == 1:
         return (0,)  # x: every monic linear polynomial is irreducible
@@ -190,35 +164,12 @@ class FiniteField(metaclass=_OneExtensionEach):
             u //= self.p
         return tuple(out)
 
-    def encode(self, coeffs: tuple[int, ...]) -> int:
-        u = 0
-        for c in reversed(coeffs):
-            u = u * self.p + c % self.p
-        return u
-
     def from_int(self, c: int) -> int:
         """The image of the integer constant c."""
         return c % self.p
 
     def elements(self) -> range:
         return range(self.q)
-
-    def _mul_raw(self, u: int, v: int) -> int:
-        """Schoolbook product mod the modulus; only the table builder uses it."""
-        cu, cv = self.decode(u), self.decode(v)
-        prod = [0] * (2 * self.a - 1)
-        for i, ci in enumerate(cu):
-            if ci:
-                for j, cj in enumerate(cv):
-                    prod[i + j] += ci * cj
-        # fold down with x^a = -modulus
-        for deg in range(2 * self.a - 2, self.a - 1, -1):
-            c = prod[deg] % self.p
-            prod[deg] = 0
-            if c:
-                for i, mc in enumerate(self.modulus):
-                    prod[deg - self.a + i] -= c * mc
-        return self.encode(tuple(c % self.p for c in prod[: self.a]))
 
     def _extension_powers(self) -> list[int]:
         """[g^0, ..., g^(q-2)] for the first primitive g, for a > 1.
@@ -227,7 +178,7 @@ class FiniteField(metaclass=_OneExtensionEach):
         p - 1 < q - 1), gets its whole multiplication table from linearity,
         g (u + d p^i) = g u + d g x^i, built on columns of output digits as
         bytes, so adding the constant digit of d g x^i to a column is one
-        translate.  The columns are summed with their weights p^j in one big
+        translate.  Each row g x^i is the row before times x.  The columns are summed with their weights p^j in one big
         int of 16-bit lanes (q <= 2^14, so no lane carries), read back as the
         table, and the orbit 1, g, g^2, ... is walked by lookups: g is
         primitive when it has q - 1 elements.
@@ -237,13 +188,16 @@ class FiniteField(metaclass=_OneExtensionEach):
         lanes = bytearray(2 * q)
         low = sys.byteorder == "big"  # where a native 16-bit lane keeps its low byte
         for g in range(p, q):
-            columns = [b"\0"] * a
-            for i in range(a):
-                step = self.decode(self._mul_raw(g, p**i))  # g x^i
+            columns, row = [b"\0"] * a, self.decode(g)
+            for _ in range(a):
                 columns = [
                     b"".join(col.translate(shifts[d * s % p]) for d in range(p))
-                    for col, s in zip(columns, step)
+                    for col, s in zip(columns, row)
                 ]
+                # g x^(i+1) = g x^i times x: shift the digits up one place, dropping
+                # the top digit t, and subtract t modulus, as x^a = -sum modulus[j] x^j
+                t = row[-1]
+                row = [(s - t * c) % p for s, c in zip((0, *row[:-1]), self.modulus)]
             total = 0
             for j, col in enumerate(columns):
                 lanes[low::2] = col

@@ -157,8 +157,6 @@ class IdentityProof:
     when a structure exists.
     """
 
-    p: int
-    n: int
     lhs: RationalFunction
     rhs: RationalFunction
     holds: bool
@@ -174,7 +172,7 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     half = RationalFunction(spin.num[::2], spin.den[::2])
     rhs = half * half
     vacuous = not spinstruct.has_arithmetic_spin(c).exists
-    return IdentityProof(p, n, lhs, rhs, lhs == rhs, vacuous)
+    return IdentityProof(lhs, rhs, lhs == rhs, vacuous)
 
 
 Real = Union[Fraction, Decimal]
@@ -295,8 +293,6 @@ class GaussianFactorization:
     L(rho_spin, s) denominator.
     """
 
-    p: int
-    n: int
     product: IntPoly
 
 
@@ -309,4 +305,4 @@ def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
     assert all(im == 0 for _, im in prod)
     rational = _trim(tuple(re for re, _ in prod))
     assert rational == (1, 0, 1)  # 1 + V^2
-    return GaussianFactorization(p, n, rational)
+    return GaussianFactorization(rational)

@@ -33,7 +33,7 @@ from typing import Optional
 
 from . import quat
 from .arith import check_power, is_prime, valuation
-from .errors import NotPrime, PrecheckFailed, ZeroInput
+from .errors import NotPrime, PrecheckFailed
 from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
@@ -183,8 +183,8 @@ def construct_arithmetic_spin(p: int, n: int) -> Optional[SpinStructure]:
 
 def construct_arithmetic_spin_even(p: int, n: int) -> Optional[SpinStructure]:
     """construct_arithmetic_spin for even n only, as perfbench/workloads.py calls it."""
-    if n < 2 or n % 2 == 1:
-        raise ZeroInput(f"n = {n}: this construction needs even n >= 2")
+    if n % 2:
+        raise ValueError(f"n = {n} must be even")
     return construct_arithmetic_spin(p, n)
 
 

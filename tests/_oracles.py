@@ -19,11 +19,13 @@ oracle computes its shell limits as Fraction products, and the quaternion
 oracle keeps four Fraction coordinates instead of int numerators over one
 denominator, the etale product is the general multiplication of K that
 EtaleElement kept before only its square was left, the etale text is its
-printing from Fraction coordinates before they became int numerators, and
-the modulus oracle
-trial-divides where Rabin's test replaced it, and the spin zeta oracle
-writes the zeta functions and both sides of the identity as closed forms in
-p^n where lfunc now reads them off the spinorial class.  They are slow and
+printing from Fraction coordinates before they became int numerators, the
+modulus oracle trial-divides by every monic of degree <= a/2, the
+reducible-monics oracle multiplies every pair of monics instead of dividing,
+the spin zeta oracle writes the zeta functions and both sides of the
+identity as closed forms in p^n where lfunc now reads them off the spinorial
+class, and the Hurwitz class number counts reduced binary quadratic forms,
+against which the census scan's weighted counts are checked.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check, and
 random_involution is no oracle but a sampler of involutions for the
@@ -703,6 +705,35 @@ def smallest_modulus_oracle(p: int, a: int) -> tuple[int, ...]:
         ):
             return tail
     raise AssertionError("irreducible polynomials of every degree exist")
+
+
+def reducible_monics_oracle(p: int, a: int) -> set[tuple[int, ...]]:
+    """Every monic of degree a in F_p[x] (coefficients ascending) that is a
+    product of two monic polynomials of degree >= 1, by multiplying each pair."""
+    out = set()
+    for k in range(1, a):
+        for f, g in product(product(range(p), repeat=k), product(range(p), repeat=a - k)):
+            prod = [0] * (a + 1)
+            for i, fi in enumerate(f + (1,)):
+                for j, gj in enumerate(g + (1,)):
+                    prod[i + j] += fi * gj
+            out.add(tuple(c % p for c in prod))
+    return out
+
+
+def hurwitz_class_number(N: int) -> Fraction:
+    """H(N), N > 0: the reduced positive definite forms a x^2 + b xy + c y^2
+    of discriminant b^2 - 4ac = -N, primitive or not (|b| <= a <= c, and b >= 0
+    when |b| = a or a = c), with (a, 0, a) counted 1/2 and (a, a, a) 1/3."""
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= N:
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b + N, 4 * a)
+            if r == 0 and (c > a or (c == a and b >= 0)):
+                total += Fraction(1, 2) if b == 0 and c == a else Fraction(1, 3) if b == a == c else 1
+        a += 1
+    return total
 
 
 def spin_zeta_oracle(p: int, n: int) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:

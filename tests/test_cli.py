@@ -31,6 +31,8 @@ GOLDEN_CASES = [
     ("bpinf_p5", ["bpinf", "--p", "5", "--json"]),
     ("curves_q9_census", ["curves", "--q", "9", "--json"]),
     ("curves_q9_q14", ["curves", "--q", "9", "--find-q14", "--json"]),
+    # F_{127^2}, the largest p^2 field within the construction limit
+    ("curves_q16129_q14", ["curves", "--q", "16129", "--find-q14", "--json"]),
     ("hilbert_m1_m3", ["hilbert", "--a", "-1", "--b", "-3", "--json"]),
 ]
 

@@ -1,4 +1,7 @@
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +9,7 @@ from _oracles import (
     census_pairs_oracle,
     frobenius_additions,
     frobenius_ladder_oracle,
+    hurwitz_class_number,
     j_invariant,
     naive_point_count,
     point_add_oracle,
@@ -65,10 +69,11 @@ def test_field_axioms_sampled():
                 assert F.mul(x, F.inv(x)) == 1
 
 
-def test_field_encode_decode_roundtrip():
+def test_field_decode_reads_base_p_digits():
+    for F in (FiniteField(3, 2), FiniteField(2, 5), FiniteField(7, 1)):
+        for x in F.elements():
+            assert F.decode(x) == tuple(x // F.p**i % F.p for i in range(F.a)), (F.q, x)
     F = FiniteField(3, 2)
-    for x in F.elements():
-        assert F.encode(F.decode(x)) == x
     assert F.decode(4) == (1, 1)  # digits base p, low first
     assert F.from_int(4) == 1  # ring map Z -> F_9 kills 3
 
@@ -293,6 +298,33 @@ def test_census_normal_forms_match_full_family_sweep(p, a):
         assert trace == F.q + 1 - count_points(WeierstrassCurve(F, *coeffs)), coeffs
         scanned.add((j_invariant(F, coeffs), trace))
     assert scanned == census_pairs_oracle(F)
+
+
+def test_census_weights_give_class_numbers_and_the_mass():
+    # for p >= 5 the equations y^2 = x^3 + Ax + B of trace t number (q - 1)
+    # times the sum of 1/#Aut(E) over the F_q-classes E of trace t, since
+    # u in F_q^* maps (A, B) to (u^4 A, u^6 B).  The scan keeps one A per coset
+    # of the fourth powers, so its hit with A != 0 stands for (q - 1)/gcd(4, q - 1)
+    # equations and its hit with A = 0 for one.  The sum is H(4q - t^2)/2 when
+    # p does not divide t (Lenstra, Ann. of Math. 1987, Prop. 1.9; Schoof,
+    # J. Combin. Theory A 1987), and the mass (p - 1)/24 of the maximal orders
+    # of B_{p,oo} at t = +-2p^(a/2), where every endomorphism is defined over F_q
+    known = {3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 12: Fraction(4, 3), 15: 2, 16: Fraction(3, 2), 23: 3}
+    assert {N: hurwitz_class_number(N) for N in known} == known
+    for p, a in [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2), (17, 2), (5, 4), (7, 4)]:
+        F = FiniteField(p, a)
+        q = F.q
+        weights = Counter()
+        for coeffs, t in _census_scan(F):
+            weights[t] += (q - 1) // math.gcd(4, q - 1) if coeffs[3] else 1
+        sums = {t: Fraction(w, q - 1) for t, w in weights.items()}
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            if t % p:
+                assert sums.get(t, 0) == hurwitz_class_number(4 * q - t * t) / 2, (q, t)
+        if a % 2 == 0:
+            for t in (2 * p ** (a // 2), -2 * p ** (a // 2)):
+                assert sums[t] == Fraction(p - 1, 24), (q, t)
 
 
 def test_census_scan_limit():

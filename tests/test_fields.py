@@ -4,6 +4,7 @@ import math
 import random
 import time
 from collections import OrderedDict
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from _oracles import (
     field_pow_oracle,
     matrix_walk_powers,
     naive_point_count,
+    reducible_monics_oracle,
     smallest_modulus_oracle,
 )
 from spinel import fields
@@ -180,6 +182,16 @@ def test_rabin_modulus_matches_trial_division(p, a):
     # Rabin's test picks the same lexicographically first modulus as trial
     # division by every monic polynomial of degree <= a/2
     assert fields._smallest_modulus(p, a) == smallest_modulus_oracle(p, a)
+
+
+@pytest.mark.parametrize("p,a", _extension_fields(729), ids=lambda x: str(x))
+def test_irreducible_test_matches_products(p, a):
+    # the modulus oracle divides too, so this one multiplies: a monic m is
+    # reducible exactly when it is a product of two monics of degree >= 1
+    reducible = reducible_monics_oracle(p, a)
+    for tail in product(range(p), repeat=a):
+        m = tail + (1,)
+        assert fields._is_irreducible(m, p) == (m not in reducible), m
 
 
 @pytest.fixture

@@ -20,7 +20,11 @@ level names and Class.method alike, each with its reason.
 
 The annotated fields of a public dataclass follow the same rule: a field
 stays only if a reader above reads it as an attribute outside its own
-line, since a field that nothing reads is computed for nothing.
+line, since a field that nothing reads is computed for nothing.  A field
+whose name another public class also defines (as a field, a method or
+property, or an attribute set on self) is read for both as soon as one is,
+so SHARED_FIELDS lists each such field with a chain expression that reads
+it for its own class, and a shared field not listed fails.
 """
 
 import ast
@@ -71,6 +75,26 @@ SHARED: dict[str, dict[str, str]] = {
         "discriminant": "QuadraticEtale(self.discriminant()) in OrthogonalInvolution.clifford_algebra",
     },
     "SpinStructure": {"to_json": "s.to_json() in cli._cmd_spin"},
+}
+
+#: the dataclass fields whose name another public class also defines: name -> a chain expression that reads it
+SHARED_FIELDS: dict[str, dict[str, str]] = {
+    "IsogenyClass": {
+        "a": "c.a // 2 in spinstruct.has_arithmetic_spin",
+        "p": "quat.b_p_infty(c.p) in spinstruct.has_arithmetic_spin",
+    },
+    "QuaternionAlgebra": {"a": "B.a == -1 in spinstruct._canonical_u"},
+    "Quaternion": {
+        "algebra": "OrthogonalInvolution(u.algebra, u) in spinstruct.construct_arithmetic_spin",
+        "den": "Quaternion(self.algebra, (x0, -x1, -x2, -x3), self.den) in Quaternion.conjugate",
+    },
+    "OrthogonalInvolution": {
+        "algebra": "SpinStructure(c, sigma.algebra, ...) in spinstruct.construct_arithmetic_spin",
+    },
+    "SpinStructure": {"algebra": 'f"algebra: {s.algebra}" in cli._cmd_spin'},
+    "EtaleElement": {"den": "self.den * self.den in EtaleElement.square"},
+    "RationalFunction": {"den": "spin.den[::2] in lfunc.verify_identity_exact"},
+    "WeilRep": {"tau": "K.sqrt_rational(r.tau) in spinstruct.spin_lift"},
 }
 
 #: construction hooks, called by the class itself
@@ -157,6 +181,26 @@ def _fields() -> dict[str, tuple[pathlib.Path, int, int]]:
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
                     out[f"{node.name}.{item.target.id}"] = (path, item.lineno, item.end_lineno)
+    return out
+
+
+def _owners() -> dict[str, set[str]]:
+    """name -> the public classes that define it: as a dataclass field, as a
+    member, or as an attribute set on self (`self.p = p` in FiniteField)."""
+    out = defaultdict(set)
+    for qualified in _fields():
+        cls, name = qualified.split(".")
+        out[name].add(cls)
+    for cls, members in _members().items():
+        for name in members:
+            out[name].add(cls)
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                        if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                            out[sub.attr].add(node.name)
     return out
 
 
@@ -263,11 +307,21 @@ def test_shared_method_names_are_listed():
     assert shared == listed
 
 
+def test_shared_field_names_are_listed():
+    # a field only the unit tests read, IdentityProof.p say, would otherwise
+    # pass as read through IsogenyClass.p or FiniteField's attribute p
+    owners = _owners()
+    assert {"IsogenyClass", "FiniteField"} <= owners["p"]
+    shared = {name for name in _fields() if len(owners[name.split(".")[1]]) > 1}
+    listed = {f"{cls}.{name}" for cls, names in SHARED_FIELDS.items() for name in names}
+    assert shared == listed
+
+
 def test_keep_entries_give_reasons():
     members = {f"{cls}.{name}" for cls, names in _members().items() for name in names}
     assert set(KEEP) <= set(_definitions()) | members | set(_fields())
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
-    for table in (OPERATORS, SHARED):
+    for table in (OPERATORS, SHARED, SHARED_FIELDS):
         assert all(isinstance(why, str) and why.strip() for ops in table.values() for why in ops.values())
 
 

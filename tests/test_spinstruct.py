@@ -8,9 +8,10 @@ from _oracles import etale_product
 from spinel import arith, quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
-from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed, ZeroInput
-from spinel.isogeny import isogeny_class
-from spinel.lfunc import verify_identity_exact, zeta_h1
+from spinel.curves import count_points, find_q14_curve
+from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed
+from spinel.isogeny import frobenius_scalar, isogeny_class
+from spinel.lfunc import RationalFunction, verify_identity_exact, zeta_h1
 from spinel.quat import Quaternion, b_p_infty, find_pure_of_norm, ramified_places
 from spinel.spinspace import OrthogonalInvolution, covering_map
 from spinel.spinstruct import (
@@ -122,8 +123,10 @@ def test_even_n_rejected_by_odd_constructor():
         construct_arithmetic_spin(4, 0)
     with pytest.raises(NotPrime):
         construct_arithmetic_spin(4, 2)
-    with pytest.raises(ZeroInput):
+    # an odd n is refused with the ValueError spinorial_class gives a bad n
+    with pytest.raises(ValueError) as odd:
         construct_arithmetic_spin_even(3, 3)
+    assert type(odd.value) is ValueError and str(odd.value) == "n = 3 must be even"
 
 
 def test_one_constructor_reads_the_certificate_below_128():
@@ -396,3 +399,23 @@ def test_memoised_objects_reject_assignment():
         v = has_arithmetic_spin(spinorial_class(p, 2, -1)).witness
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.x1 = Fraction(0)
+
+
+def test_chain_closes_at_the_brute_force_curve_over_f_p2():
+    # the paper's object by brute force: for every p <= 127 (q = p^2 <= 2^14)
+    # the curve find_q14_curve gives has trace beta = p^2 + 1 - N, its class
+    # is spinorial with Frobenius -p, the identity holds with its lhs built
+    # from N, the lift squares to -p, and of the two spinorial classes
+    # beta = +-2p exactly one carries a structure
+    for p in _primes_below(128):
+        N = count_points(find_q14_curve(p))
+        beta = p * p + 1 - N
+        c = isogeny_class(p, 2, beta)
+        assert c == spinorial_class(p, 1) and frobenius_scalar(c) == -p, p
+        proof = verify_identity_exact(p, 1)
+        assert proof.holds and proof.lhs == RationalFunction((1,), (1, -beta, p * p)), p
+        s = construct_arithmetic_spin(p, 1)
+        z = spin_lift(similitude_rep(s)).z
+        assert z.square() == s.clifford.element(-p), p
+        carried = [has_arithmetic_spin(isogeny_class(p, 2, b)).exists for b in (2 * p, -2 * p)]
+        assert carried == [False, True], p
