@@ -404,11 +404,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             code = args.fn(args)
-        except SpinelError as exc:
+        except (SpinelError, AssertionError) as exc:
+            # a library check that fails is reported like a domain error
+            err = getattr(exc, "code", "internal-error")
             if getattr(args, "json", False):
-                print(json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True))
+                print(json.dumps({"error": err, "detail": str(exc)}, sort_keys=True))
             else:
-                print(f"error ({exc.code}): {exc}", file=sys.stderr)
+                print(f"error ({err}): {exc}", file=sys.stderr)
             code = 1
         sys.stdout.flush()
         return code

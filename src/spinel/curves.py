@@ -8,8 +8,9 @@ without going through any of that theory.
 A curve is handled as list operations over the whole field F_q (see
 spinel.fields), not as one field-method call per element: _horner
 evaluates a polynomial at every x at once, one list comprehension per
-Horner step on the exp/log/Zech tables, and point counts, point lists and
-census rows read off those lists.  The group law is one function on the
+Horner step on the exp/log/Zech tables, and point lists read off those
+lists; point counts and census rows read the field's log-indexed counts of
+the y over one x (FiniteField._sols).  The group law is one function on the
 same tables (_group_law); the Frobenius check is its only caller and checks
 the short form once per call.
 """
@@ -98,22 +99,27 @@ class WeierstrassCurve:
         )
 
 
-def _horner(F: FiniteField, coeffs: tuple[int, ...]) -> list[int]:
+def _horner(F: FiniteField, coeffs: tuple[int, ...], out: list[int] | None = None) -> list[int]:
     """[c0 x^n + c1 x^(n-1) + ... + cn for x in F], coeffs = (c0, ..., cn), n >= 1.
 
     Horner's rule over the whole field at once, one list comprehension per
     step on the log tables: a product by x adds log x, and a sum with the
-    constant c is a Zech lookup (zero, which has no log, gives c).
+    constant c is a Zech lookup (zero, which has no log, gives c).  The last
+    step reads out, a list indexed like exp, in place of exp: F._sols counts.
     """
     exp, log, zech = F._exp, F._log, F._zech
+    last, n = exp if out is None else out, len(coeffs) - 1
     lead = log[coeffs[0]]
-    values = [exp[lead + lx] for lx in log]  # c0 x
-    for k, c in enumerate(coeffs[1:], 2):
+    for k, c in enumerate(coeffs[1:], 1):
+        # the last step reads last: the sum with cn, or the product by x when cn = 0
+        table = last if k == n and not c else exp
+        if k == 1:
+            values = [table[lead + lx] for lx in log]  # c0 x
+        else:
+            values = [table[log[v] + lx] for v, lx in zip(values, log)]
         if c:
-            lc = log[c]
-            values = [exp[lc + zech[log[v] - lc]] if v else c for v in values]
-        if k < len(coeffs):
-            values = [exp[log[v] + lx] for v, lx in zip(values, log)]
+            table, lc = last if k == n else exp, log[c]
+            values = [table[lc + zech[log[v] - lc]] if v else table[lc] for v in values]
     return values
 
 
@@ -123,22 +129,22 @@ def count_points(E: WeierstrassCurve) -> int:
     Odd characteristic: completing the square turns the equation into
     (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, and the count over x is
     the number of square roots of that cubic, or of a quarter of it, since
-    4 is a square (sqrt_counts).  Characteristic 2: for h = a1 x + a3 nonzero
-    y = h z turns the equation into z^2 + z = rhs/h^2, counted off the
-    Artin-Schreier image; h = 0 leaves the bijective y -> y^2.  The cubic, h
-    and rhs are evaluated over the whole field by _horner.
+    4 is a square (F._sols, read at Horner's last step).  Characteristic 2:
+    for h = a1 x + a3 nonzero y = h z turns the equation into z^2 + z =
+    rhs/h^2, counted off F._sols at its log; h = 0 leaves the bijective
+    y -> y^2.  The cubic, h and rhs are evaluated over the whole field by _horner.
     """
     F = E.field
     if F.p == 2:
-        exp, log, counts, order = F._exp, F._log, F.artin_schreier_counts, F.q - 1
+        sols, log, order = F._sols, F._log, F.q - 1
         return 1 + sum(
-            counts[exp[log[d] + (-2 * log[h]) % order]] if h else 1  # d / h^2
+            sols[log[d] + (-2 * log[h]) % order] if h else 1  # d / h^2
             for d, h in zip(_horner(F, (1, E.a2, E.a4, E.a6)), _horner(F, (E.a1, E.a3)))
         )
     b2, b4, b6, _ = E._b_invariants()
     quarter, half = F.inv(F.from_int(4)), F.inv(F.from_int(2))
     cubic = (1, F.mul(b2, quarter), F.mul(b4, half), F.mul(b6, quarter))
-    return 1 + sum(map(F.sqrt_counts().__getitem__, _horner(F, cubic)))
+    return 1 + sum(_horner(F, cubic, F._sols))
 
 
 def _census_rows(F: FiniteField) -> list[tuple]:
@@ -206,12 +212,13 @@ def census_size(p: int, q: int) -> int:
 
 
 def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int], int]]:
-    """(a-invariants, trace) for every curve of the normal-form scan."""
-    sol = F.artin_schreier_counts if F.p == 2 else F.sqrt_counts()
-    rows = _census_rows(F)
-    add = F.add
-    for c in F.elements():
-        count = [sol[add(d, c)] for d in F.elements()].__getitem__
+    """(a-invariants, trace) for every curve of the normal-form scan; the
+    counts at d + c for every d read F._sols at log c + zech[log d - log c]."""
+    sols, log, zech = F._sols, F._log, F._zech
+    rows, nonzero = _census_rows(F), log[1:]
+    for c, lc in enumerate(log):
+        row = [sols[lc + zech[k - lc]] for k in nonzero] if c else [sols[k] for k in nonzero]
+        count = [sols[lc], *row].__getitem__  # d = 0 has the count at c
         for curve, values, singular in rows:
             if c not in singular:
                 yield curve(c), len(values) - sum(map(count, values))

@@ -11,7 +11,8 @@ at construction by walking the powers of that element: u -> u g mod p for a
 prime field, and for a > 1 lookups in the multiplication table of g, which is
 built over all q elements from linearity on bytes columns of output digits,
 from the rows g x^i, each the one before times x.
-The same table walk decides whether a candidate g is primitive.
+The same table walk, at most q - 1 steps, decides whether a candidate g is
+primitive.  One more list, indexed like exp, counts solutions (see sols).
 
 A prime field is built on every call, in one doubling walk.  An extension
 field (a > 1) is built once per process: FiniteField(p, a) returns the
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
-from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from operator import index
 
 from .arith import factorize, is_prime
@@ -132,7 +132,10 @@ class FiniteField(metaclass=_OneExtensionEach):
     and Zech logarithms zech[k] = log(1 + g^k) do the same for sums:
     g^i + g^j = g^(i + zech[j - i]) (Lidl & Niederreiter, Finite Fields).
     Zero gets the log 2(q - 1), which points into a run of zeros at the end
-    of exp, so a product or sum that is zero needs no branch.  An extension
+    of exp, so a product or sum that is zero needs no branch.  sols, indexed
+    like exp, counts the y over one x where a curve's reduced equation reads
+    g^k: sols[k] = #{w : w^2 = g^k} for odd p, #{z : z^2 + z = g^k} for
+    p = 2, and the zero run holds the count at 0.  An extension
     field is one instance shared by every caller (see the module docstring),
     so nothing may change its tables.
     """
@@ -146,8 +149,10 @@ class FiniteField(metaclass=_OneExtensionEach):
         self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
         powers = _prime_field_powers(p) if a == 1 else self._extension_powers()
         # two periods, so a sum of two logs needs no reduction mod q - 1, then
-        # zeros for every index reached from the log of zero
-        self._exp = powers + powers + [0] * (2 * q - 1)
+        # zeros for every index reached from the log of zero (extended in
+        # place: a concatenation would copy the list once more)
+        self._exp = exp = powers * 2
+        exp.extend(repeat(0, 2 * q - 1))
         self._log = log = [2 * (q - 1)] * q
         for k, u in enumerate(powers):
             log[u] = k
@@ -155,7 +160,20 @@ class FiniteField(metaclass=_OneExtensionEach):
         # one and wrap every run of p encodings at its constant digit p - 1
         succ = log[1:] + log[:1]
         succ[p - 1 :: p] = log[::p]
-        self._zech = list(map(succ.__getitem__, powers))
+        self._zech = zech = list(map(succ.__getitem__, powers))
+        if p == 2:
+            # z^2 + z = z (z + 1) has the log k + zech[k] at z = g^k, and z = 1
+            # gives the log of zero: mark the values hit, read two periods by
+            # log, and z^2 + z = 0 has the two roots 0 and 1
+            hit = [0] * q
+            for k, z in enumerate(zech):
+                hit[exp[k + z]] = 2
+            sols, at_zero = list(map(hit.__getitem__, powers)) * 2, 2
+        else:
+            # w^2 = g^k has 2 roots for even k and none for odd k, w^2 = 0 one
+            sols, at_zero = [2, 0] * (q - 1), 1
+        sols.extend(repeat(at_zero, 2 * q - 1))
+        self._sols = sols
 
     def decode(self, u: int) -> tuple[int, ...]:
         out = []
@@ -178,10 +196,11 @@ class FiniteField(metaclass=_OneExtensionEach):
         p - 1 < q - 1), gets its whole multiplication table from linearity,
         g (u + d p^i) = g u + d g x^i, built on columns of output digits as
         bytes, so adding the constant digit of d g x^i to a column is one
-        translate.  Each row g x^i is the row before times x.  The columns are summed with their weights p^j in one big
-        int of 16-bit lanes (q <= 2^14, so no lane carries), read back as the
-        table, and the orbit 1, g, g^2, ... is walked by lookups: g is
-        primitive when it has q - 1 elements.
+        translate.  Each row g x^i is the row before times x.  The columns
+        are summed with their weights p^j in one big int of 16-bit lanes
+        (q <= 2^14, so no lane carries), read back as the table, and the orbit
+        1, g, g^2, ... is walked by lookups: g is primitive when it has q - 1
+        elements.  An orbit not back at 1 by then means a reducible modulus.
         """
         p, a, q = self.p, self.a, self.q
         shifts = [bytes((v + d) % p for v in range(256)) for d in range(p)]
@@ -204,9 +223,16 @@ class FiniteField(metaclass=_OneExtensionEach):
                 total += int.from_bytes(lanes, sys.byteorder) * p**j
             table = memoryview(total.to_bytes(2 * q, sys.byteorder)).cast("H").tolist()
             powers, u = [1], g
-            while u != 1:
+            for _ in range(q - 2):
+                if u == 1:
+                    break
                 powers.append(u)
                 u = table[u]
+            if u != 1:  # g^(q-1) = 1 in a field: this table is no field's
+                raise AssertionError(
+                    f"the powers of g = {g} miss 1 in {q - 1} steps: the modulus "
+                    f"{self.modulus} of F_{q} is reducible"
+                )
             if len(powers) == q - 1:
                 return powers
         raise AssertionError("the multiplicative group of a finite field is cyclic")
@@ -238,12 +264,6 @@ class FiniteField(metaclass=_OneExtensionEach):
             raise ZeroDivisionError("0 is not invertible")
         return self._exp[self.q - 1 - self._log[u]]
 
-    def sqrt_counts(self) -> list[int]:
-        """counts[v] = #{w : w^2 = v}, read off the parity of log v."""
-        if self.p == 2:
-            return [1] * self.q  # squaring is a bijection in characteristic 2
-        return [1] + [2 - 2 * (k & 1) for k in self._log[1:]]
-
     def sqrts(self, u: int) -> tuple[int, ...]:
         """All w with w^2 = u, from half the log of u."""
         if u == 0:
@@ -256,18 +276,6 @@ class FiniteField(metaclass=_OneExtensionEach):
             return ()
         w = self._exp[k // 2]
         return (w, self.neg(w))
-
-    @cached_property
-    def artin_schreier_counts(self) -> list[int]:
-        """counts[d] = #{z : z^2 + z = d}, 2 or 0, in characteristic 2.
-
-        Built once per field: z^2 + z = z (z + 1) has the log k + zech[k] at
-        z = g^k, and z = 1 gives the log of zero.
-        """
-        exp, counts = self._exp, [0] * self.q
-        for k, z in enumerate(self._zech):
-            counts[exp[k + z]] = 2
-        return counts
 
     def __str__(self) -> str:
         return f"F_{self.q}"

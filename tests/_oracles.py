@@ -4,7 +4,9 @@ Nothing here may import the code paths it checks: the Hilbert oracle is
 congruence search, the curve oracle is a bare double loop over (x, y), the
 field oracle is schoolbook polynomial arithmetic on base-p digits, the
 census oracle sweeps whole Weierstrass families with the per-curve
-count_points instead of the census scan, the ternary oracle is a box scan,
+count_points instead of the census scan, the census-row oracle builds each
+row of the scan by q F.add calls on solution counts found by squaring every
+element, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
 the factor-each places oracle factors every integer whole instead of
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, product
@@ -162,6 +165,21 @@ def census_pairs_oracle(F) -> set[tuple[int, int]]:
             continue
         pairs.add((j_invariant(F, coeffs), F.q + 1 - count_points(E)))
     return pairs
+
+
+def census_scan_oracle(F) -> list[tuple[tuple[int, ...], int]]:
+    """The census scan's (a-invariants, trace) list, in its order, with each
+    per-constant row sol[d + c] built by q F.add calls, and sol[u] counted
+    as the w with w^2 = u (odd p) or w^2 + w = u (p = 2)."""
+    els = F.elements()
+    sol = Counter(F.add(F.mul(w, w), w if F.p == 2 else 0) for w in els)
+    rows, out = curves._census_rows(F), []
+    for c in els:
+        row = [sol[F.add(d, c)] for d in els]
+        for curve, values, singular in rows:
+            if c not in singular:
+                out.append((curve(c), len(values) - sum(row[v] for v in values)))
+    return out
 
 
 def _from_digits(digits, p: int) -> int:

@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
-from spinel import __version__, curves
+from spinel import __version__, curves, fields
 from spinel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -30,6 +31,9 @@ GOLDEN_CASES = [
     ("crystal_p3_n2", ["crystal", "--p", "3", "--n", "2", "--json"]),
     ("bpinf_p5", ["bpinf", "--p", "5", "--json"]),
     ("curves_q9_census", ["curves", "--q", "9", "--json"]),
+    # the p >= 5 census rows, and the characteristic-2 rows
+    ("curves_q49_census", ["curves", "--q", "49", "--json"]),
+    ("curves_q8_census", ["curves", "--q", "8", "--json"]),
     ("curves_q9_q14", ["curves", "--q", "9", "--find-q14", "--json"]),
     # F_{127^2}, the largest p^2 field within the construction limit
     ("curves_q16129_q14", ["curves", "--q", "16129", "--find-q14", "--json"]),
@@ -238,6 +242,23 @@ def test_human_readable_error_goes_to_stderr(capsys):
     assert rc == 1
     assert out.out == ""
     assert "not prime" in out.err or "prime" in out.err
+
+
+def test_failed_library_check_is_an_internal_error(monkeypatch, capsys):
+    # a reducible modulus makes the field build's orbit check fail: the CLI
+    # reports it with a stable code and exit 1, not a traceback
+    monkeypatch.setattr(fields, "_EXTENSIONS", OrderedDict())
+    monkeypatch.setattr(fields, "_smallest_modulus", lambda p, a: (1, 0))
+    assert main(["curves", "--q", "4", "--json"]) == 1
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert doc["error"] == "internal-error" and "reducible" in doc["detail"]
+    assert out.err == ""
+    assert main(["curves", "--q", "4"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error (internal-error): ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
 
 
 def test_hilbert_single_place(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     census_pairs_oracle,
+    census_scan_oracle,
     frobenius_additions,
     frobenius_ladder_oracle,
     hurwitz_class_number,
@@ -298,6 +299,17 @@ def test_census_normal_forms_match_full_family_sweep(p, a):
         assert trace == F.q + 1 - count_points(WeierstrassCurve(F, *coeffs)), coeffs
         scanned.add((j_invariant(F, coeffs), trace))
     assert scanned == census_pairs_oracle(F)
+
+
+@pytest.mark.parametrize(
+    "p,a", [(p, a) for p in _primes(2, 49) for a in range(1, 6) if p**a <= 49] + [(11, 2)], ids=str
+)
+def test_census_scan_matches_add_row_scan(p, a):
+    # differential check of the rows sol[d + c] read off the log-indexed
+    # solution counts against rows of q F.add calls each, on every field with
+    # q <= 49 (each within the census limit) and F_121
+    F = FiniteField(p, a)
+    assert list(_census_scan(F)) == census_scan_oracle(F)
 
 
 def test_census_weights_give_class_numbers_and_the_mass():

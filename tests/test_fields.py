@@ -3,7 +3,7 @@
 import math
 import random
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from itertools import product
 
 import pytest
@@ -13,6 +13,7 @@ from _oracles import (
     field_mul_oracle,
     field_neg_oracle,
     field_pow_oracle,
+    legendre_oracle,
     matrix_walk_powers,
     naive_point_count,
     reducible_monics_oracle,
@@ -109,10 +110,26 @@ def _random_curves(F, count, seed, short=False):
     return out
 
 
-@pytest.mark.parametrize("p,a", [(2, 6), (3, 4), (11, 2)])
+#: curves whose Horner passes take every branch: a zero constant (the last
+#: step is the product by x), zero middle terms, a1 = 0 and a1 != 0 in
+#: characteristic 2, and a1, a3 != 0 in odd characteristic
+_SHAPES = [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 1, 0, 1, 0), (1, 0, 0, 0, 1), (0, 0, 1, 0, 0), (1, 1, 1, 1, 1)]
+
+
+def _nonsingular(F, shapes):
+    for c in shapes:
+        try:
+            yield WeierstrassCurve(F, *c)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("p,a", [(2, 6), (3, 4), (11, 2)] + _prime_powers(49))
 def test_count_points_matches_naive_count(p, a):
+    # differential check of the solution counts read at Horner's last step,
+    # on every field with q <= 49 and three larger ones
     F = FiniteField(p, a)
-    for E in _random_curves(F, 4, seed=F.q):
+    for E in [*_nonsingular(F, _SHAPES), *_random_curves(F, 4, seed=F.q)]:
         assert count_points(E) == naive_point_count(E), E
 
 
@@ -128,15 +145,22 @@ def test_curve_points_agree_with_count(p):
 
 
 def test_sqrts_and_counts_from_half_logs():
-    for p, a in [(2, 5), (3, 3), (13, 1), (5, 2)]:
+    # _sols[k] counts the y over one x where the equation reads g^k: the
+    # square roots w^2 = g^k for odd p, the roots z^2 + z = g^k for p = 2;
+    # indexed like _exp, so both periods and the zero run are checked
+    for p, a in [(2, 5), (3, 3), (13, 1), (5, 2), (2, 1), (2, 4)]:
         F = FiniteField(p, a)
         roots = {}
         for w in F.elements():
             roots.setdefault(F.mul(w, w), set()).add(w)
-        counts = F.sqrt_counts()
+        solutions = Counter(F.add(F.mul(w, w), w if p == 2 else 0) for w in F.elements())
+        assert len(F._sols) == len(F._exp)
+        for k, u in enumerate(F._exp):
+            assert F._sols[k] == solutions[u], (F.q, k)
         for u in F.elements():
             assert set(F.sqrts(u)) == roots.get(u, set()), (F.q, u)
-            assert len(F.sqrts(u)) == counts[u], (F.q, u)
+            if p > 2:
+                assert len(F.sqrts(u)) == F._sols[F._log[u]], (F.q, u)
 
 
 def test_frobenius_check_is_the_p_plus_1_torsion_check():
@@ -202,8 +226,7 @@ def memo(monkeypatch):
 
 
 def _tables(F):
-    tables = (F.modulus, F._exp, F._log, F._zech)
-    return tables + (F.artin_schreier_counts,) if F.p == 2 else tables
+    return (F.modulus, F._exp, F._log, F._zech, F._sols)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +241,6 @@ def test_exp_table_matches_matrix_walk(p, a, memo, monkeypatch):
     walk = matrix_walk_powers(p, a, F.modulus)
     assert F._exp[: F.q - 1] == walk
     assert (F._exp[1] >= p * p) == ((p, a) in _DEGREE_TWO_G)
-    _tables(F)  # the cached property is computed on the first instance
     hit = FiniteField(p, a)
     assert (hit is F) == (a > 1)  # prime fields are built on every call
     monkeypatch.setattr(fields, "_EXTENSIONS", OrderedDict())
@@ -226,6 +248,17 @@ def test_exp_table_matches_matrix_walk(p, a, memo, monkeypatch):
     assert fresh is not hit
     assert _tables(hit) == _tables(fresh)
     assert hit._exp[: F.q - 1] == fresh._exp[: F.q - 1] == walk
+
+
+def test_reducible_modulus_fails_fast(memo, monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over F_2: the powers of x + 1 reach 0 and stay there,
+    # so the orbit walk must stop at q - 1 steps instead of growing its list
+    monkeypatch.setattr(fields, "_smallest_modulus", lambda p, a: (1, 0))
+    t0 = time.perf_counter()
+    with pytest.raises(AssertionError, match=r"\(1, 0\) of F_4 is reducible"):
+        FiniteField(2, 2)
+    assert time.perf_counter() - t0 < 0.1
+    assert not memo
 
 
 def test_memo_keeps_no_errors_and_no_aliases(memo):
@@ -267,6 +300,24 @@ def test_memo_bound_drops_least_recently_used_first(memo):
         assert sum(G.q for G in memo.values()) <= MAX_FIELD_ORDER
     FiniteField(2, 14)
     assert list(memo) == [(2, 14)]
+
+
+@pytest.mark.parametrize("p", [257, 271, 1009, 1063, 2003, 2087])
+def test_count_points_matches_euler_criterion_count(p):
+    # over F_p, (2y + a1 x + a3)^2 = (a1 x + a3)^2 + 4 rhs(x) has 1 + (D/p) roots y;
+    # (D/p) from legendre_oracle, checked against Euler's criterion D^((p-1)/2)
+    chi = [legendre_oracle(D, p) for D in range(p)]
+    assert all(pow(D, (p - 1) // 2, p) == chi[D] % p for D in range(p))
+    F = FiniteField(p)
+    rng = random.Random(p)
+    lam = rng.randrange(2, p)  # the Legendre form y^2 = x (x - 1)(x - lam) of the benchmark
+    coeffs = [(0, (-1 - lam) % p, 0, lam, 0)] + [tuple(rng.randrange(p) for _ in range(5)) for _ in range(3)]
+    for a1, a2, a3, a4, a6 in coeffs:
+        E = WeierstrassCurve(F, a1, a2, a3, a4, a6)
+        euler = 1 + sum(
+            1 + chi[((a1 * x + a3) ** 2 + 4 * (x**3 + a2 * x * x + a4 * x + a6)) % p] for x in range(p)
+        )
+        assert count_points(E) == euler, (p, E)
 
 
 @pytest.mark.parametrize("p,a", [(257, 1), (19, 2)])
