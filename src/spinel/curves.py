@@ -99,16 +99,17 @@ class WeierstrassCurve:
         )
 
 
-def _horner(F: FiniteField, coeffs: tuple[int, ...], out: list[int] | None = None) -> list[int]:
+def _horner(F: FiniteField, coeffs: tuple[int, ...], last: list[int] | None = None) -> list[int]:
     """[c0 x^n + c1 x^(n-1) + ... + cn for x in F], coeffs = (c0, ..., cn), n >= 1.
 
     Horner's rule over the whole field at once, one list comprehension per
     step on the log tables: a product by x adds log x, and a sum with the
     constant c is a Zech lookup (zero, which has no log, gives c).  The last
-    step reads out, a list indexed like exp, in place of exp: F._sols counts.
+    step reads last, a list indexed like exp, in place of exp: count_points
+    passes F._sols and gets the number of y over each x with no second pass.
     """
     exp, log, zech = F._exp, F._log, F._zech
-    last, n = exp if out is None else out, len(coeffs) - 1
+    last, n = exp if last is None else last, len(coeffs) - 1
     lead = log[coeffs[0]]
     for k, c in enumerate(coeffs[1:], 1):
         # the last step reads last: the sum with cn, or the product by x when cn = 0

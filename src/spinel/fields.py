@@ -149,8 +149,7 @@ class FiniteField(metaclass=_OneExtensionEach):
         self._neg_shift = (q - 1) // 2 if p > 2 else 0  # log(-1)
         powers = _prime_field_powers(p) if a == 1 else self._extension_powers()
         # two periods, so a sum of two logs needs no reduction mod q - 1, then
-        # zeros for every index reached from the log of zero (extended in
-        # place: a concatenation would copy the list once more)
+        # zeros for every index reached from the log of zero
         self._exp = exp = powers * 2
         exp.extend(repeat(0, 2 * q - 1))
         self._log = log = [2 * (q - 1)] * q

@@ -159,6 +159,7 @@ def test_sqrts_and_counts_from_half_logs():
             assert F._sols[k] == solutions[u], (F.q, k)
         for u in F.elements():
             assert set(F.sqrts(u)) == roots.get(u, set()), (F.q, u)
+            assert len(F.sqrts(u)) == len(roots.get(u, ())), (F.q, u)
             if p > 2:
                 assert len(F.sqrts(u)) == F._sols[F._log[u]], (F.q, u)
 
