@@ -222,7 +222,8 @@ def _cmd_curves(args) -> int:
 def _cmd_crystal(args) -> int:
     s = _structure(args.p, args.n)
     lift = spinstruct.spin_lift(spinstruct.similitude_rep(s))
-    assert lift is not None  # tau = -p^n always lifts here
+    if lift is None:  # tau = -p^n always lifts here
+        raise AssertionError(f"p = {args.p}, n = {args.n}, tau = {s.tau}: tau has no spin lift")
     data = spinstruct.realizations(lift, ell=args.ell)
     phi = "multiplication by x"  # the spin Frobenius on the rank-2 crystal K
     doc = {

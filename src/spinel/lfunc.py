@@ -12,6 +12,12 @@ with T^2 replaced by U; its square gives the exact identity
 
     L(E, s) = L(rho_spin, s/2)^2.
 
+verify_identity_exact reads the lhs off the class and the rhs off the lift:
+1/(1 - z^2 U)^2, where z is the square root of tau in K that lifts
+Frobenius through the memoised spin structure, and z^2 is computed in K.
+When no structure exists (the vacuous case) there is no lift, and the rhs
+keeps tau.
+
 Hence L(E, s) = 1/(1 + q^(1/2 - s))^2 and L(rho_spin, s) = 1/(1 + q^(1/2 - 2s)).
 The zeta functions are exact rational-function arithmetic over Z[T], with
 equality in Q(T) by cross-multiplication and no reduction.  Numeric
@@ -129,17 +135,14 @@ class RationalFunction:
         return f"{ns}/({ds})"
 
 
-def _zeta_spin(c: IsogenyClass) -> RationalFunction:
-    return RationalFunction((1,), (1, 0, -frobenius_scalar(c)))
-
-
 def _zeta_h1(c: IsogenyClass) -> RationalFunction:
     return RationalFunction((1, -c.beta, c.q), (1,))
 
 
 def zeta_spin(p: int, n: int) -> RationalFunction:
     """Z(rho_spin, T) = 1/(1 - tau T^2): reciprocal roots +-sqrt(tau)."""
-    return _zeta_spin(spinstruct.spinorial_class(p, n))
+    tau = frobenius_scalar(spinstruct.spinorial_class(p, n))
+    return RationalFunction((1,), (1, 0, -tau))
 
 
 def zeta_h1(p: int, n: int) -> RationalFunction:
@@ -152,9 +155,9 @@ class IdentityProof:
     """Both sides of L(E, s) = L(rho_spin, s/2)^2 as elements of Q(U), U = q^-s.
 
     `vacuous` records that the spinorial class tau = -p^n admits no
-    arithmetic spin structure, read off has_arithmetic_spin's certificate;
-    the polynomial identity holds regardless, but only carries spin content
-    when a structure exists.
+    arithmetic spin structure, so that the rhs keeps tau; the polynomial
+    identity holds regardless, but only carries spin content when a
+    structure exists.  `holds` also asks the lift's z^2 to be rational.
     """
 
     lhs: RationalFunction
@@ -164,15 +167,27 @@ class IdentityProof:
 
 
 def verify_identity_exact(p: int, n: int) -> IdentityProof:
-    """Compare L(E, s) = 1/Z(H^1, U) with the square of the spin zeta at
-    T^2 = U exactly, both read off one class."""
+    """Compare L(E, s) = 1/Z(H^1, U) with L(rho_spin, s/2)^2 exactly.
+
+    The lhs is read off the class, the rhs off the lift: 1/(1 - z^2 U)^2,
+    with z the spin lift of construct_arithmetic_spin(p, n) (memoised per
+    (p, n)) and z^2 = a/b from EtaleElement.square.  In the vacuous case
+    there is no structure and no lift, and the rhs keeps tau.
+    """
     c = spinstruct.spinorial_class(p, n)
     lhs = _zeta_h1(c).reciprocal()
-    spin = _zeta_spin(c)  # even in T, so T^2 -> U keeps the even coefficients
-    half = RationalFunction(spin.num[::2], spin.den[::2])
+    S = spinstruct.construct_arithmetic_spin(p, n)
+    if S is None:
+        a, b, rational = frobenius_scalar(c), 1, True
+    else:
+        lift = spinstruct.spin_lift(spinstruct.similitude_rep(S))
+        if lift is None:
+            raise AssertionError(f"p = {p}, n = {n}, tau = {S.tau}: tau has no spin lift")
+        z2 = lift.z.square()
+        a, b, rational = z2.cn, z2.den, z2.is_rational()
+    half = RationalFunction((b,), (b, -a))  # 1/(1 - z^2 U)
     rhs = half * half
-    vacuous = not spinstruct.has_arithmetic_spin(c).exists
-    return IdentityProof(lhs, rhs, lhs == rhs, vacuous)
+    return IdentityProof(lhs, rhs, rational and lhs == rhs, S is None)
 
 
 Real = Union[Fraction, Decimal]

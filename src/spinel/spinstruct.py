@@ -19,16 +19,19 @@ Existence is sharp:
 The certificate of has_arithmetic_spin is the one place that decides
 existence: its witness u is read off that presentation, or is None.  The
 one constructor for both parities, construct_arithmetic_spin(p, n), takes
-u from it, and lfunc reads `vacuous` off it.  The lifted Frobenius
-(sqrt(tau), -sqrt(tau)) is the weight-1/2 eigenvalue datum: the weight is
-read off the lift as v_p(N(z)) / v_p(q) = 1/2, and the crystalline
-Frobenius x-multiplication has normalized slope 1/4.
+u from it and is memoised per (p, n).  lfunc reads the identity's spin
+side off the structure's lift, and `vacuous` off its absence.  The lifted
+Frobenius (sqrt(tau), -sqrt(tau)) is the weight-1/2 eigenvalue datum: the
+weight is read off the lift as v_p(N(z)) / v_p(q) = 1/2, and the
+crystalline Frobenius x-multiplication has normalized slope 1/4.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import quat
@@ -117,8 +120,10 @@ class RealizationData:
 def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     """The spinorial class over F_{p^(2n)} with tau = sign * p^n, clause 2(a).
 
-    The one check of (p, n), in order: p prime, n >= 1, then q = p^(2n)
-    within the power limit, all before p^n is computed."""
+    The one check of (p, n), in order: p and n integers (read through
+    operator.index, so 3.0 raises TypeError), p prime, n >= 1, then
+    q = p^(2n) within the power limit, all before p^n is computed."""
+    p, n = operator.index(p), operator.index(n)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not is_prime(p):
@@ -136,8 +141,8 @@ def _canonical_u(B: QuaternionAlgebra, p: int, n: int) -> Optional[Quaternion]:
     for odd p and v = i + j in (-1,-1) for p = 2.  Even n gives u = k i when
     a = -1, so that i has norm 1, and None otherwise: b_p_infty takes the
     least a, and a = 1 works exactly when B has a pure quaternion of norm 1
-    (p = 2 or p = 3 mod 4).  Nrd(u) = p^n is asserted, so a presentation
-    that breaks these readings fails loudly.
+    (p = 2 or p = 3 mod 4).  Nrd(u) = p^n is checked, so a presentation
+    that breaks these readings raises AssertionError.
     """
     k = p ** (n // 2)
     if n % 2 == 1:
@@ -147,7 +152,8 @@ def _canonical_u(B: QuaternionAlgebra, p: int, n: int) -> Optional[Quaternion]:
     else:
         return None
     u = Quaternion(B, nums)
-    assert u.reduced_norm() == p**n, (B, u)
+    if u.reduced_norm() != p**n:
+        raise AssertionError(f"p = {p}, n = {n}, tau = {-p**n}: Nrd({u}) != p^n in {B}")
     return u
 
 
@@ -166,12 +172,17 @@ def has_arithmetic_spin(c: IsogenyClass) -> SpinExistence:
     return SpinExistence(_canonical_u(quat.b_p_infty(c.p), c.p, c.a // 2))
 
 
+@lru_cache(maxsize=quat.MEMO_PRIMES, typed=True)
 def construct_arithmetic_spin(p: int, n: int) -> Optional[SpinStructure]:
     """The arithmetic spin structure for the class tau = -p^n, or None.
 
     (p, n) is checked by spinorial_class alone.  u is has_arithmetic_spin's
     witness, read off B_{p,oo} with no search, and None is returned when
     there is none (n even, p = 1 mod 4).
+
+    Memoised per (p, n) (the structure is frozen), at most quat.MEMO_PRIMES
+    pairs, the least recently used dropped first; typed, so 3.0 or True
+    never match a kept 3 or 1.  Errors are raised on every call.
     """
     c = spinorial_class(p, n, -1)
     u = has_arithmetic_spin(c).witness
@@ -204,7 +215,9 @@ def spin_lift(r: WeilRep) -> Optional[SpinLift]:
     z = K.sqrt_rational(r.tau)
     if z is None:
         return None
-    assert z.square() == K.element(r.tau)
+    if z.square() != K.element(r.tau):
+        c = r.structure.curve_class
+        raise AssertionError(f"p = {c.p}, n = {c.a // 2}, tau = {r.tau}: z^2 != tau for z = {z}")
     return SpinLift(r, z)
 
 
@@ -224,7 +237,10 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     # K is imaginary (delta < 0 on the definite B_{p,oo}), so |z|^2 = N(z)
     eigen_abs_sq = lift.z.norm()
     # |z|^2 = |tau| = q^(1/2): weight 1/2 purity, exactly
-    assert eigen_abs_sq == abs(tau) and eigen_abs_sq**2 == c.q
+    if eigen_abs_sq != abs(tau) or eigen_abs_sq**2 != c.q:
+        raise AssertionError(
+            f"p = {p}, n = {c.a // 2}, tau = {tau}: |z|^2 = {eigen_abs_sq} != |tau|"
+        )
     v_phi_sq = valuation(Fraction(tau), p)
     return RealizationData(
         ell=ell,

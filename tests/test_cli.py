@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinel import __version__, curves, fields
+from spinel import __version__, curves, fields, spinspace, spinstruct
 from spinel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -259,6 +259,46 @@ def test_failed_library_check_is_an_internal_error(monkeypatch, capsys):
     assert out.out == ""
     assert out.err.startswith("error (internal-error): ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def _internal_error(capsys, argv) -> str:
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert doc["error"] == "internal-error" and out.err == ""
+    return doc["detail"]
+
+
+def test_failed_spin_checks_name_p_n_and_tau(monkeypatch, capsys):
+    # a square that is not z^2 fails spin_lift's check, and a missing lift
+    # fails the crystal and the identity; each detail names the input
+    monkeypatch.setattr(spinspace.EtaleElement, "square", lambda self: self)
+    detail = _internal_error(capsys, ["spin", "--p", "3", "--n", "1", "--json"])
+    assert detail == "p = 3, n = 1, tau = -3: z^2 != tau for z = x"
+    monkeypatch.undo()
+    monkeypatch.setattr(spinstruct, "spin_lift", lambda r: None)
+    for command in ("crystal", "lfunc"):
+        detail = _internal_error(capsys, [command, "--p", "3", "--n", "1", "--json"])
+        assert detail == "p = 3, n = 1, tau = -3: tau has no spin lift", command
+
+
+def test_failed_spin_check_survives_python_O():
+    # the checks are explicit raises, so `python -O` strips none of them
+    code = (
+        "import sys; from spinel import spinspace; from spinel.cli import main; "
+        "spinspace.EtaleElement.square = lambda self: self; "
+        "sys.exit(main(['spin', '--p', '3', '--n', '1', '--json']))"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1, out.stderr
+    assert json.loads(out.stdout) == {
+        "detail": "p = 3, n = 1, tau = -3: z^2 != tau for z = x",
+        "error": "internal-error",
+    }
 
 
 def test_hilbert_single_place(capsys):

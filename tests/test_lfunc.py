@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -31,6 +32,7 @@ from spinel.lfunc import (
     zeta_h1,
     zeta_spin,
 )
+from spinel.spinspace import EtaleElement
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -113,6 +115,41 @@ def test_identity_vacuous_flag():
     assert verify_identity_exact(13, 2).vacuous
     assert not verify_identity_exact(2, 2).vacuous
     assert not verify_identity_exact(5, 1).vacuous
+
+
+LIFT_MUTATIONS = [
+    (lambda z: EtaleElement(z.ring, 2 * z.cn, 2 * z.dn, z.den), False),
+    (lambda z: EtaleElement(z.ring, z.cn + z.den, z.dn, z.den), False),
+    (lambda z: EtaleElement(z.ring, -z.cn, -z.dn, z.den), True),  # the other lift
+]
+
+
+@pytest.mark.parametrize("mutate,holds", LIFT_MUTATIONS, ids=["2z", "z+1", "-z"])
+def test_identity_reads_the_rhs_off_the_lift(monkeypatch, mutate, holds):
+    # 2z squares to 4 tau; (z + 1)^2 is not rational; -z is the other lift
+    real = spinstruct.spin_lift
+
+    def mutated(rep):
+        lift = real(rep)
+        return dataclasses.replace(lift, z=mutate(lift.z))
+
+    monkeypatch.setattr(spinstruct, "spin_lift", mutated)
+    for p, n in ((2, 1), (3, 1), (3, 2), (7, 3), (5, 1)):
+        proof = verify_identity_exact(p, n)
+        assert proof.holds is holds and not proof.vacuous, (p, n)
+
+
+def test_vacuous_identity_keeps_tau(monkeypatch):
+    # no structure, so no lift is read: the rhs is 1/(1 + 25 U)^2 from tau
+    monkeypatch.setattr(spinstruct, "spin_lift", None)
+    proof = verify_identity_exact(5, 2)
+    assert proof.vacuous and proof.holds
+    assert (proof.rhs.num, proof.rhs.den) == ((1,), (1, 50, 625))
+
+
+def test_identity_at_a_large_prime():
+    proof = verify_identity_exact(2**61 - 1, 1)
+    assert proof.holds and not proof.vacuous
 
 
 def test_import_spinel_does_not_load_mpmath():

@@ -28,8 +28,8 @@ from spinel.spinstruct import (
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
-#: the per-p memos of the spin chain
-MEMOS = (b_p_infty,)
+#: the memos of the spin chain, per p and per (p, n)
+MEMOS = (b_p_infty, construct_arithmetic_spin)
 
 
 def _primes_below(bound):
@@ -331,6 +331,8 @@ def test_memos_match_fresh_computation_below_2000():
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
             assert cert.exists == (n % 2 == 1 or unit), (p, n)
             assert verify_identity_exact(p, n).vacuous == (not cert.exists), (p, n)
+            fresh = construct_arithmetic_spin.__wrapped__(p, n)
+            assert construct_arithmetic_spin(p, n) == fresh, (p, n)
 
 
 def test_canonical_witnesses_match_the_search_below_10_4():
@@ -377,11 +379,14 @@ def test_memos_are_bounded():
     for p in _primes_below(2000)[:300]:
         has_arithmetic_spin(spinorial_class(p, 1, -1))
         has_arithmetic_spin(spinorial_class(p, 2, -1))
+        construct_arithmetic_spin(p, 1)
+        construct_arithmetic_spin(p, 2)
     for memo in MEMOS:
         info = memo.cache_info()
         assert info.maxsize == quat.MEMO_PRIMES
         assert 0 < info.currsize <= info.maxsize, memo
     assert b_p_infty.cache_info().currsize == quat.MEMO_PRIMES
+    assert construct_arithmetic_spin.cache_info().currsize == quat.MEMO_PRIMES
 
 
 def test_memos_keep_no_errors():
@@ -389,6 +394,9 @@ def test_memos_keep_no_errors():
         for _ in range(3):
             with pytest.raises(NotPrime):
                 b_p_infty(bad)
+            with pytest.raises(NotPrime) as got:
+                construct_arithmetic_spin(bad, 1)
+            assert got.value.code == "not-prime"
 
 
 def test_memoised_objects_reject_assignment():
@@ -399,6 +407,38 @@ def test_memoised_objects_reject_assignment():
         v = has_arithmetic_spin(spinorial_class(p, 2, -1)).witness
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.x1 = Fraction(0)
+        s = construct_arithmetic_spin(p, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.clifford = s.clifford
+
+
+def test_structure_memo_is_per_typed_p_and_n():
+    # a repeated (p, n) answers with the kept object, None included; p and n
+    # are read through operator.index, before and after (3, 1) is kept, so
+    # a float never answers with the structure kept for an int
+    s = construct_arithmetic_spin(7, 3)
+    assert construct_arithmetic_spin(7, 3) is s
+    assert construct_arithmetic_spin(5, 2) is None
+    construct_arithmetic_spin.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            construct_arithmetic_spin(3.0, 1)
+        with pytest.raises(TypeError):
+            construct_arithmetic_spin(3, 1.0)
+        assert construct_arithmetic_spin(3, 1).tau == -3
+    assert construct_arithmetic_spin(3, True) == construct_arithmetic_spin(3, 1)
+
+
+def test_failed_checks_name_p_n_and_tau(monkeypatch):
+    # each check is an explicit raise whose message names the input
+    monkeypatch.setattr(quat, "b_p_infty", lambda p: quat.QuaternionAlgebra(-1, -7))
+    with pytest.raises(AssertionError, match=r"^p = 3, n = 1, tau = -3: Nrd\(j\) != p\^n"):
+        has_arithmetic_spin(spinorial_class(3, 1))
+    monkeypatch.undo()
+    lift = spin_lift(similitude_rep(construct_arithmetic_spin(3, 1)))
+    doubled = dataclasses.replace(lift, z=lift.z.ring.element(0, 2))
+    with pytest.raises(AssertionError, match=r"^p = 3, n = 1, tau = -3: \|z\|\^2 = 12 != \|tau\|$"):
+        realizations(doubled)
 
 
 def test_chain_closes_at_the_brute_force_curve_over_f_p2():
