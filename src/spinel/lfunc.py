@@ -37,7 +37,7 @@ from typing import Union
 
 from . import spinstruct
 from .arith import Rat, _as_fraction, check_power
-from .errors import ZeroInput
+from .errors import BoundExceeded, ZeroInput
 from .isogeny import IsogenyClass, frobenius_scalar
 
 #: digits of an inexact L-value, each correctly rounded
@@ -276,11 +276,13 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     s = _as_fraction(s)
     # the exponents of p, 2n(1/2 - s) and 2n(1/2 - 2s), in lowest terms
     half, spin = (Fraction(n * (s.denominator - c * s.numerator), s.denominator) for c in (2, 4))
-    # both numerators are bounded before either root: 2 half - spin = n, so
-    # that bounds both denominators too (d <= 4 max |k|), and a small |k| alone
-    # may come with a huge d (half = 1/d at n = 1, s = (d - 1)/(2d))
-    for e in (half, spin):
-        check_power(p, abs(e.numerator))
+    # both numerators are bounded before either root; 2 half - spin = n bounds both
+    # denominators too (d <= 4 max |k|), though a small |k| may come with a huge d
+    try:
+        for e in (half, spin):
+            check_power(p, abs(e.numerator))
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"p = {p}, n = {n}, s = {s}: {exc}") from None
     lhalf, lsq = _reciprocal_powers(p, half, (1, 2))
     (lspin,) = _reciprocal_powers(p, spin, (1,))
     return LValues(s, lsq, lspin, lhalf, lsq)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from .arith import Rat, _as_fraction, squarefree_part
@@ -43,13 +43,7 @@ from .errors import (
     NotUnit,
     ZeroInput,
 )
-from .quat import Quaternion, QuaternionAlgebra, _exact_sqrt
-
-
-def _rational_sqrt(r: Fraction) -> Optional[tuple[int, int]]:
-    """(a, b) with a/b the nonnegative square root of r in lowest terms, or None."""
-    a, b = _exact_sqrt(r.numerator), _exact_sqrt(r.denominator)
-    return None if a is None or b is None else (a, b)
+from .quat import Quaternion, QuaternionAlgebra
 
 
 @dataclass(frozen=True)
@@ -75,19 +69,23 @@ class QuadraticEtale:
     def sqrt_rational(self, t: Rat) -> Optional["EtaleElement"]:
         """A square root in K of a nonzero rational t, or None.
 
-        t is a square in K iff t or t/delta is a square in Q.  The returned
-        representative has positive leading coordinate (c > 0, or d > 0 for
-        the purely x-proportional root); the other root is its negative.
+        t is a square in K iff t or t/delta is a square in Q, both tested on
+        t's integer numerator and denominator.  The root returned has c > 0,
+        or d > 0 when it is d*x; the other root is its negative.
         """
-        t = _as_fraction(t)
-        if t == 0:
+        if not isinstance(t, int):
+            t = _as_fraction(t)  # a Fraction as it is; anything else raises TypeError
+        num, den = t.numerator, t.denominator
+        if num == 0:
             raise ZeroInput("0 has the trivial root")
-        root = _rational_sqrt(t)
-        if root is not None:
-            return EtaleElement(self, root[0], 0, root[1])
-        root = _rational_sqrt(t / self.delta)
-        if root is not None:
-            return EtaleElement(self, 0, root[0], root[1])
+        # n/d in lowest terms, d > 0, is a square iff n > 0 and both are; t/delta is
+        # (num/g)/(den*delta/g), in lowest terms as delta is squarefree (g has delta's sign)
+        g = gcd(num, self.delta) if self.delta > 0 else -gcd(num, self.delta)
+        for n, d, x in ((num, den, 0), (num // g, den * self.delta // g, 1)):
+            if n > 0:
+                a, b = isqrt(n), isqrt(d)
+                if a * a == n and b * b == d:
+                    return EtaleElement(self, (1 - x) * a, x * a, b)
         return None
 
     def __str__(self) -> str:

@@ -215,7 +215,7 @@ def spin_lift(r: WeilRep) -> Optional[SpinLift]:
     z = K.sqrt_rational(r.tau)
     if z is None:
         return None
-    if z.square() != K.element(r.tau):
+    if (sq := z.square()).dn or (sq.cn, sq.den) != (r.tau.numerator, r.tau.denominator):
         c = r.structure.curve_class
         raise AssertionError(f"p = {c.p}, n = {c.a // 2}, tau = {r.tau}: z^2 != tau for z = {z}")
     return SpinLift(r, z)

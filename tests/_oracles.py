@@ -22,6 +22,9 @@ oracle keeps four Fraction coordinates instead of int numerators over one
 denominator, the etale product is the general multiplication of K that
 EtaleElement kept before only its square was left, the etale text is its
 printing from Fraction coordinates before they became int numerators, the
+etale square root divides t by delta as a Fraction and roots the numerator
+and denominator of each Fraction, where sqrt_rational now works on t's
+integer numerator and denominator, the
 modulus oracle trial-divides by every monic of degree <= a/2, the
 reducible-monics oracle multiplies every pair of monics instead of dividing,
 the spin zeta oracle writes the zeta functions and both sides of the
@@ -51,7 +54,7 @@ from spinel import curves
 from spinel.arith import OO, factorize, hilbert_symbol
 from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
-from spinel.spinspace import OrthogonalInvolution
+from spinel.spinspace import EtaleElement, OrthogonalInvolution
 
 _cache: dict = {}
 
@@ -689,6 +692,22 @@ def etale_product(z, w):
     assert z.ring == w.ring
     delta = z.ring.delta
     return z.ring.element(z.c * w.c + delta * z.d * w.d, z.c * w.d + z.d * w.c)
+
+
+def _fraction_sqrt(r: Fraction) -> tuple[int, int] | None:
+    a, b = math.isqrt(max(r.numerator, 0)), math.isqrt(r.denominator)
+    return (a, b) if a * a == r.numerator and b * b == r.denominator else None
+
+
+def sqrt_rational_oracle(K, t):
+    """The square root of a nonzero rational t in K, as QuadraticEtale.sqrt_rational
+    found it on Fractions: the root of t, else x times the root of t/delta, else None."""
+    t = Fraction(t)
+    root = _fraction_sqrt(t)
+    if root is not None:
+        return EtaleElement(K, root[0], 0, root[1])
+    root = _fraction_sqrt(t / K.delta)
+    return None if root is None else EtaleElement(K, 0, root[0], root[1])
 
 
 def etale_str(c: Fraction, d: Fraction) -> str:

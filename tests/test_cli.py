@@ -20,6 +20,9 @@ GOLDEN_CASES = [
     ("spin_p3_n1_plus", ["spin", "--p", "3", "--n", "1", "--tau-sign", "plus", "--json"]),
     ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
     ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
+    # tau = +p^n with n even lifts to the rational z = p^(n/2) in K = Q(i)
+    ("spin_p2_n2_plus", ["spin", "--p", "2", "--n", "2", "--tau-sign", "plus", "--json"]),
+    ("spin_p7_n4_plus", ["spin", "--p", "7", "--n", "4", "--tau-sign", "plus", "--json"]),
     ("lfunc_p3_n1_s1", ["lfunc", "--p", "3", "--n", "1", "--s", "1", "--json"]),
     ("lfunc_p3_n1_s1_3", ["lfunc", "--p", "3", "--n", "1", "--s", "1/3", "--json"]),
     # written from `--s=-3/4`: the spaced form reads the same value
@@ -97,6 +100,9 @@ def test_spin_even_n_structure_exists(capsys):
 
 IGNORED_BOUND_CASES = [
     ("spin_p2_n1", ["spin", "--p", "2", "--n", "1", "--json"]),
+    # tau = +p^n with n even lifts to the rational z = p^(n/2) in K = Q(i)
+    ("spin_p2_n2_plus", ["spin", "--p", "2", "--n", "2", "--tau-sign", "plus", "--json"]),
+    ("spin_p7_n4_plus", ["spin", "--p", "7", "--n", "4", "--tau-sign", "plus", "--json"]),
     ("spin_p3_n2", ["spin", "--p", "3", "--n", "2", "--json"]),
 ]
 
@@ -349,6 +355,22 @@ def test_lfunc_irrational_power_beyond_the_limit_fails_fast(s, capsys):
     assert main(["lfunc", "--p", "2", "--n", "1", "--s", s, "--json"]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert json.loads(capsys.readouterr().out)["error"] == "bound-exceeded"
+
+
+def test_lfunc_power_limit_detail_names_p_n_and_s(capsys):
+    assert main(["lfunc", "--p", "3", "--n", "1", "--s", "3/2305843009213693951", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "p = 3, n = 1, s = 3/2305843009213693951: 3^2305843009213693945 is at or above "
+        "2^4096, the exact power limit",
+        "error": "bound-exceeded",
+    }
+    # the second check, on the exponent 2n(1/2 - 2s) = 4097 of L(rho_spin, s),
+    # refuses after the first passed 2n(1/2 - s) = 2049
+    assert main(["lfunc", "--p", "2", "--n", "1", "--s", "-1024", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "p = 2, n = 1, s = -1024: 2^4097 is at or above 2^4096, the exact power limit",
+        "error": "bound-exceeded",
+    }
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,7 @@ SHARED: dict[str, dict[str, str]] = {
         "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
     },
     "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
-    "QuadraticEtale": {"element": "z.square() == K.element(r.tau) in spinstruct.spin_lift"},
+    "QuadraticEtale": {"element": "lift.z.square() == lift.z.ring.element(-p) in cli._cmd_crystal"},
     "OrthogonalInvolution": {
         "discriminant": "QuadraticEtale(self.discriminant()) in OrthogonalInvolution.clifford_algebra",
     },

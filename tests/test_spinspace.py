@@ -1,10 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from _oracles import etale_product, etale_str, quaternion_sum, random_fraction, random_involution
+from _oracles import (
+    etale_product,
+    etale_str,
+    quaternion_sum,
+    random_fraction,
+    random_involution,
+    sqrt_rational_oracle,
+)
 from spinel.arith import squarefree_part
 from spinel.errors import (
     AlgebraMismatch,
@@ -12,6 +20,7 @@ from spinel.errors import (
     NotInvertible,
     NotPure,
     NotUnit,
+    ZeroInput,
 )
 from spinel.quat import QuaternionAlgebra, b_p_infty
 from spinel.spinstruct import construct_arithmetic_spin, construct_arithmetic_spin_even
@@ -190,6 +199,60 @@ def test_sqrt_rational_cases():
     assert K.sqrt_rational(3) is None  # 3 and 3/-3 both non-squares
     assert K.sqrt_rational(-27) == K.element(0, 3)
     assert K.sqrt_rational(Fraction(-3, 4)) == K.element(0, Fraction(1, 2))
+
+
+def test_sqrt_rational_matches_the_fraction_oracle_on_the_grid():
+    # every squarefree delta in [-30, 30], the split delta = 1 included, and
+    # t = +-u v^2/w^2 for u, v, w <= 12, times 1 and times delta, as Fractions
+    # and, when integral, as ints
+    deltas = [d for d in range(-30, 31) if d and squarefree_part(d) == d]
+    assert 1 in deltas and len(deltas) == 38
+    values = {Fraction(u * v * v, w * w) for u, v, w in product(range(1, 13), repeat=3)}
+    for delta in deltas:
+        K = QuadraticEtale(delta)
+        for t in values:
+            for r in (t, -t, delta * t, -delta * t):
+                want = sqrt_rational_oracle(K, r)
+                assert K.sqrt_rational(r) == want, (delta, r)
+                if r.denominator == 1:
+                    assert K.sqrt_rational(int(r)) == want, (delta, r)
+                if want is not None:
+                    assert want.square() == K.element(r), (delta, r)
+
+
+def test_sqrt_rational_matches_the_oracle_on_frobenius_scalars():
+    # the shape the spin chain sends: tau = +-p^n in the structure's own K,
+    # delta = -p (odd n, odd p), -2 (odd n, p = 2) or -1 (even n)
+    primes = [n for n in range(2, 2**12) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for p in primes:
+        n = 1
+        while p**n <= 2**48:
+            K = QuadraticEtale(-1 if n % 2 == 0 else -p)
+            for tau in (p**n, -(p**n)):
+                assert K.sqrt_rational(tau) == sqrt_rational_oracle(K, tau), (p, n, tau)
+            n += 1
+
+
+def test_sqrt_rational_of_a_square_near_2_4000():
+    r = 2**2000 + 12345
+    big = r * r
+    assert big.bit_length() == 4001
+    for delta in (1, -1, -2, 3, -30):
+        K = QuadraticEtale(delta)
+        for t in (big, -big, delta * big, Fraction(big, 49), big + 1, -big * delta):
+            assert K.sqrt_rational(t) == sqrt_rational_oracle(K, t), (delta, t)
+    K = QuadraticEtale(-3)
+    assert K.sqrt_rational(big) == EtaleElement(K, r, 0, 1)
+    assert K.sqrt_rational(Fraction(-3 * big, 49)) == EtaleElement(K, 0, r, 7)
+
+
+def test_sqrt_rational_input_errors():
+    K = QuadraticEtale(-3)
+    with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        K.sqrt_rational(-3.0)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroInput, match="0 has the trivial root"):
+            K.sqrt_rational(zero)
 
 
 def test_is_square_spot_values():

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import etale_product
+from _oracles import etale_product, sqrt_rational_oracle
 from spinel import arith, quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
-from spinel.curves import count_points, find_q14_curve
+from spinel.curves import WeierstrassCurve, count_points, find_q14_curve
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed
+from spinel.fields import FiniteField
 from spinel.isogeny import frobenius_scalar, isogeny_class
 from spinel.lfunc import RationalFunction, verify_identity_exact, zeta_h1
 from spinel.quat import Quaternion, b_p_infty, find_pure_of_norm, ramified_places
@@ -459,3 +460,44 @@ def test_chain_closes_at_the_brute_force_curve_over_f_p2():
         assert z.square() == s.clifford.element(-p), p
         carried = [has_arithmetic_spin(isogeny_class(p, 2, b)).exists for b in (2 * p, -2 * p)]
         assert carried == [False, True], p
+
+
+def test_spin_lift_matches_the_fraction_oracle():
+    # the lift is the oracle's root of tau in the structure's K, or None, for
+    # both signs of tau (the plus class on the same involution, as in
+    # `spinel spin --tau-sign plus`); n even and p = 1 mod 4 have no structure
+    for p in _primes_below(200):
+        for n in range(1, 7):
+            s = construct_arithmetic_spin(p, n)
+            assert (s is None) == (n % 2 == 0 and p % 4 == 1), (p, n)
+            if s is None:
+                continue
+            for sign in (-1, 1):
+                c = spinorial_class(p, n, sign)
+                rep = WeilRep(SpinStructure(c, s.algebra, s.sigma, s.clifford), frobenius_scalar(c))
+                lift = spin_lift(rep)
+                want = sqrt_rational_oracle(s.clifford, rep.tau)
+                assert (None if lift is None else lift.z) == want, (p, n, sign)
+
+
+def _trace_over(F, a3: int, a4: int) -> int:
+    """q + 1 - #E(F_q) for y^2 + a3 y = x^3 + a4 x, coefficients given as integers."""
+    E = WeierstrassCurve(F, 0, 0, F.from_int(a3), F.from_int(a4), 0)
+    return F.q + 1 - count_points(E)
+
+
+def test_even_n_rule_at_the_brute_force_curve_j_1728():
+    # y^2 = x^3 + x over F_{p^2} has trace -2p exactly when B_{p,oo} = (-1, -p),
+    # exactly when the tau = -p^2 class carries a structure (p = 3 mod 4);
+    # otherwise the curve is ordinary and p does not divide its trace
+    for p in _primes_below(128)[1:]:
+        trace = _trace_over(FiniteField(p, 2), 0, 1)
+        spin = has_arithmetic_spin(spinorial_class(p, 2)).exists
+        assert (trace == -2 * p) == (b_p_infty(p).a == -1) == spin == (p % 4 == 3), p
+        if not spin:
+            assert trace % p != 0, p
+    # the primes the short form leaves out: y^2 + y = x^3 over F_4, y^2 = x^3 - x over F_9
+    assert _trace_over(FiniteField(2, 2), 1, 0) == -4
+    assert _trace_over(FiniteField(3, 2), 0, -1) == -6
+    assert has_arithmetic_spin(spinorial_class(2, 2)).exists
+    assert has_arithmetic_spin(spinorial_class(3, 2)).exists
