@@ -266,8 +266,11 @@ def _prime_symbol(x: tuple[int, int], y: tuple[int, int], p: int) -> int:
 
 
 def _check_place(v: Place) -> None:
-    if v != OO and (not isinstance(v, int) or not is_prime(v)):
-        raise NotPrime(f"{v!r} is not a prime or {OO!r}")
+    try:
+        if v != OO and (not isinstance(v, int) or not is_prime(v)):
+            raise NotPrime(f"{v!r} is not a prime or {OO!r}")
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"place {v}: {exc}") from None
 
 
 def integer_symbol(m: int, n: int, v: Place) -> int:

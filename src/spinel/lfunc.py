@@ -12,19 +12,20 @@ with T^2 replaced by U; its square gives the exact identity
 
     L(E, s) = L(rho_spin, s/2)^2.
 
-verify_identity_exact reads the lhs off the class and the rhs off the lift:
-1/(1 - z^2 U)^2, where z is the square root of tau in K that lifts
-Frobenius through the memoised spin structure, and z^2 is computed in K.
-When no structure exists (the vacuous case) there is no lift, and the rhs
-keeps tau.
+verify_identity_exact writes both sides as closed forms, with no product
+in Q(T): the lhs is 1/(1 - beta U + q U^2) off the class, and the rhs is
+b^2/(b^2 - 2ab U + a^2 U^2), which is 1/(1 - z^2 U)^2 for z^2 = a/b, where
+z is the square root of tau in K that lifts Frobenius through the memoised
+spin structure, and z^2 is computed in K.  When no structure exists (the
+vacuous case) there is no lift, and the rhs keeps tau.
 
 Hence L(E, s) = 1/(1 + q^(1/2 - s))^2 and L(rho_spin, s) = 1/(1 + q^(1/2 - 2s)).
-The zeta functions are exact rational-function arithmetic over Z[T], with
-equality in Q(T) by cross-multiplication and no reduction.  Numeric
-L-values are a secondary check in ints: an L-value whose power q^e is
-rational is an exact Fraction, and one whose power is irrational is a
-Decimal correctly rounded to NUMERIC_DPS digits from integer bounds on
-q^e, the integer d-th root of p^|k| 2^(md) for 2n e = k/d.
+The zeta functions are kept as built over Z[T], with equality in Q(T) by
+cross-multiplication and no reduction.  Numeric L-values are a secondary
+check in ints: an L-value whose power q^e is rational is an exact Fraction,
+and one whose power is irrational is a Decimal correctly rounded to
+NUMERIC_DPS digits from integer bounds on q^e, the integer d-th root of
+p^|k| 2^(md) for 2n e = k/d.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ class RationalFunction:
             return NotImplemented
         return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
-
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)
-
     def evaluate(self, t: Rat) -> Fraction:
         t = _as_fraction(t)
         den = poly_eval(self.den, t)
@@ -135,8 +128,9 @@ class RationalFunction:
         return f"{ns}/({ds})"
 
 
-def _zeta_h1(c: IsogenyClass) -> RationalFunction:
-    return RationalFunction((1, -c.beta, c.q), (1,))
+def _h1(c: IsogenyClass) -> IntPoly:
+    """1 - beta T + q T^2, the coefficients of Z(H^1, T)."""
+    return (1, -c.beta, c.q)
 
 
 def zeta_spin(p: int, n: int) -> RationalFunction:
@@ -147,7 +141,7 @@ def zeta_spin(p: int, n: int) -> RationalFunction:
 
 def zeta_h1(p: int, n: int) -> RationalFunction:
     """Z(H^1 of the tau = -p^n class, T) = 1 - beta T + q T^2."""
-    return _zeta_h1(spinstruct.spinorial_class(p, n))
+    return RationalFunction(_h1(spinstruct.spinorial_class(p, n)), (1,))
 
 
 @dataclass(frozen=True)
@@ -169,13 +163,14 @@ class IdentityProof:
 def verify_identity_exact(p: int, n: int) -> IdentityProof:
     """Compare L(E, s) = 1/Z(H^1, U) with L(rho_spin, s/2)^2 exactly.
 
-    The lhs is read off the class, the rhs off the lift: 1/(1 - z^2 U)^2,
-    with z the spin lift of construct_arithmetic_spin(p, n) (memoised per
-    (p, n)) and z^2 = a/b from EtaleElement.square.  In the vacuous case
-    there is no structure and no lift, and the rhs keeps tau.
+    The lhs is 1/Z(H^1, U), read off the class, and the rhs is
+    1/(1 - z^2 U)^2 written out, read off the lift: z is the spin lift of
+    construct_arithmetic_spin(p, n) (memoised per (p, n)) and z^2 = a/b
+    comes from EtaleElement.square.  In the vacuous case there is no
+    structure and no lift, and the rhs keeps tau.
     """
     c = spinstruct.spinorial_class(p, n)
-    lhs = _zeta_h1(c).reciprocal()
+    lhs = RationalFunction((1,), _h1(c))
     S = spinstruct.construct_arithmetic_spin(p, n)
     if S is None:
         a, b, rational = frobenius_scalar(c), 1, True
@@ -185,8 +180,7 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
             raise AssertionError(f"p = {p}, n = {n}, tau = {S.tau}: tau has no spin lift")
         z2 = lift.z.square()
         a, b, rational = z2.cn, z2.den, z2.is_rational()
-    half = RationalFunction((b,), (b, -a))  # 1/(1 - z^2 U)
-    rhs = half * half
+    rhs = RationalFunction((b * b,), (b * b, -2 * a * b, a * a))
     return IdentityProof(lhs, rhs, rational and lhs == rhs, S is None)
 
 

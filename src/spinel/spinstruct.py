@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import quat
 from .arith import check_power, is_prime, valuation
-from .errors import NotPrime, PrecheckFailed
+from .errors import BoundExceeded, NotPrime, PrecheckFailed
 from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
 from .spinspace import EtaleElement, OrthogonalInvolution, QuadraticEtale
@@ -227,8 +227,11 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     p = c.p
     if ell is None:
         ell = 2 if p != 2 else 3
-    if not is_prime(ell):
-        raise NotPrime(f"ell = {ell} is not prime")
+    try:
+        if not is_prime(ell):
+            raise NotPrime(f"ell = {ell} is not prime")
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"ell = {ell}: {exc}") from None
     if ell == p:
         raise PrecheckFailed(
             f"ell = {ell} equals p = {p}: the ell-adic label must differ from p"
@@ -241,13 +244,13 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
         raise AssertionError(
             f"p = {p}, n = {c.a // 2}, tau = {tau}: |z|^2 = {eigen_abs_sq} != |tau|"
         )
-    v_phi_sq = valuation(Fraction(tau), p)
+    v = valuation(eigen_abs_sq, p)  # = v_p(tau) = v_p(phi^2), as |z|^2 = |tau|
     return RealizationData(
         ell=ell,
         eigen_abs_sq=eigen_abs_sq,
-        weight=Fraction(valuation(eigen_abs_sq, p), c.a),  # v_p(q) = a
+        weight=Fraction(v, c.a),  # v_p(q) = a
         crystal_frobenius=tau,
-        v_p_phi_squared=v_phi_sq,
+        v_p_phi_squared=v,
         v_p_q=c.a,
-        normalized_slope=Fraction(v_phi_sq, 2 * c.a),
+        normalized_slope=Fraction(v, 2 * c.a),
     )

@@ -29,7 +29,11 @@ modulus oracle trial-divides by every monic of degree <= a/2, the
 reducible-monics oracle multiplies every pair of monics instead of dividing,
 the spin zeta oracle writes the zeta functions and both sides of the
 identity as closed forms in p^n where lfunc now reads them off the spinorial
-class, and the Hurwitz class number counts reduced binary quadratic forms,
+class, the identity-sides oracle builds both sides in Q(T) algebra (the
+reciprocal of Z(H^1), and 1/(1 - z^2 U) multiplied by itself) where
+verify_identity_exact now writes them as closed forms, the realizations
+oracle takes two valuations by division, of |z|^2 and of tau, where
+realizations now reads one, and the Hurwitz class number counts reduced binary quadratic forms,
 against which the census scan's weighted counts are checked.  They are slow and
 only run at desk scale.  frobenius_additions is no oracle but a meter: it
 counts the group-law additions of one Frobenius check, and
@@ -50,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from spinel import curves
+from spinel import curves, spinstruct
 from spinel.arith import OO, factorize, hilbert_symbol
 from spinel.curves import WeierstrassCurve, count_points, curve_points
 from spinel.errors import BoundExceeded, ZeroInput
@@ -793,3 +797,65 @@ def identity_vacuous_oracle(p: int, n: int) -> bool:
     """No arithmetic spin structure: n even and B_{p,oo} without a pure unit,
     which is p = 1 mod 4."""
     return n % 2 == 0 and p % 4 == 1
+
+
+def _poly_mul_oracle(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _trim_oracle(tuple(out))
+
+
+def identity_sides_oracle(p: int, n: int):
+    """(lhs, rhs, holds, vacuous) of L(E, s) = L(rho_spin, s/2)^2, each side
+    a trimmed (num, den), built as verify_identity_exact built them in Q(T)
+    algebra: the lhs is Z(H^1) = (1 - beta T + q T^2)/1 turned over, and the
+    rhs is 1/(1 - z^2 U) = b/(b - a U) times itself, for z^2 = a/b read off
+    spinstruct's lift (tau when there is no structure).  holds asks z^2 to
+    be rational and the sides to cross-multiply to one polynomial."""
+    c = spinstruct.spinorial_class(p, n)
+    num, den = (1, -c.beta, c.q), (1,)  # Z(H^1)
+    lhs = (_trim_oracle(den), _trim_oracle(num))
+    S = spinstruct.construct_arithmetic_spin(p, n)
+    if S is None:
+        a, b, rational = -(p**n), 1, True
+    else:
+        z2 = spinstruct.spin_lift(spinstruct.similitude_rep(S)).z.square()
+        a, b, rational = z2.cn, z2.den, z2.is_rational()
+    half = ((b,), (b, -a))
+    rhs = (_poly_mul_oracle(half[0], half[0]), _poly_mul_oracle(half[1], half[1]))
+    equal = _poly_mul_oracle(lhs[0], rhs[1]) == _poly_mul_oracle(rhs[0], lhs[1])
+    return lhs, rhs, rational and equal, S is None
+
+
+def _valuation_oracle(r: Fraction, p: int) -> int:
+    v = 0
+    num, den = r.numerator, r.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def realizations_oracle(lift, ell: int | None = None) -> dict:
+    """The seven RealizationData fields of a spin lift, by the formulas
+    realizations used before it read one valuation: |z|^2 = c^2 - delta d^2
+    from z's Fraction coordinates, the weight v_p(|z|^2)/v_p(q), and
+    v_p(phi^2) = v_p(tau), from Fraction(tau), for the slope v_p(phi^2)/(2 v_p(q))."""
+    c = lift.rep.structure.curve_class
+    tau, z = lift.rep.tau, lift.z
+    eigen_abs_sq = z.c * z.c - z.ring.delta * z.d * z.d
+    v_phi_sq = _valuation_oracle(Fraction(tau), c.p)
+    return {
+        "ell": ell if ell is not None else 2 if c.p != 2 else 3,
+        "eigen_abs_sq": eigen_abs_sq,
+        "weight": Fraction(_valuation_oracle(eigen_abs_sq, c.p), c.a),
+        "crystal_frobenius": tau,
+        "v_p_phi_squared": v_phi_sq,
+        "v_p_q": c.a,
+        "normalized_slope": Fraction(v_phi_sq, 2 * c.a),
+    }

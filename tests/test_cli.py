@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinel import __version__, curves, fields, spinspace, spinstruct
+from spinel import __version__, arith, curves, fields, spinspace, spinstruct
 from spinel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -371,6 +371,26 @@ def test_lfunc_power_limit_detail_names_p_n_and_s(capsys):
         "detail": "p = 2, n = 1, s = -1024: 2^4097 is at or above 2^4096, the exact power limit",
         "error": "bound-exceeded",
     }
+
+
+#: above arith.PRIMALITY_BOUND, with no prime factor below 1024
+BEYOND_PROOF = 340282366920938463463374607431768211297
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["crystal", "--p", "3", "--n", "1", "--ell", str(BEYOND_PROOF)], f"ell = {BEYOND_PROOF}: "),
+        (["hilbert", "--a", "2", "--b", "3", "--place", str(BEYOND_PROOF)], f"place {BEYOND_PROOF}: "),
+    ],
+    ids=["crystal-ell", "hilbert-place"],
+)
+def test_primality_bound_detail_names_the_argument(argv, prefix, capsys):
+    detail = f"{prefix}{BEYOND_PROOF} exceeds primality bound {arith.PRIMALITY_BOUND}"
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "error": "bound-exceeded"}
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error (bound-exceeded): {detail}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import spinel
 
 from _oracles import (
+    identity_sides_oracle,
     identity_vacuous_oracle,
     poly_gcd_oracle,
     rational_function_oracle,
@@ -58,7 +60,7 @@ def test_rational_function_reduction():
     h = RationalFunction((1,), (1, 0, 3))
     assert h.evaluate(Fraction(1, 3)) == Fraction(3, 4)
     assert str(h) == "1/(1+3T^2)"
-    assert h.reciprocal().num == (1, 0, 3)
+    assert (h.num, h.den) == ((1,), (1, 0, 3))
 
 
 def test_rational_function_equality_across_presentations():
@@ -145,6 +147,39 @@ def test_vacuous_identity_keeps_tau(monkeypatch):
     proof = verify_identity_exact(5, 2)
     assert proof.vacuous and proof.holds
     assert (proof.rhs.num, proof.rhs.den) == ((1,), (1, 50, 625))
+
+
+def _sides(proof):
+    return (proof.lhs.num, proof.lhs.den), (proof.rhs.num, proof.rhs.den), proof.holds, proof.vacuous
+
+
+def _primes_below(bound):
+    return [m for m in range(2, bound) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+
+
+def test_identity_matches_the_q_t_algebra_oracle():
+    # the closed-form sides are the reciprocal of Z(H^1) and the square of
+    # 1/(1 - z^2 U), term for term, with the same holds and vacuous
+    for p in _primes_below(2000) + [2**61 - 1]:
+        for n in range(1, 7):
+            assert _sides(verify_identity_exact(p, n)) == identity_sides_oracle(p, n), (p, n)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [m for m, _ in LIFT_MUTATIONS] + [lambda z: EtaleElement(z.ring, z.cn, z.dn, 2 * z.den)],
+    ids=["2z", "z+1", "-z", "z/2"],
+)
+def test_identity_matches_the_oracle_on_a_mutated_lift(monkeypatch, mutate):
+    # the oracle reads the same mutated lift, so both sides still agree; z/2
+    # gives z^2 = a/b with b > 1, which the true lift never has
+    real = spinstruct.spin_lift
+    monkeypatch.setattr(
+        spinstruct, "spin_lift", lambda rep: dataclasses.replace(real(rep), z=mutate(real(rep).z))
+    )
+    for p in _primes_below(200):
+        for n in range(1, 7):
+            assert _sides(verify_identity_exact(p, n)) == identity_sides_oracle(p, n), (p, n)
 
 
 def test_identity_at_a_large_prime():

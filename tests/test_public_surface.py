@@ -25,10 +25,16 @@ whose name another public class also defines (as a field, a method or
 property, or an attribute set on self) is read for both as soon as one is,
 so SHARED_FIELDS lists each such field with a chain expression that reads
 it for its own class, and a shared field not listed fails.
+
+Each chain expression is written `<code> in <function>` and must stand in
+the function it names, `...` marking a gap: `module.function`,
+`Class.method`, or `test_acceptance name` for a def nested in that file,
+each looked up in the readers above.
 """
 
 import ast
 import pathlib
+import re
 from collections import defaultdict
 
 import spinel
@@ -45,7 +51,6 @@ OPERATORS: dict[str, dict[str, str]] = {
     "IsogenyClass": {"__str__": "[str(c) for c in classes] in cli._cmd_classify"},
     "RationalFunction": {
         "__eq__": "lhs == rhs in lfunc.verify_identity_exact",
-        "__mul__": "half * half in lfunc.verify_identity_exact",
         "__str__": "str(lfunc.zeta_spin(p, n)) in cli._cmd_lfunc",
     },
     "QuaternionAlgebra": {"__str__": 'f"algebra: {s.algebra}" in cli._cmd_spin'},
@@ -70,7 +75,7 @@ SHARED: dict[str, dict[str, str]] = {
         "to_json": '"algebra": self.algebra.to_json() in SpinStructure.to_json',
     },
     "Quaternion": {"to_json": '"u": self.sigma.u.to_json() in SpinStructure.to_json'},
-    "QuadraticEtale": {"element": "lift.z.square() == lift.z.ring.element(-p) in cli._cmd_crystal"},
+    "QuadraticEtale": {"element": "lift.z.square() == lift.z.ring.element(-p) in cli._selftest_spin"},
     "OrthogonalInvolution": {
         "discriminant": "QuadraticEtale(self.discriminant()) in OrthogonalInvolution.clifford_algebra",
     },
@@ -93,7 +98,7 @@ SHARED_FIELDS: dict[str, dict[str, str]] = {
     },
     "SpinStructure": {"algebra": 'f"algebra: {s.algebra}" in cli._cmd_spin'},
     "EtaleElement": {"den": "self.den * self.den in EtaleElement.square"},
-    "RationalFunction": {"den": "spin.den[::2] in lfunc.verify_identity_exact"},
+    "RationalFunction": {"den": "poly_mul(other.num, self.den) in RationalFunction.__eq__"},
     "WeilRep": {"tau": "K.sqrt_rational(r.tau) in spinstruct.spin_lift"},
 }
 
@@ -323,6 +328,34 @@ def test_keep_entries_give_reasons():
     assert all(isinstance(why, str) and why.strip() for why in KEEP.values())
     for table in (OPERATORS, SHARED, SHARED_FIELDS):
         assert all(isinstance(why, str) and why.strip() for ops in table.values() for why in ops.values())
+
+
+def _function_source(where: str) -> str:
+    """The source of the function a chain expression names, nested defs
+    included, its whitespace runs collapsed to one space; "" if none."""
+    scope, _, name = where.replace(" ", ".").rpartition(".")
+    for path in READERS:
+        text = path.read_text()
+        tree = ast.parse(text)
+        scopes = [tree] if path.stem == scope else [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == scope]
+        for node in (n for s in scopes for n in ast.walk(s)):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                return " ".join(ast.get_source_segment(text, node).split())
+    return ""
+
+
+def test_chain_expressions_are_in_the_functions_they_name():
+    # an entry that cites code since moved or deleted no longer shows that
+    # the class needs the name
+    missing = []
+    for table in (OPERATORS, SHARED, SHARED_FIELDS):
+        for cls, entries in table.items():
+            for name, entry in entries.items():
+                code, _, where = entry.rpartition(" in ")
+                pattern = ".*?".join(re.escape(" ".join(part.split())) for part in code.split("..."))
+                if not re.search(pattern, _function_source(where)):
+                    missing.append(f"{cls}.{name}: {entry}")
+    assert missing == []
 
 
 def test_no_randomized_route():

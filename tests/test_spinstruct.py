@@ -1,14 +1,22 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from _oracles import etale_product, sqrt_rational_oracle
+from _oracles import etale_product, realizations_oracle, sqrt_rational_oracle
 from spinel import arith, quat, spinstruct
 from spinel.arith import OO, squarefree_part, ternary_represents, valuation
 from spinel.cli import main
-from spinel.curves import WeierstrassCurve, count_points, find_q14_curve
+from spinel.curves import (
+    WeierstrassCurve,
+    _exponent_divides,
+    _group_law,
+    count_points,
+    curve_points,
+    find_q14_curve,
+)
 from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed
 from spinel.fields import FiniteField
 from spinel.isogeny import frobenius_scalar, isogeny_class
@@ -480,6 +488,22 @@ def test_spin_lift_matches_the_fraction_oracle():
                 assert (None if lift is None else lift.z) == want, (p, n, sign)
 
 
+def test_realizations_match_the_two_valuation_oracle():
+    # one valuation, of |z|^2 = |tau|, gives what v_p(|z|^2) and v_p(tau) gave
+    for p in _primes_below(200):
+        for n in range(1, 7):
+            s = construct_arithmetic_spin(p, n)
+            if s is None:
+                continue
+            lift = spin_lift(similitude_rep(s))
+            for ell in (None, 7 if p == 5 else 5):
+                got = dataclasses.asdict(realizations(lift, ell))
+                want = realizations_oracle(lift, ell)
+                assert {k: (type(v), v) for k, v in got.items()} == {
+                    k: (type(v), v) for k, v in want.items()
+                }, (p, n, ell)
+
+
 def _trace_over(F, a3: int, a4: int) -> int:
     """q + 1 - #E(F_q) for y^2 + a3 y = x^3 + a4 x, coefficients given as integers."""
     E = WeierstrassCurve(F, 0, 0, F.from_int(a3), F.from_int(a4), 0)
@@ -501,3 +525,47 @@ def test_even_n_rule_at_the_brute_force_curve_j_1728():
     assert _trace_over(FiniteField(3, 2), 0, -1) == -6
     assert has_arithmetic_spin(spinorial_class(2, 2)).exists
     assert has_arithmetic_spin(spinorial_class(3, 2)).exists
+
+
+def test_twist_over_f_p4_is_in_the_n_2_class():
+    # n = 2 from the curve side: find_q14_curve(p) over F_{p^4} has Frobenius
+    # p^2, so its twist by a nonsquare d (a4 d^2, a6 d^3) has Frobenius -p^2,
+    # trace -2p^2 and (p^2 + 1)^2 points, with exponent dividing p^2 + 1; the
+    # class carries a structure exactly when p = 3 mod 4, and then z^2 = -p^2
+    for p in (5, 7, 11):
+        E0, F = find_q14_curve(p), FiniteField(p, 4)  # constants keep their codes
+        d = next(u for u in F.elements() if not F.sqrts(u))
+        E = WeierstrassCurve(F, 0, 0, 0, F.mul(E0.a4, F.pow(d, 2)), F.mul(E0.a6, F.pow(d, 3)))
+        points = curve_points(E)
+        c = spinorial_class(p, 2)
+        assert F.q + 1 - len(points) == c.beta == -2 * p * p, p
+        assert len(points) == count_points(E) == (p * p + 1) ** 2, p
+        assert _exponent_divides(E, points, p * p + 1), p
+        proof = verify_identity_exact(p, 2)
+        assert proof.holds and proof.vacuous == (p == 5), p
+        assert proof.lhs == RationalFunction((1,), (1, -c.beta, F.q)), p
+        s = construct_arithmetic_spin(p, 2)
+        if s is not None:
+            assert spin_lift(similitude_rep(s)).z.square() == s.clifford.element(-p * p), p
+
+
+def test_j_1728_automorphism_is_a_pure_unit():
+    # for p = 3 mod 4, alpha(x, y) = (-x, i y) with i^2 = -1 in F_{p^2} is an
+    # automorphism of y^2 = x^3 + x: it maps E(F_{p^2}) onto itself, squares to
+    # [-1] and commutes with the group law, the norm-1 pure quaternion i of
+    # B_{p,oo} = (-1, -p) that the even-n structures read
+    for p in [p for p in _primes_below(128) if p % 4 == 3 and p >= 7]:
+        F = FiniteField(p, 2)
+        E = WeierstrassCurve(F, 0, 0, 0, 1, 0)
+        i = F.sqrts(F.neg(1))[0]
+
+        def alpha(P):
+            return None if P is None else (F.neg(P[0]), F.mul(i, P[1]))
+
+        points = curve_points(E)
+        assert sorted(map(alpha, points[1:])) == sorted(points[1:]) and alpha(None) is None, p
+        assert all(alpha(alpha(P)) == (P[0], F.neg(P[1])) for P in points[1:]), p
+        add, rng = _group_law(E), random.Random(p)
+        for _ in range(50):
+            P, Q = rng.choice(points), rng.choice(points)
+            assert alpha(add(P, Q)) == add(alpha(P), alpha(Q)), (p, P, Q)
