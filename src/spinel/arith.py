@@ -106,6 +106,15 @@ def is_prime(n: int) -> bool:
     return n < _TRIAL_LIMIT or _strong_probable_prime(n)
 
 
+def is_prime_named(n: int, name: str) -> bool:
+    """is_prime(n) for an argument: a BoundExceeded detail starts with the
+    argument, name then n, so name "p = " gives "p = n: n exceeds ..."."""
+    try:
+        return is_prime(n)
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"{name}{n}: {exc}") from None
+
+
 def _rho_divisor(n: int) -> int:
     """A proper divisor of an odd composite n, by Pollard-Brent rho.
 
@@ -266,11 +275,8 @@ def _prime_symbol(x: tuple[int, int], y: tuple[int, int], p: int) -> int:
 
 
 def _check_place(v: Place) -> None:
-    try:
-        if v != OO and (not isinstance(v, int) or not is_prime(v)):
-            raise NotPrime(f"{v!r} is not a prime or {OO!r}")
-    except BoundExceeded as exc:
-        raise BoundExceeded(f"place {v}: {exc}") from None
+    if v != OO and (not isinstance(v, int) or not is_prime_named(v, "place ")):
+        raise NotPrime(f"{v!r} is not a prime or {OO!r}")
 
 
 def integer_symbol(m: int, n: int, v: Place) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import check_power, is_prime
+from .arith import check_power, is_prime_named
 from .errors import BoundExceeded, NotInClassList, NotPrime, NotSpinorial
 
 KIND_ORDINARY = "ordinary"
@@ -94,7 +94,7 @@ class IsogenyClass:
 
 
 def _check_field(p: int, a: int) -> None:
-    if not is_prime(p):
+    if not is_prime_named(p, "p = "):
         raise NotPrime(f"{p} is not prime")
     if a < 1:
         raise ValueError("a must be positive")

@@ -1,9 +1,10 @@
 """Zeta and L-data for the spinorial classes and the weight-1/2 identity.
 
 Each function reads q = p^(2n), beta = -2p^n and tau = beta/2 = -p^n off
-spinstruct.spinorial_class(p, n).  H^1 of a curve in the class has both
-Frobenius eigenvalues tau and the spin representation has +-sqrt(tau), so
-in T = q^(-s)
+spinstruct.spinorial_class(p, n, -1); the sign is passed, as
+construct_arithmetic_spin passes it, so all of them share one key of that
+memo.  H^1 of a curve in the class has both Frobenius eigenvalues tau and
+the spin representation has +-sqrt(tau), so in T = q^(-s)
 
     Z(H^1, T) = 1 - beta T + q T^2,    Z(rho_spin, T) = 1/(1 - tau T^2).
 
@@ -135,13 +136,13 @@ def _h1(c: IsogenyClass) -> IntPoly:
 
 def zeta_spin(p: int, n: int) -> RationalFunction:
     """Z(rho_spin, T) = 1/(1 - tau T^2): reciprocal roots +-sqrt(tau)."""
-    tau = frobenius_scalar(spinstruct.spinorial_class(p, n))
+    tau = frobenius_scalar(spinstruct.spinorial_class(p, n, -1))
     return RationalFunction((1,), (1, 0, -tau))
 
 
 def zeta_h1(p: int, n: int) -> RationalFunction:
     """Z(H^1 of the tau = -p^n class, T) = 1 - beta T + q T^2."""
-    return RationalFunction(_h1(spinstruct.spinorial_class(p, n)), (1,))
+    return RationalFunction(_h1(spinstruct.spinorial_class(p, n, -1)), (1,))
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def verify_identity_exact(p: int, n: int) -> IdentityProof:
     comes from EtaleElement.square.  In the vacuous case there is no
     structure and no lift, and the rhs keeps tau.
     """
-    c = spinstruct.spinorial_class(p, n)
+    c = spinstruct.spinorial_class(p, n, -1)
     lhs = RationalFunction((1,), _h1(c))
     S = spinstruct.construct_arithmetic_spin(p, n)
     if S is None:
@@ -266,7 +267,7 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     of q is rational, and otherwise a Decimal: the true value correctly
     rounded to NUMERIC_DPS digits.
     """
-    spinstruct.spinorial_class(p, n)  # checks (p, n)
+    spinstruct.spinorial_class(p, n, -1)  # checks (p, n)
     s = _as_fraction(s)
     # the exponents of p, 2n(1/2 - s) and 2n(1/2 - 2s), in lowest terms
     half, spin = (Fraction(n * (s.denominator - c * s.numerator), s.denominator) for c in (2, 4))
@@ -309,7 +310,7 @@ class GaussianFactorization:
 
 def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
     """Split the spin zeta denominator into the two Gaussian linear factors."""
-    spinstruct.spinorial_class(p, n)  # checks (p, n)
+    spinstruct.spinorial_class(p, n, -1)  # checks (p, n)
     f1: GaussPoly = ((1, 0), (0, 1))    # 1 + iV
     f2: GaussPoly = ((1, 0), (0, -1))   # 1 - iV
     prod = _gauss_mul_poly(f1, f2)

@@ -7,7 +7,8 @@ norm and trace are Nrd(x) = x*gamma(x) and Trd(x) = x + gamma(x), giving
     Nrd(x) = x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2,   Trd(x) = 2*x0.
 
 B is division iff its set of ramified places is nonempty, and that set is
-always finite of even cardinality by the product formula.
+always finite of even cardinality by the product formula.  Each algebra
+keeps that set once `ramified_places` has computed it.
 
 An element is four int numerators over one positive int denominator, in
 lowest terms.  A product, norm or inverse is one int expression over the
@@ -50,11 +51,16 @@ class QuaternionAlgebra:
 
     With a = an/ad and b = bn/bd, `_ints` holds (ad bd, an bd, ad bn, an bn):
     the integers ad bd times 1, a, b and ab that products and norms use.
+    `_ramified` keeps the ramified set once `ramified_places` has read it,
+    and is None until then; neither takes part in equality or hashing.
     """
 
     a: Fraction
     b: Fraction
     _ints: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _ramified: Optional[frozenset[Place]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         a, b = arith._as_fraction(self.a), arith._as_fraction(self.b)
@@ -183,9 +189,15 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset[Place]:
     other odd prime both entries are units and the symbol is +1.  Each
     symbol is read off the square-class integers num * den of a and b at a
     place that `places` has already certified.
+
+    Computed on the first call for B and kept on B, so a later call, such
+    as one on the memoised b_p_infty(p), factors nothing.
     """
-    m, n = (c.numerator * c.denominator for c in (B.a, B.b))
-    return frozenset(v for v in arith.places(B.a, B.b) if arith.integer_symbol(m, n, v) == -1)
+    if B._ramified is None:
+        m, n = (c.numerator * c.denominator for c in (B.a, B.b))
+        ram = frozenset(v for v in arith.places(B.a, B.b) if arith.integer_symbol(m, n, v) == -1)
+        object.__setattr__(B, "_ramified", ram)
+    return B._ramified
 
 
 @lru_cache(maxsize=MEMO_PRIMES)
@@ -197,9 +209,10 @@ def b_p_infty(p: int) -> QuaternionAlgebra:
     set.  Exhausting the scan would contradict the classification of
     quaternion algebras over Q, so that is a hard error.
 
-    Memoised per p (the algebra is frozen); errors are raised on every call.
+    Memoised per p (the algebra is frozen), and the algebra keeps the
+    ramified set that certified it; errors are raised on every call.
     """
-    if not arith.is_prime(p):
+    if not arith.is_prime_named(p, "p = "):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         return QuaternionAlgebra(-1, -1)

@@ -16,10 +16,11 @@ Existence is sharp:
   holds iff p = 2 or p = 3 mod 4, exactly when quat.b_p_infty(p) is
   presented with a = -1, so that i has norm 1.
 
-The certificate of has_arithmetic_spin is the one place that decides
-existence: its witness u is read off that presentation, or is None.  The
-one constructor for both parities, construct_arithmetic_spin(p, n), takes
-u from it and is memoised per (p, n).  lfunc reads the identity's spin
+spinorial_class(p, n, sign) is the one check of (p, n) and is memoised per
+(p, n, sign).  The certificate of has_arithmetic_spin is the one place that
+decides existence: its witness u is read off that presentation, or is None.
+The one constructor for both parities, construct_arithmetic_spin(p, n),
+takes u from it and is memoised per (p, n).  lfunc reads the identity's spin
 side off the structure's lift, and `vacuous` off its absence.  The lifted
 Frobenius (sqrt(tau), -sqrt(tau)) is the weight-1/2 eigenvalue datum: the
 weight is read off the lift as v_p(N(z)) / v_p(q) = 1/2, and the
@@ -35,7 +36,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import quat
-from .arith import check_power, is_prime, valuation
+from .arith import check_power, is_prime_named, valuation
 from .errors import BoundExceeded, NotPrime, PrecheckFailed
 from .isogeny import ENDO_QUATERNION, KIND_SUPERSINGULAR, IsogenyClass, frobenius_scalar
 from .quat import Quaternion, QuaternionAlgebra
@@ -117,20 +118,29 @@ class RealizationData:
     normalized_slope: Fraction
 
 
+@lru_cache(maxsize=quat.MEMO_PRIMES, typed=True)
 def spinorial_class(p: int, n: int, sign: int = -1) -> IsogenyClass:
     """The spinorial class over F_{p^(2n)} with tau = sign * p^n, clause 2(a).
 
-    The one check of (p, n), in order: p and n integers (read through
-    operator.index, so 3.0 raises TypeError), p prime, n >= 1, then
-    q = p^(2n) within the power limit, all before p^n is computed."""
-    p, n = operator.index(p), operator.index(n)
+    The one check of (p, n), in order: p, n and sign integers (read through
+    operator.index, so 3.0 raises TypeError), sign = +-1, p prime, n >= 1,
+    then q = p^(2n) within the power limit, all before p^n is computed.  A
+    bound-exceeded detail starts with p, and with p and n at the power limit.
+
+    Memoised per (p, n, sign) as passed (the class is frozen), at most
+    quat.MEMO_PRIMES keys, the least recently used dropped first; typed, so
+    3.0 or 1.0 never match a kept 3 or 1.  Errors are raised on every call."""
+    p, n, sign = operator.index(p), operator.index(n), operator.index(sign)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not is_prime(p):
+    if not is_prime_named(p, "p = "):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"n = {n} must be positive")
-    check_power(p, 2 * n)
+    try:
+        check_power(p, 2 * n)
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"p = {p}, n = {n}: {exc}") from None
     return IsogenyClass(p, 2 * n, 2 * sign * p**n, KIND_SUPERSINGULAR, ENDO_QUATERNION)
 
 
@@ -227,11 +237,8 @@ def realizations(lift: SpinLift, ell: int | None = None) -> RealizationData:
     p = c.p
     if ell is None:
         ell = 2 if p != 2 else 3
-    try:
-        if not is_prime(ell):
-            raise NotPrime(f"ell = {ell} is not prime")
-    except BoundExceeded as exc:
-        raise BoundExceeded(f"ell = {ell}: {exc}") from None
+    if not is_prime_named(ell, "ell = "):
+        raise NotPrime(f"ell = {ell} is not prime")
     if ell == p:
         raise PrecheckFailed(
             f"ell = {ell} equals p = {p}: the ell-adic label must differ from p"

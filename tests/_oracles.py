@@ -10,7 +10,9 @@ element, the ternary oracle is a box scan,
 the primality and factoring oracles are trial division (that Miller-Rabin
 and Pollard-Brent rho replaced) by a sieved list of the primes below 2^24,
 the factor-each places oracle factors every integer whole instead of
-stripping the primes already found,
+stripping the primes already found, the ramified-places oracle runs the
+Hilbert oracle at every place but the largest prime and reads that one off
+Hilbert reciprocity,
 the isotropy oracle is the Hasse-invariant formula evaluated through
 the public Hilbert symbol and a local-square test by listing squares instead
 of the per-place kernel, the Frobenius oracle is double and add to [p+1]P
@@ -269,6 +271,34 @@ def places_factor_each_oracle(*values: Fraction) -> list:
         for n in (x.numerator, x.denominator):
             primes.update(factorize(n)[1])
     return [OO, *sorted(primes)]
+
+
+def _unsquared(x: int, p: int) -> int:
+    while x % (p * p) == 0:
+        x //= p * p
+    return x
+
+
+def ramified_places_oracle(a: Fraction, b: Fraction) -> frozenset:
+    """The places where (a, b | Q) is division, by brute force at all but one.
+
+    The candidates are places_oracle(a, b).  At OO the symbol goes by signs,
+    and at each prime but the largest it is hilbert_oracle on the integers
+    num * den of a and b, each with its even powers of the prime divided out
+    (that keeps its square class, and the modulus p^(v+3) small).  The
+    largest prime is read off the others by Hilbert reciprocity, since the
+    product of all the symbols is 1, so that prime may be far beyond what
+    the brute-force solver can reach.
+    """
+    m, n = a.numerator * a.denominator, b.numerator * b.denominator
+    _, *primes, last = places_oracle(a, b)
+    ram = {OO} if m < 0 and n < 0 else set()
+    for p in primes:
+        if hilbert_oracle(_unsquared(m, p), _unsquared(n, p), p) == -1:
+            ram.add(p)
+    if len(ram) % 2:
+        ram.add(last)
+    return frozenset(ram)
 
 
 def random_fraction(rng, size: int = 9, nonzero: bool = False) -> Fraction:

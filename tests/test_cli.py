@@ -382,8 +382,11 @@ BEYOND_PROOF = 340282366920938463463374607431768211297
     [
         (["crystal", "--p", "3", "--n", "1", "--ell", str(BEYOND_PROOF)], f"ell = {BEYOND_PROOF}: "),
         (["hilbert", "--a", "2", "--b", "3", "--place", str(BEYOND_PROOF)], f"place {BEYOND_PROOF}: "),
+        (["spin", "--p", str(BEYOND_PROOF), "--n", "1"], f"p = {BEYOND_PROOF}: "),
+        (["bpinf", "--p", str(BEYOND_PROOF)], f"p = {BEYOND_PROOF}: "),
+        (["classify", "--p", str(BEYOND_PROOF), "--a", "1"], f"p = {BEYOND_PROOF}: "),
     ],
-    ids=["crystal-ell", "hilbert-place"],
+    ids=["crystal-ell", "hilbert-place", "spin-p", "bpinf-p", "classify-p"],
 )
 def test_primality_bound_detail_names_the_argument(argv, prefix, capsys):
     detail = f"{prefix}{BEYOND_PROOF} exceeds primality bound {arith.PRIMALITY_BOUND}"
@@ -480,7 +483,10 @@ def test_census_refused_with_the_scan_size(q, size, capsys):
         (
             "3",
             "2048",
-            {"detail": "3^4096 is at or above 2^4096, the exact power limit", "error": "bound-exceeded"},
+            {
+                "detail": "p = 3, n = 2048: 3^4096 is at or above 2^4096, the exact power limit",
+                "error": "bound-exceeded",
+            },
         ),
     ],
     ids=["composite-p", "power-limit"],

@@ -357,8 +357,9 @@ def test_zeta_functions_match_the_closed_forms_below_128():
 
 def test_each_call_proves_p_prime_once(monkeypatch):
     # spinorial_class is the one check of (p, n) and every public lfunc call
-    # builds one class, so each call proves p prime once; the per-p memo
-    # behind the certificate that `vacuous` reads is filled before counting
+    # builds one class, so each call proves p prime once with the class memo
+    # cleared, and a repeated call proves nothing; the per-p memo behind the
+    # certificate that `vacuous` reads is filled before counting
     proofs = []
     is_prime = arith.is_prime
 
@@ -383,9 +384,13 @@ def test_each_call_proves_p_prime_once(monkeypatch):
         for n in (1, 2, 3):
             verify_identity_exact(p, n)
             for call in calls:
+                spinstruct.spinorial_class.cache_clear()
                 proofs.clear()
                 call(p, n)
                 assert proofs == [p], (call, p, n)
+                proofs.clear()
+                call(p, n)
+                assert proofs == [], (call, p, n)
 
 
 @pytest.mark.parametrize(

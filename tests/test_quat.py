@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -149,6 +150,59 @@ def test_b_p_infty_presentations():
     assert b_p_infty(5) == QuaternionAlgebra(-2, -5)
     for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
         assert ramified_places(b_p_infty(p)) == {p, OO}
+
+
+_ODD_PRIMES = [p for p in range(3, 10**5) if is_prime(p)]
+
+
+def _local_symbols_pair(rng):
+    """(a, b) shaped like the benchmark's local-symbols queries, u P / d with
+    smooth |u|, d <= 16: P <= 13 in a, so the oracle's brute force reaches
+    every place of a, and any P < 10^5 in b, a place it may read off
+    reciprocity."""
+    def rational(ps):
+        u = rng.choice((-1, 1)) * rng.randint(1, 16)
+        return Fraction(u * rng.choice(ps), rng.randint(1, 16))
+
+    return rational(_ODD_PRIMES[:5]), rational(_ODD_PRIMES)
+
+
+def test_ramified_places_match_the_oracle():
+    # the kept set of every memoised B_{p,oo}, p < 2000, and of 2,000 seeded
+    # local-symbols-style algebras, against the brute-force Hilbert oracle
+    for p in [p for p in range(2, 2000) if is_prime(p)]:
+        B = b_p_infty(p)
+        want = _oracles.ramified_places_oracle(B.a, B.b)
+        assert ramified_places(B) == ramified_places(QuaternionAlgebra(B.a, B.b)) == want == {p, OO}, p
+    rng = random.Random(30)
+    for _ in range(2000):
+        a, b = _local_symbols_pair(rng)
+        B = QuaternionAlgebra(a, b)
+        ram = ramified_places(B)
+        assert ram == _oracles.ramified_places_oracle(a, b), (a, b)
+        assert ramified_places(B) is ram
+
+
+def test_ramified_set_is_computed_once_and_kept_out_of_equality(monkeypatch):
+    calls = []
+    places = quat.arith.places
+
+    def counting(*values):
+        calls.append(values)
+        return places(*values)
+
+    monkeypatch.setattr(quat.arith, "places", counting)
+    B, C = QuaternionAlgebra(-2, -5), QuaternionAlgebra(-2, -5)
+    assert calls == []  # building an algebra factors nothing
+    assert B == C and hash(B) == hash(C) and repr(B) == repr(C)
+    assert ramified_places(B) == ramified_places(B) == {5, OO}
+    assert len(calls) == 1
+    # one algebra has read its set and the other has not: still equal
+    assert B == C and hash(B) == hash(C) and repr(B) == repr(C)
+    assert B.element(0, 1) * C.element(0, 0, 1) == C.element(0, 0, 0, 1)
+    for name in ("a", "_ramified"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(B, name, None)
 
 
 def test_find_pure_of_norm_first_witnesses():

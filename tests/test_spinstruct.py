@@ -17,7 +17,7 @@ from spinel.curves import (
     curve_points,
     find_q14_curve,
 )
-from spinel.errors import NotPrime, NotSpinorial, PrecheckFailed
+from spinel.errors import BoundExceeded, NotPrime, NotSpinorial, PrecheckFailed
 from spinel.fields import FiniteField
 from spinel.isogeny import frobenius_scalar, isogeny_class
 from spinel.lfunc import RationalFunction, verify_identity_exact, zeta_h1
@@ -38,7 +38,7 @@ from spinel.spinstruct import (
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 #: the memos of the spin chain, per p and per (p, n)
-MEMOS = (b_p_infty, construct_arithmetic_spin)
+MEMOS = (b_p_infty, spinorial_class, construct_arithmetic_spin)
 
 
 def _primes_below(bound):
@@ -337,6 +337,9 @@ def test_memos_match_fresh_computation_below_2000():
         assert B == fresh and ramified_places(B) == {p, OO}, p
         unit = ternary_represents(fresh.pure_norm_coefficients(), 1)
         for n in (1, 2, 3, 4):
+            for sign in (1, -1):
+                fresh = spinorial_class.__wrapped__(p, n, sign)
+                assert spinorial_class(p, n, sign) == fresh, (p, n, sign)
             cert = has_arithmetic_spin(spinorial_class(p, n, -1))
             assert cert.exists == (n % 2 == 1 or unit), (p, n)
             assert verify_identity_exact(p, n).vacuous == (not cert.exists), (p, n)
@@ -406,6 +409,17 @@ def test_memos_keep_no_errors():
             with pytest.raises(NotPrime) as got:
                 construct_arithmetic_spin(bad, 1)
             assert got.value.code == "not-prime"
+            with pytest.raises(NotPrime):
+                spinorial_class(bad, 1, 1)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="n = 0"):
+            spinorial_class(3, 0)
+        with pytest.raises(ValueError, match="sign"):
+            spinorial_class(3, 1, 0)
+        with pytest.raises(TypeError):
+            spinorial_class(3.0, 1)
+        with pytest.raises(BoundExceeded, match="^p = 3, n = 2048: 3"):
+            spinorial_class(3, 2048)
 
 
 def test_memoised_objects_reject_assignment():
@@ -436,6 +450,19 @@ def test_structure_memo_is_per_typed_p_and_n():
             construct_arithmetic_spin(3, 1.0)
         assert construct_arithmetic_spin(3, 1).tau == -3
     assert construct_arithmetic_spin(3, True) == construct_arithmetic_spin(3, 1)
+
+
+def test_class_memo_is_per_typed_p_n_and_sign():
+    # sign is read through operator.index, as p and n are, so 1.0 raises on
+    # every call, before and after (3, 1, 1) is kept, and beta stays an int
+    spinorial_class.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            spinorial_class(3, 1, 1.0)
+        c = spinorial_class(3, 1, 1)
+        assert type(c.beta) is int and c.beta == 6
+        assert spinorial_class(3, 1, 1) is c
+    assert spinorial_class(3, 1, True) == c
 
 
 def test_failed_checks_name_p_n_and_tau(monkeypatch):
