@@ -16,6 +16,7 @@ failure is a hard error rather than a silent partial answer.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations, count
 from typing import Iterable, Union
@@ -94,8 +95,10 @@ def is_prime(n: int) -> bool:
     """Exact primality: trial division below 1024, then Miller-Rabin.
 
     Raises BoundExceeded when n has no prime factor below 1024 and is at
-    least PRIMALITY_BOUND, where the fixed bases stop being a proof.
+    least PRIMALITY_BOUND, where the fixed bases stop being a proof.  n is
+    read through operator.index, so 2.5 raises TypeError.
     """
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -164,7 +167,8 @@ def _large_prime_factors(m: int, n: int) -> list[int]:
 
 
 def _factorable(n: int) -> int:
-    """|n|, after refusing 0."""
+    """|n|, after refusing a non-integer (TypeError, by operator.index) and 0."""
+    n = operator.index(n)
     if n == 0:
         raise ZeroInput("cannot factor 0")
     return abs(n)
@@ -217,7 +221,14 @@ def squarefree_part(r: Rat) -> int:
 
 
 def valuation(r: Rat, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+    """p-adic valuation of a nonzero rational, for an integer p >= 2.
+
+    p is read through operator.index, so 2.0 raises TypeError, and p < 2
+    raises ValueError before any division (dividing out 1 or -1 never stops).
+    """
+    p = operator.index(p)
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2 for a p-adic valuation")
     r = _as_fraction(r)
     if r == 0:
         raise ZeroInput("0 has no finite valuation")
@@ -335,7 +346,8 @@ def places(*values: Rat) -> list[Place]:
     is an odd prime at which all the values are units, so Hilbert symbols
     and the isotropy of diagonal forms built from them are trivial there.
     """
-    primes = _finite_places(n for x in values for n in (x.numerator, x.denominator))
+    fracs = map(_as_fraction, values)
+    primes = _finite_places(n for x in fracs for n in (x.numerator, x.denominator))
     return [OO, *sorted(primes)]
 
 

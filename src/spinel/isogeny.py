@@ -20,6 +20,7 @@ orthogonal involution on B_{p,oo}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -93,12 +94,23 @@ class IsogenyClass:
         return f"beta={self.beta} over F_{self.q} ({self.kind}, {self.endo})"
 
 
-def _check_field(p: int, a: int) -> None:
+def _check_field(p: int, a: int) -> tuple[int, int]:
+    """p and a read through operator.index, once p is prime, a >= 1 and p^a
+    is within the power limit.
+
+    A bound-exceeded detail starts with `p = ...: `, and at the power limit
+    with `p = ..., a = ...: `.
+    """
+    p, a = operator.index(p), operator.index(a)
     if not is_prime_named(p, "p = "):
         raise NotPrime(f"{p} is not prime")
     if a < 1:
         raise ValueError("a must be positive")
-    check_power(p, a)
+    try:
+        check_power(p, a)
+    except BoundExceeded as exc:
+        raise BoundExceeded(f"p = {p}, a = {a}: {exc}") from None
+    return p, a
 
 
 def _record(p: int, a: int, beta: int, case: str) -> IsogenyClass:
@@ -110,7 +122,7 @@ def _record(p: int, a: int, beta: int, case: str) -> IsogenyClass:
 
 def isogeny_class(p: int, a: int, beta: int) -> IsogenyClass:
     """Validated class record for trace beta over F_{p^a}."""
-    _check_field(p, a)
+    p, a = _check_field(p, a)
     case = _case(p, a, beta)
     if case is None:
         raise NotInClassList(f"beta = {beta} is not admissible over F_{p**a}")
@@ -123,7 +135,7 @@ def enumerate_classes(p: int, a: int) -> list[IsogenyClass]:
     Raises BoundExceeded before scanning if the trace scan |beta| <= 2 sqrt(q)
     exceeds MAX_TRACE_SCAN traces.
     """
-    _check_field(p, a)
+    p, a = _check_field(p, a)
     bmax = isqrt(4 * p**a)
     size = 2 * bmax + 1
     if size > MAX_TRACE_SCAN:

@@ -283,19 +283,6 @@ def l_values(p: int, n: int, s: Rat) -> LValues:
     return LValues(s, lsq, lspin, lhalf, lsq)
 
 
-GaussianInt = tuple[int, int]  # re + im*i
-GaussPoly = tuple[GaussianInt, ...]
-
-
-def _gauss_mul_poly(f: GaussPoly, g: GaussPoly) -> GaussPoly:
-    out = [(0, 0)] * (len(f) + len(g) - 1)
-    for a, (ar, ai) in enumerate(f):
-        for b, (br, bi) in enumerate(g):
-            re, im = out[a + b]
-            out[a + b] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GaussianFactorization:
     """1 + p^n T^2 = (1 + i sqrt(p^n) T)(1 - i sqrt(p^n) T) over Q(i), in V.
@@ -309,12 +296,6 @@ class GaussianFactorization:
 
 
 def factor_over_gaussians(p: int, n: int) -> GaussianFactorization:
-    """Split the spin zeta denominator into the two Gaussian linear factors."""
+    """The spin zeta denominator 1 + V^2 = (1 + iV)(1 - iV), the same for every (p, n)."""
     spinstruct.spinorial_class(p, n, -1)  # checks (p, n)
-    f1: GaussPoly = ((1, 0), (0, 1))    # 1 + iV
-    f2: GaussPoly = ((1, 0), (0, -1))   # 1 - iV
-    prod = _gauss_mul_poly(f1, f2)
-    assert all(im == 0 for _, im in prod)
-    rational = _trim(tuple(re for re, _ in prod))
-    assert rational == (1, 0, 1)  # 1 + V^2
-    return GaussianFactorization(rational)
+    return GaussianFactorization((1, 0, 1))

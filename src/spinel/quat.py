@@ -18,6 +18,7 @@ coordinates x0..x3, the text and the JSON are read off as Fractions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -200,7 +201,7 @@ def ramified_places(B: QuaternionAlgebra) -> frozenset[Place]:
     return B._ramified
 
 
-@lru_cache(maxsize=MEMO_PRIMES)
+@lru_cache(maxsize=MEMO_PRIMES, typed=True)
 def b_p_infty(p: int) -> QuaternionAlgebra:
     """The quaternion algebra ramified exactly at {p, OO}.
 
@@ -210,8 +211,11 @@ def b_p_infty(p: int) -> QuaternionAlgebra:
     quaternion algebras over Q, so that is a hard error.
 
     Memoised per p (the algebra is frozen), and the algebra keeps the
-    ramified set that certified it; errors are raised on every call.
+    ramified set that certified it; errors are raised on every call.  p is
+    read through operator.index and the memo is typed, so 2.0 raises
+    TypeError, before and after 2 is kept.
     """
+    p = operator.index(p)
     if not arith.is_prime_named(p, "p = "):
         raise NotPrime(f"{p} is not prime")
     if p == 2:

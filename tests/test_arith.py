@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from _oracles import (
     random_fraction,
     ternary_search,
 )
+import spinel
 from spinel import arith
 from spinel.arith import (
     MAX_POWER_BITS,
@@ -130,6 +135,28 @@ def test_valuation():
     assert valuation(Fraction(9, 50), 5) == -2
     assert valuation(Fraction(9, 50), 3) == 2
     assert valuation(7, 3) == 0
+
+
+def test_valuation_refuses_p_below_2():
+    # dividing out p = 1 or -1 never stops, so the calls run in a child
+    # process: a hang fails the test by the timeout instead of stalling it
+    code = (
+        "from spinel.arith import valuation\n"
+        "for p in (1, -1, 0):\n"
+        "    try:\n"
+        "        valuation(6, p)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(spinel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"p = {p} must be at least 2 for a p-adic valuation" for p in (1, -1, 0)
+    ]
 
 
 def test_hilbert_known_values():

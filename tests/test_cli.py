@@ -497,6 +497,14 @@ def test_one_error_per_p_and_n(command, p, n, doc, capsys):
     assert json.loads(capsys.readouterr().out) == doc
 
 
+def test_classify_power_limit_detail_names_p_and_a(capsys):
+    detail = "p = 3, a = 5000: 3^5000 is at or above 2^4096, the exact power limit"
+    assert main(["classify", "--p", "3", "--a", "5000", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "error": "bound-exceeded"}
+    assert main(["classify", "--p", "3", "--a", "5000"]) == 1
+    assert capsys.readouterr() == ("", f"error (bound-exceeded): {detail}\n")
+
+
 def test_hilbert_zero_input_detail(capsys):
     assert main(["hilbert", "--a", "0", "--b", "2", "--json"]) == 1
     out = capsys.readouterr().out

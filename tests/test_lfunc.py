@@ -24,7 +24,6 @@ from spinel import arith, spinstruct
 from spinel.errors import BoundExceeded, NotPrime, ZeroInput
 from spinel.lfunc import (
     RationalFunction,
-    _gauss_mul_poly,
     factor_over_gaussians,
     l_values,
     poly_eval,
@@ -332,8 +331,6 @@ def test_values_ignore_a_changed_default_context():
 def test_gaussian_factorization():
     g = factor_over_gaussians(3, 1)
     assert g.product == (1, 0, 1)
-    # (1 + iV)(1 - iV) = 1 + V^2 over Z[i]
-    assert _gauss_mul_poly(((1, 0), (0, 1)), ((1, 0), (0, -1))) == ((1, 0), (0, 0), (1, 0))
     # numeric check of the substitution V = q^{1/4 - s/2} ... evaluate the
     # product at a transcendental-looking point and compare to 1 + V^2
     V = mpmath.mpf("0.37")

@@ -9,8 +9,17 @@ import pytest
 import _oracles
 from _oracles import FractionQuaternion, find_pure_of_norm_oracle, quaternion_sum, random_fraction
 from spinel import quat
-from spinel.arith import OO, is_prime, squarefree_part, ternary_represents
+from spinel.arith import (
+    OO,
+    factorize,
+    is_prime,
+    places,
+    squarefree_part,
+    ternary_represents,
+    valuation,
+)
 from spinel.errors import AlgebraMismatch, NotInvertible, ZeroInput
+from spinel.isogeny import enumerate_classes, isogeny_class
 from spinel.quat import (
     DEFAULT_SEARCH_BOUND,
     Quaternion,
@@ -400,3 +409,30 @@ def test_quaternion_is_built_in_lowest_terms():
 def test_exact_entry_points_refuse_floats_and_strings(entry, bad):
     with pytest.raises(TypeError, match="expected int or Fraction"):
         entry(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: factorize(6.5),
+        lambda: factorize(6.0),
+        lambda: places(6.0),
+        lambda: is_prime(2.5),
+        lambda: valuation(12, 2.0),
+        lambda: b_p_infty(2.0),
+        lambda: enumerate_classes(3.0, 1),
+        lambda: isogeny_class(2, 1.0, 0),
+    ],
+    ids=[
+        "factorize-6.5", "factorize-6.0", "places", "is-prime", "valuation-p", "b-p-infty",
+        "classes-p", "class-a",
+    ],
+)
+def test_integer_arguments_refuse_floats(call):
+    # integer arguments are read through operator.index (places' values as
+    # rationals); b_p_infty(2) is kept first, so a float p must not answer
+    # with the kept algebra
+    b_p_infty(2)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            call()
