@@ -286,7 +286,9 @@ def _prime_symbol(x: tuple[int, int], y: tuple[int, int], p: int) -> int:
 
 
 def _check_place(v: Place) -> None:
-    if v != OO and (not isinstance(v, int) or not is_prime_named(v, "place ")):
+    """Refuses a place other than OO that is not a prime; it is read through
+    operator.index, so 3.0 or "x" raises TypeError."""
+    if v != OO and not is_prime_named(operator.index(v), "place "):
         raise NotPrime(f"{v!r} is not a prime or {OO!r}")
 
 

@@ -25,7 +25,8 @@ from typing import Callable, Iterator, Optional
 from .errors import FieldTooLarge, PrecheckFailed, SearchExhausted
 from .fields import FiniteField
 
-#: refuse a trace census whose normal-form scan exceeds this many point evaluations
+#: refuse a trace census whose normal-form family, rows x q constants x q, exceeds
+#: this many point evaluations; for p >= 5 the scan evaluates about half of them
 MAX_CENSUS_EVALUATIONS = 10**7
 
 
@@ -158,7 +159,9 @@ def _census_rows(F: FiniteField) -> list[tuple]:
     characteristic 2, y = h z turns y^2 + h y = d into z^2 + z = d / h^2,
     which has 2 or 0 roots as d / h^2 is in the Artin-Schreier image or not;
     values holds d / h^2 less the constant, and leaves out each x with
-    h(x) = 0, which has exactly one point.
+    h(x) = 0, which has exactly one point.  For p >= 5 the singular
+    constants, the square roots of -4A^3/27, come in pairs {B, -B}, so
+    _census_scan skips a constant and its negative together.
     """
     add, mul = F.add, F.mul
     xs = F.elements()
@@ -197,10 +200,12 @@ def _census_rows(F: FiniteField) -> list[tuple]:
 
 
 def census_size(p: int, q: int) -> int:
-    """Point evaluations of the census scan over F_q, q a power of p: rows x
-    constants x q.  Raises FieldTooLarge above MAX_CENSUS_EVALUATIONS.
+    """Point evaluations of the census's normal-form family over F_q, q a
+    power of p: rows x q constants x q.  Raises FieldTooLarge above
+    MAX_CENSUS_EVALUATIONS.
 
-    It reads only p and q.
+    It reads only p and q.  For p >= 5 the scan evaluates about half of the
+    family and reads each -B off B, but the limit still prices the family.
     """
     rows = q * q - 1 if p == 2 else 2 * (q - 1) if p == 3 else 1 + gcd(4, q - 1)
     size = rows * q * q
@@ -214,15 +219,29 @@ def census_size(p: int, q: int) -> int:
 
 def _census_scan(F: FiniteField) -> Iterator[tuple[tuple[int, int, int, int, int], int]]:
     """(a-invariants, trace) for every curve of the normal-form scan; the
-    counts at d + c for every d read F._sols at log c + zech[log d - log c]."""
-    sols, log, zech = F._sols, F._log, F._zech
+    counts at d + c for every d read F._sols at log c + zech[log d - log c].
+
+    For p >= 5 only the constants 0 and g^k, k < (q - 1)/2, are scanned, and
+    each nonzero one also yields its twin at -c = g^(k + (q - 1)/2):
+    y^2 = x^3 + Ax - c is y^2 = x^3 + Ax + c under x -> -x, twisted by -1,
+    so its trace is chi(-1) t.  p = 2 and 3 scan every constant.
+    """
+    sols, log, zech, exp = F._sols, F._log, F._zech, F._exp
     rows, nonzero = _census_rows(F), log[1:]
-    for c, lc in enumerate(log):
+    half = F._neg_shift  # log(-1), so -c = exp[log c + half]
+    twins = F.p >= 5
+    scanned = [log[0], *range(half)] if twins else log
+    sign = (-1) ** half  # chi(-1): -1 = g^half is a square iff half is even
+    for lc in scanned:
+        c = exp[lc]
         row = [sols[lc + zech[k - lc]] for k in nonzero] if c else [sols[k] for k in nonzero]
         count = [sols[lc], *row].__getitem__  # d = 0 has the count at c
         for curve, values, singular in rows:
             if c not in singular:
-                yield curve(c), len(values) - sum(map(count, values))
+                trace = len(values) - sum(map(count, values))
+                yield curve(c), trace
+                if twins and c:
+                    yield curve(exp[lc + half]), sign * trace
 
 
 def trace_census(F: FiniteField) -> set[int]:
@@ -238,10 +257,12 @@ def trace_census(F: FiniteField) -> set[int]:
       and y^2 = x^3 + a4 x + a6 with a4 != 0 (j = 0);
     - p >= 5: y^2 = x^3 + Ax + B with 4A^3 + 27B^2 != 0.  Since (A, B) and
       (u^4 A, u^6 B) are isomorphic, A runs only over 0 and g^k for
-      k < gcd(4, q - 1), g the field's primitive element.
+      k < gcd(4, q - 1), g the field's primitive element.  B is scanned at 0
+      and g^k for k < (q - 1)/2; the trace at -B is chi(-1) times the trace
+      at B, so it is read off B (_census_scan).
 
     The stated conditions are exactly nonsingularity.  Raises FieldTooLarge
-    before any scanning if the scan needs more than MAX_CENSUS_EVALUATIONS
+    before any scanning if the family needs more than MAX_CENSUS_EVALUATIONS
     point evaluations.
     """
     census_size(F.p, F.q)

@@ -177,9 +177,10 @@ def census_pairs_oracle(F) -> set[tuple[int, int]]:
 
 
 def census_scan_oracle(F) -> list[tuple[tuple[int, ...], int]]:
-    """The census scan's (a-invariants, trace) list, in its order, with each
-    per-constant row sol[d + c] built by q F.add calls, and sol[u] counted
-    as the w with w^2 = u (odd p) or w^2 + w = u (p = 2)."""
+    """The census scan's (a-invariants, trace) list, with every constant
+    scanned (no twin read off another), each per-constant row sol[d + c]
+    built by q F.add calls, and sol[u] counted as the w with w^2 = u (odd p)
+    or w^2 + w = u (p = 2)."""
     els = F.elements()
     sol = Counter(F.add(F.mul(w, w), w if F.p == 2 else 0) for w in els)
     rows, out = curves._census_rows(F), []

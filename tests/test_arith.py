@@ -222,6 +222,11 @@ def test_hilbert_errors():
         hilbert_symbol(0, 3, 5)
     with pytest.raises(NotPrime):
         hilbert_symbol(1, 2, 6)
+    # a place other than OO is read as an integer: a float or a string is
+    # refused as a type, not as a composite
+    for place in (3.0, "x"):
+        with pytest.raises(TypeError):
+            hilbert_symbol(2, 3, place)
 
 
 def test_is_local_square():

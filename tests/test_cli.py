@@ -36,6 +36,8 @@ GOLDEN_CASES = [
     ("curves_q9_census", ["curves", "--q", "9", "--json"]),
     # the p >= 5 census rows, and the characteristic-2 rows
     ("curves_q49_census", ["curves", "--q", "49", "--json"]),
+    # a p >= 5 census with q = 3 mod 4, where -1 is no square in F_q
+    ("curves_q343_census", ["curves", "--q", "343", "--json"]),
     ("curves_q8_census", ["curves", "--q", "8", "--json"]),
     ("curves_q9_q14", ["curves", "--q", "9", "--find-q14", "--json"]),
     # F_{127^2}, the largest p^2 field within the construction limit
@@ -460,11 +462,19 @@ def test_census_over_scan_limit_fails_fast(q, capsys):
 
 @pytest.mark.parametrize(
     "q,size",
-    [("64", 16773120), ("9973", 497303645), ("15625", 1220703125), ("16384", 72057593769492480)],
+    [
+        ("64", 16773120),
+        ("1429", 10210205),
+        ("9973", 497303645),
+        ("15625", 1220703125),
+        ("16384", 72057593769492480),
+    ],
 )
 def test_census_refused_with_the_scan_size(q, size, capsys):
     # trace_census refuses the scan itself; building F_q first is cheap
-    # (F_{2^14}, the largest, in about 20 ms)
+    # (F_{2^14}, the largest, in about 20 ms).  The size prices the whole
+    # normal-form family, so F_1429 is refused although for p >= 5 about
+    # half of it is read off twins
     t0 = time.perf_counter()
     assert main(["curves", "--q", q, "--json"]) == 1
     assert time.perf_counter() - t0 < 1.0
